@@ -10,7 +10,7 @@ its effective members together with the principal divisors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import polyhedra
@@ -20,15 +20,15 @@ from .lattice import (
     FgAbGroup,
     IntMatrix,
     Vec,
+    hermite_coefficients,
     hermite_row_basis,
     hilbert_basis,
-    lattice_coefficients,
     lattice_contains,
     lattice_equal,
     lattice_intersection,
     lattice_sum,
     matrix_rank,
-    solve_integer_linear,
+    solve_with_snf,
     vec_dot,
     vec_is_zero,
 )
@@ -83,9 +83,8 @@ def cartier_data(fan: Fan, coeffs: Sequence[int]) -> Optional[CartierData]:
     if len(coeffs) != fan.n_rays:
         raise ValueError("coefficient length mismatch")
     chars = []
-    for cone in fan.max_cones:
-        A = IntMatrix([fan.rays[i] for i in cone], cols=fan.rank)
-        sol = solve_integer_linear(A, [coeffs[i] for i in cone])
+    for ci, cone in enumerate(fan.max_cones):
+        sol = solve_with_snf(fan.cone_snf(ci), [coeffs[i] for i in cone])
         if sol is None:
             return None
         chars.append(sol.particular)
@@ -96,8 +95,7 @@ def cartier_defect(fan: Fan, coeffs: Sequence[int]) -> tuple[int, ...]:
     """Indices of the max cones on which no local character exists."""
     out = []
     for ci, cone in enumerate(fan.max_cones):
-        A = IntMatrix([fan.rays[i] for i in cone], cols=fan.rank)
-        if solve_integer_linear(A, [coeffs[i] for i in cone]) is None:
+        if solve_with_snf(fan.cone_snf(ci), [coeffs[i] for i in cone]) is None:
             out.append(ci)
     return tuple(out)
 
@@ -111,19 +109,27 @@ def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
 
     A divisor is Cartier iff its restriction to each max cone's rays lies in
     the image of the character pairing on that cone; each such condition cuts
-    out a sublattice and the Cartier lattice is their intersection.
+    out a sublattice and the Cartier lattice is their intersection.  Computed
+    once per fan.
     """
+    key = "cartier_lattice"
+    if key not in fan._dict:
+        fan._dict[key] = _cartier_lattice(fan)
+    return fan._dict[key]
+
+
+def _cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
     n = fan.n_rays
-    if not fan.max_cones:
-        return hermite_row_basis(
-            [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)], width=n
-        )
-    current: Optional[tuple[Vec, ...]] = None
+    units = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+    current = units
     for cone in fan.max_cones:
         restricted = [
             tuple(fan.rays[i][j] for i in cone) for j in range(fan.rank)
         ]
         rsub = hermite_row_basis(restricted, width=len(cone))
+        # identity basis: a smooth cone, on which every divisor is Cartier
+        if len(rsub) == len(cone) and all(r[i] == 1 for i, r in enumerate(rsub)):
+            continue
         gens = []
         pos = {ray_i: k for k, ray_i in enumerate(cone)}
         for r in rsub:
@@ -136,10 +142,10 @@ def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
         basis = hermite_row_basis(gens, width=n)
         current = (
             basis
-            if current is None
+            if current == units
             else lattice_intersection(current, basis, width=n)
         )
-    return current if current is not None else ()
+    return current
 
 
 # -- class group ----------------------------------------------------------------
@@ -198,27 +204,33 @@ class DivisorSubgroup:
     """Validated admissible subgroup of the divisor lattice Z^rays.
 
     ``basis`` is the canonical Hermite basis, so equal subgroups compare
-    equal regardless of the generators they were built from.
+    equal regardless of the generators they were built from.  Derived data
+    (effective generators, Cartier members) is computed once per instance.
     """
 
     fan: Fan
     basis: tuple[Vec, ...]
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def subgroup_rank(self) -> int:
         return len(self.basis)
 
     def contains(self, coeffs: Sequence[int]) -> bool:
-        return lattice_contains(self.basis, coeffs, width=self.fan.n_rays)
+        return self.coefficients(coeffs) is not None
 
     def coefficients(self, coeffs: Sequence[int]) -> Optional[Vec]:
+        """Coordinates over ``basis``, unique since its rows are independent."""
         if len(coeffs) != self.fan.n_rays:
             raise ValueError("coefficient length mismatch")
-        return lattice_coefficients(self.basis, coeffs)
+        return hermite_coefficients(self.basis, coeffs)
 
     def effective_generators(self) -> tuple[Vec, ...]:
         """Minimal generators of the semigroup of effective members."""
-        return hilbert_basis(self.basis, self.fan.n_rays)
+        key = "effective_generators"
+        if key not in self._cache:
+            self._cache[key] = hilbert_basis(self.basis, self.fan.n_rays)
+        return self._cache[key]
 
 
 def divisor_subgroup(fan: Fan, rows: Sequence[Sequence[int]]) -> DivisorSubgroup:
@@ -264,7 +276,9 @@ def divisor_subgroup(fan: Fan, rows: Sequence[Sequence[int]]) -> DivisorSubgroup
         )
     if problems:
         raise SubgroupValidationError(problems)
-    return DivisorSubgroup(fan=fan, basis=basis)
+    sub = DivisorSubgroup(fan=fan, basis=basis)
+    sub._cache["effective_generators"] = effective
+    return sub
 
 
 def cox_subgroup(fan: Fan) -> DivisorSubgroup:
@@ -280,11 +294,17 @@ def kajiwara_subgroup(fan: Fan) -> DivisorSubgroup:
 
 
 def cartier_subgroup_basis(sub: DivisorSubgroup) -> tuple[Vec, ...]:
-    """Canonical basis of the Cartier members of the subgroup."""
-    cart = cartier_lattice(sub.fan)
-    if not sub.basis or not cart:
-        return ()
-    return lattice_intersection(sub.basis, cart, width=sub.fan.n_rays)
+    """Canonical basis of the Cartier members of the subgroup, computed once
+    per subgroup."""
+    key = "cartier_members"
+    if key not in sub._cache:
+        cart = cartier_lattice(sub.fan)
+        sub._cache[key] = (
+            lattice_intersection(sub.basis, cart, width=sub.fan.n_rays)
+            if sub.basis and cart
+            else ()
+        )
+    return sub._cache[key]
 
 
 # -- enough effective divisors ---------------------------------------------------

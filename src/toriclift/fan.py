@@ -21,6 +21,7 @@ from . import polyhedra
 from .lattice import (
     IntMatrix,
     ResourceLimitError,
+    SNFDecomposition,
     Vec,
     matrix_rank,
     primitive_vector,
@@ -64,10 +65,6 @@ class Location:
 
     face_rays: tuple[int, ...]
     max_cone: Optional[int]
-
-    @property
-    def dim_hint(self) -> int:
-        return len(self.face_rays)
 
 
 @dataclass(frozen=True)
@@ -154,6 +151,15 @@ class Fan:
             self._hreps[cone_index] = polyhedra.facet_description(gens, self.rank)
         return self._hreps[cone_index]
 
+    def cone_snf(self, cone_index: int) -> SNFDecomposition:
+        """Smith decomposition of a max cone's ray matrix (rays as rows),
+        computed once per fan: local characters on the cone solve against it."""
+        key = ("cone_snf", cone_index)
+        if key not in self._dict:
+            rows = self.cone_rays(self.max_cones[cone_index])
+            self._dict[key] = smith_normal_form(IntMatrix(rows, cols=self.rank))
+        return self._dict[key]
+
     def max_cone_contains(self, cone_index: int, v: Sequence[int]) -> bool:
         return self.cone_hrep(cone_index).contains(v)
 
@@ -177,9 +183,6 @@ class Fan:
             return Location(face_rays=face, max_cone=ci)
         return None
 
-    def minimal_cone_containing(self, v: Sequence[int]) -> Optional[Location]:
-        return self.locate(v)
-
     def max_cones_containing(self, v: Sequence[int]) -> tuple[int, ...]:
         return tuple(
             ci for ci in range(len(self.max_cones)) if self.max_cone_contains(ci, v)
@@ -200,9 +203,6 @@ class Fan:
                 smooth=all(p.smooth for p in profiles),
             )
         return self._dict[key]
-
-    def smoothness_profile(self) -> SmoothnessProfile:
-        return self.smoothness
 
     def face_is_smooth(self, ray_indices: Sequence[int]) -> bool:
         if not ray_indices:

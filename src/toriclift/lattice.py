@@ -104,10 +104,6 @@ class IntMatrix:
         return cls(tuple((0,) * cols for _ in range(rows)), cols=cols)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        return cls(rows, cols=cols)
-
-    @classmethod
     def column(cls, v: Sequence[int]) -> "IntMatrix":
         return cls(tuple((int(x),) for x in v), cols=1)
 
@@ -396,19 +392,29 @@ def solve_integer_linear(A: IntMatrix, b: Sequence[int]) -> Optional[IntegerSolu
     """
     if len(b) != A.rows:
         raise ValueError("rhs length mismatch")
-    snf = smith_normal_form(A)
+    return solve_with_snf(smith_normal_form(A), b)
+
+
+def solve_with_snf(snf: SNFDecomposition, b: Sequence[int]) -> Optional[IntegerSolution]:
+    """Solve A @ x = b over Z, given the Smith decomposition of A.
+
+    Lets a caller that solves many systems with one matrix reduce it once;
+    the result is the one ``solve_integer_linear`` returns.
+    """
+    m, n = snf.S.rows, snf.S.cols
+    if len(b) != m:
+        raise ValueError("rhs length mismatch")
     c = snf.U.apply(b)
-    n = A.cols
     y = [0] * n
     r = snf.rank
-    for i in range(min(A.rows, n)):
+    for i in range(min(m, n)):
         s = snf.S[i, i]
         if s != 0:
             if c[i] % s != 0:
                 return None
             y[i] = c[i] // s
     # Rows of S beyond the diagonal / rank must see zero on the rhs.
-    for i in range(A.rows):
+    for i in range(m):
         if i >= n or snf.S[i, i] == 0:
             if c[i] != 0:
                 return None
@@ -534,11 +540,6 @@ class CokernelData:
 
     def is_zero(self, v: Sequence[int]) -> bool:
         return vec_is_zero(self.project(v))
-
-
-def cokernel_group(A: IntMatrix) -> CokernelData:
-    """Z^rows modulo the column space of A, in canonical coordinates."""
-    return CokernelData(A)
 
 
 @dataclass(frozen=True)
@@ -675,18 +676,30 @@ def _exgcd(a: int, b: int) -> tuple[int, int]:
 def lattice_contains(basis: Sequence[Sequence[int]], v: Sequence[int], width: Optional[int] = None) -> bool:
     """Membership of v in the lattice spanned by ``basis`` rows."""
     h = hermite_row_basis(basis, width=width if width is not None else len(v))
+    return hermite_coefficients(h, v) is not None
+
+
+def hermite_coefficients(h: Sequence[Vec], v: Sequence[int]) -> Optional[Vec]:
+    """Coefficients c with c @ h = v for a Hermite basis ``h``, or None.
+
+    The rows of a Hermite basis are independent and every later row vanishes
+    in a row's pivot column, so back-substitution in pivot order finds the
+    unique coefficients, or a remainder proving there are none.
+    """
     r = list(_as_vec(v))
     n = len(r)
+    coeffs = []
     for row in h:
-        lead = next((c for c in range(n) if row[c] != 0), None)
-        if lead is None:
-            continue
-        if r[lead] % row[lead] == 0:
-            q = r[lead] // row[lead]
-            if q:
-                r = [a - q * b for a, b in zip(r, row)]
-        # leave nonzero remainder in place; caught by final zero test
-    return vec_is_zero(r)
+        if len(row) != n:
+            raise ValueError("length mismatch")
+        lead = next(c for c in range(n) if row[c] != 0)
+        q, rem = divmod(r[lead], row[lead])
+        if rem:
+            return None
+        if q:
+            r = [a - q * b for a, b in zip(r, row)]
+        coeffs.append(q)
+    return tuple(coeffs) if vec_is_zero(r) else None
 
 
 def lattice_coefficients(

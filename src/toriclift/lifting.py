@@ -9,12 +9,21 @@ divisor); and finally the effectivity and support conditions are imposed on
 the effective generators — skipped for simplicial targets, where they hold
 automatically.  Failures carry machine-checkable certificates, and searches
 that exhaust their configured bound report "undecided" rather than guessing.
+
+The containment stage is decided in the quotient group
+Z^n / (source subgroup + principal divisors), n the number of source rays:
+a value is contained iff its class there vanishes, which gives one equation
+per free coordinate and one congruence per torsion coordinate of the group,
+so the system's size follows the group rather than the lattice.  When the
+group is trivial (Cox source subgroups) containment holds without solving
+anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
@@ -77,6 +86,15 @@ class ToricMorphism:
 
     def ray_image(self, ray_index: int) -> Vec:
         return self.matrix.apply(self.source.rays[ray_index])
+
+    @cached_property
+    def ray_image_cones(self) -> tuple[tuple[int, ...], ...]:
+        """Per source ray, the target max cones containing its image;
+        computed once per morphism."""
+        return tuple(
+            self.target.max_cones_containing(self.ray_image(i))
+            for i in range(self.source.n_rays)
+        )
 
 
 def validate_toric_morphism(
@@ -147,9 +165,8 @@ def pullback_cartier(f: ToricMorphism, cd: CartierData) -> Vec:
     Cartier divisor agree on overlaps, which is asserted here.
     """
     out = []
-    for i in range(f.source.n_rays):
+    for i, containing in enumerate(f.ray_image_cones):
         w = f.ray_image(i)
-        containing = f.target.max_cones_containing(w)
         assert containing, "morphism invariant: every ray image lies in the target fan"
         values = {vec_dot(cd.character_for(ci), w) for ci in containing}
         assert len(values) == 1, "local characters must agree on the image"
@@ -329,16 +346,18 @@ def solve_geometric_pullback(
     X = ext.particular  # k x n_src
     kernels = list(ext.kernel)
 
-    # (c) containment in (source subgroup + principal), jointly over all rows,
-    # plus the zero-forcing equations of the support condition when active
+    # (c) containment in (source subgroup + principal), jointly over all rows
+    # in cokernel coordinates, plus the zero-forcing equations of the support
+    # condition when active
     lattice_rows = hermite_row_basis(
         list(source_subgroup.basis) + list(principal_basis(f.source)), width=n_src
     )
     zero_cells = _support_zero_cells(f, target_subgroup) if conditions else []
 
-    solved = _solve_joint(X, kernels, lattice_rows, [], k, n_src)
+    containment = _ProjectedContainment(X, kernels, lattice_rows)
+    solved = containment.solve([])
     if solved is None:
-        failing = _individually_failing_rows(X, kernels, lattice_rows, k, n_src)
+        failing = containment.failing_rows()
         return _no_report(
             ContainmentFailureCertificate(
                 basis_indices=failing, joint_only=not failing
@@ -347,7 +366,7 @@ def solve_geometric_pullback(
             search_bound,
         )
     if zero_cells:
-        solved_eq = _solve_joint(X, kernels, lattice_rows, zero_cells, k, n_src)
+        solved_eq = containment.solve(zero_cells)
         if solved_eq is None:
             return _no_report(
                 EffectivityFailureCertificate(
@@ -426,7 +445,9 @@ def solve_geometric_pullback(
     residual = tuple(dirs) if not conditions else ()
     witness = GeometricPullbackWitness(
         phi=phi,
-        decomposition=_decompose_rows(phi, source_subgroup, k),
+        decomposition=tuple(
+            _decompose_row(phi.row(j), source_subgroup) for j in range(k)
+        ),
         solution_lattice=residual,
     )
     problems = verify_pullback_witness(
@@ -533,66 +554,107 @@ def _support_zero_cells(
     return cells
 
 
-def _solve_joint(
-    X: IntMatrix,
-    kernels: list[IntMatrix],
-    lattice_rows: tuple[Vec, ...],
-    zero_cells: list[tuple[Vec, int]],
-    k: int,
-    n_src: int,
-) -> Optional[tuple[Vec, list[Vec]]]:
-    """Solve the containment (+ zero-forcing) system for the kernel
-    coefficients t.  Unknowns: t (one per kernel matrix) and, per subgroup
-    basis row, coefficients over the containment lattice.  Returns the
-    particular t and a basis of the t-directions of the solution set."""
-    A = len(kernels)
-    L = len(lattice_rows)
-    n_unknowns = A + k * L
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for j in range(k):
-        for r in range(n_src):
-            row = [K[j, r] for K in kernels]
-            row += [0] * (k * L)
-            for b in range(L):
-                row[A + j * L + b] = -lattice_rows[b][r]
-            rows.append(row)
-            rhs.append(-X[j, r])
-    for coeffs, ray_i in zero_cells:
-        row = [
-            sum(coeffs[j] * K[j, ray_i] for j in range(k)) for K in kernels
-        ]
-        row += [0] * (k * L)
-        rows.append(row)
-        rhs.append(-sum(coeffs[j] * X[j, ray_i] for j in range(k)))
-    if n_unknowns == 0:
-        if all(v == 0 for v in rhs):
-            return (), []
-        return None
-    sol = solve_integer_linear(IntMatrix(rows, cols=n_unknowns), rhs)
-    if sol is None:
-        return None
-    t_part = sol.particular[:A]
-    t_dirs = hermite_row_basis(
-        [kv[:A] for kv in sol.kernel_basis], width=A
-    )
-    return t_part, [d for d in t_dirs]
+class _ProjectedContainment:
+    """The containment stage in the cokernel C = Z^n / lattice.
 
+    The extended values are phi = X + sum_a t_a K_a over integer t.  Row j
+    of phi lies in the lattice iff its class in C vanishes, i.e.
+    sum_a t_a pi(K_a row j) = -pi(X row j) in C: an equation over Z per free
+    coordinate of C, and per torsion coordinate of order d a congruence mod
+    d, which becomes an equation with one multiplier unknown for that row
+    and coordinate.  ``blocks[j]`` holds row j's equations as pairs
+    (coefficients over t, right-hand side), torsion coordinates first.
 
-def _individually_failing_rows(
-    X: IntMatrix,
-    kernels: list[IntMatrix],
-    lattice_rows: tuple[Vec, ...],
-    k: int,
-    n_src: int,
-) -> tuple[int, ...]:
-    out = []
-    for j in range(k):
-        Xj = IntMatrix([X.row(j)], cols=n_src)
-        Kj = [IntMatrix([K.row(j)], cols=n_src) for K in kernels]
-        if _solve_joint(Xj, Kj, lattice_rows, [], 1, n_src) is None:
-            out.append(j)
-    return tuple(out)
+    The feasible t are those of the dense system that stacks every lattice
+    coefficient of every row as an unknown, so the Hermite basis of their
+    directions is the same canonical lattice; only the particular t may
+    differ, by an element of that lattice.
+    """
+
+    def __init__(
+        self, X: IntMatrix, kernels: Sequence[IntMatrix], lattice_rows: Sequence[Vec]
+    ):
+        """``lattice_rows`` is the Hermite basis of the lattice in Z^n,
+        n = ``X.cols``."""
+        self.X = X
+        self.kernels = list(kernels)
+        n = X.cols
+        # the Hermite basis of Z^n is the identity: C is trivial, nothing to solve
+        if len(lattice_rows) == n and all(r[i] == 1 for i, r in enumerate(lattice_rows)):
+            self.torsion: tuple[int, ...] = ()
+            self.blocks: list[list[tuple[Vec, int]]] = [[] for _ in range(X.rows)]
+            return
+        columns = [[row[i] for row in lattice_rows] for i in range(n)]
+        coker = CokernelData(IntMatrix(columns, cols=len(lattice_rows)))
+        self.torsion = coker.group.torsion
+        zero = (0,) * coker.group.n_generators
+
+        def project(v: Vec) -> Vec:
+            return coker.project(v) if any(v) else zero
+
+        self.blocks = []
+        for j in range(X.rows):
+            x = project(X.row(j))
+            ks = [project(K.row(j)) for K in self.kernels]
+            self.blocks.append(
+                [(tuple(kv[c] for kv in ks), -x[c]) for c in range(len(zero))]
+            )
+
+    def solve(
+        self, zero_cells: Sequence[tuple[Vec, int]]
+    ) -> Optional[tuple[Vec, list[Vec]]]:
+        """Solve every row's containment jointly, plus the zero-forcing
+        equations (generator coefficients, source ray) of the support
+        condition.  Returns the particular t and the Hermite basis of the
+        t-directions of the solution set, or None when infeasible."""
+        k = self.X.rows
+        extra = []
+        for coeffs, ray_i in zero_cells:
+            extra.append((
+                tuple(
+                    sum(coeffs[j] * K[j, ray_i] for j in range(k)) for K in self.kernels
+                ),
+                -sum(coeffs[j] * self.X[j, ray_i] for j in range(k)),
+            ))
+        return self._solve(self.blocks, extra)
+
+    def failing_rows(self) -> tuple[int, ...]:
+        """Indices of the rows whose containment fails on its own."""
+        return tuple(
+            j for j, block in enumerate(self.blocks) if self._solve([block], []) is None
+        )
+
+    def _solve(self, blocks, extra) -> Optional[tuple[Vec, list[Vec]]]:
+        A = len(self.kernels)
+        tau = len(self.torsion)
+        n_unknowns = A + len(blocks) * tau
+        rows: list[list[int]] = []
+        rhs: list[int] = []
+        for j, block in enumerate(blocks):
+            for c, (coeffs, b) in enumerate(block):
+                row = list(coeffs) + [0] * (n_unknowns - A)
+                if c < tau:
+                    row[A + j * tau + c] = -self.torsion[c]
+                rows.append(row)
+                rhs.append(b)
+        for coeffs, b in extra:
+            rows.append(list(coeffs) + [0] * (n_unknowns - A))
+            rhs.append(b)
+        if not rows:
+            # nothing to satisfy: every t is feasible
+            return (0,) * A, [
+                tuple(1 if i == a else 0 for i in range(A)) for a in range(A)
+            ]
+        if n_unknowns == 0:
+            if all(v == 0 for v in rhs):
+                return (), []
+            return None
+        sol = solve_integer_linear(IntMatrix(rows, cols=n_unknowns), rhs)
+        if sol is None:
+            return None
+        t_part = sol.particular[:A]
+        t_dirs = hermite_row_basis([kv[:A] for kv in sol.kernel_basis], width=A)
+        return t_part, list(t_dirs)
 
 
 def _phi_from_t(X: IntMatrix, kernels: list[IntMatrix], t: Sequence[int]) -> IntMatrix:
@@ -687,30 +749,21 @@ def _box_search(
     return out or None
 
 
-def _decompose_rows(
-    phi: IntMatrix, source_subgroup: DivisorSubgroup, k: int
-) -> tuple[tuple[Vec, Vec], ...]:
-    """Write each row as (subgroup member) + principal divisor, preferring a
-    zero character when the row already lies in the subgroup."""
+def _decompose_row(row: Vec, source_subgroup: DivisorSubgroup) -> tuple[Vec, Vec]:
+    """Write the row as (subgroup member, character of a principal divisor),
+    preferring a zero character when the row already lies in the subgroup."""
     fan = source_subgroup.fan
-    psrc = principal_basis(fan)
-    out = []
-    for j in range(k):
-        row = phi.row(j)
-        if source_subgroup.contains(row):
-            out.append((row, (0,) * fan.rank))
-            continue
-        stacked = list(source_subgroup.basis) + list(psrc)
-        c = lattice_coefficients(stacked, row)
-        assert c is not None, "containment stage guarantees a decomposition"
-        nb = len(source_subgroup.basis)
-        member = tuple(
-            sum(ci * b[r] for ci, b in zip(c[:nb], source_subgroup.basis))
-            for r in range(fan.n_rays)
-        )
-        character = tuple(c[nb:])
-        out.append((member, character))
-    return tuple(out)
+    if source_subgroup.contains(row):
+        return row, (0,) * fan.rank
+    stacked = list(source_subgroup.basis) + list(principal_basis(fan))
+    c = lattice_coefficients(stacked, row)
+    assert c is not None, "containment stage guarantees a decomposition"
+    nb = len(source_subgroup.basis)
+    member = tuple(
+        sum(ci * b[r] for ci, b in zip(c[:nb], source_subgroup.basis))
+        for r in range(fan.n_rays)
+    )
+    return member, tuple(c[nb:])
 
 
 def induced_grading_hom(
@@ -728,7 +781,7 @@ def induced_grading_hom(
     rows = []
     for lift in coker_t.generator_lifts:
         row = witness.phi.left_apply(lift)
-        member = _member_part(row, source_subgroup)
+        member, _ = _decompose_row(row, source_subgroup)
         c = source_subgroup.coefficients(member)
         assert c is not None
         rows.append(coker_s.group.reduce(coker_s.project(c)))
@@ -736,20 +789,6 @@ def induced_grading_hom(
         domain=coker_t.group,
         codomain=coker_s.group,
         matrix=IntMatrix(tuple(rows), cols=coker_s.group.n_generators),
-    )
-
-
-def _member_part(row: Vec, source_subgroup: DivisorSubgroup) -> Vec:
-    fan = source_subgroup.fan
-    if source_subgroup.contains(row):
-        return row
-    stacked = list(source_subgroup.basis) + list(principal_basis(fan))
-    c = lattice_coefficients(stacked, row)
-    assert c is not None
-    nb = len(source_subgroup.basis)
-    return tuple(
-        sum(ci * b[r] for ci, b in zip(c[:nb], source_subgroup.basis))
-        for r in range(fan.n_rays)
     )
 
 

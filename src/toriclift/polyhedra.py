@@ -146,9 +146,6 @@ class HRep:
             vec_dot(u, v) >= 0 for u in self.inequalities
         )
 
-    def tight_inequalities(self, v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(i for i, u in enumerate(self.inequalities) if vec_dot(u, v) == 0)
-
 
 def facet_description(generators: Sequence[Sequence[int]], dim: int) -> HRep:
     """H-description of cone(generators) (no lineality in the input cone).

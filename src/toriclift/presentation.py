@@ -33,7 +33,6 @@ from .lattice import (
     IntMatrix,
     ResourceLimitError,
     Vec,
-    lattice_coefficients,
 )
 
 MODES = ("cox", "kajiwara", "custom")
@@ -85,7 +84,7 @@ def _principal_in_subgroup_coords(sub: DivisorSubgroup) -> IntMatrix:
 
     cols = []
     for p in principal_basis(sub.fan):
-        c = lattice_coefficients(sub.basis, p)
+        c = sub.coefficients(p)
         assert c is not None, "admissible subgroup must contain principal divisors"
         cols.append(c)
     k = len(sub.basis)
@@ -135,7 +134,7 @@ def presentation_from_subgroup(
     grading = coker.group
     degrees = []
     for w in coords:
-        c = lattice_coefficients(sub.basis, w)
+        c = sub.coefficients(w)
         assert c is not None
         degrees.append(grading.reduce(coker.project(c)))
     collections = exceptional_collections(fan, coords)

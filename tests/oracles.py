@@ -215,3 +215,47 @@ def dual_rays_bruteforce(normals: Sequence[Vec], dim: int, box: int = 3) -> set[
 def hnf_rowspace_bruteforce(rows: Sequence[Vec], coeff_bound: int = 5) -> set[Vec]:
     """Sample of the row lattice, for equality checks between two bases."""
     return lattice_points_from_basis(rows, coeff_bound)
+
+
+# -- lifting's containment stage, as one dense stacked system -----------------
+
+
+def containment_dense(X, kernels, lattice_rows, zero_cells, k, n_src):
+    """Reference for the lifting containment stage: one integer system whose
+    unknowns are the kernel coefficients t plus, for every subgroup basis
+    row, its coefficients over the containment lattice.
+
+    Returns (particular t, Hermite basis of the t-directions) or None.  The
+    package solves the same question in cokernel coordinates; this dense
+    form needs one Smith form of a (k * n_src) x (A + k * L) matrix, so it
+    only suits small instances.
+    """
+    from toriclift.lattice import IntMatrix, hermite_row_basis, solve_integer_linear
+
+    A = len(kernels)
+    L = len(lattice_rows)
+    n_unknowns = A + k * L
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for j in range(k):
+        for r in range(n_src):
+            row = [K[j, r] for K in kernels]
+            row += [0] * (k * L)
+            for b in range(L):
+                row[A + j * L + b] = -lattice_rows[b][r]
+            rows.append(row)
+            rhs.append(-X[j, r])
+    for coeffs, ray_i in zero_cells:
+        row = [sum(coeffs[j] * K[j, ray_i] for j in range(k)) for K in kernels]
+        row += [0] * (k * L)
+        rows.append(row)
+        rhs.append(-sum(coeffs[j] * X[j, ray_i] for j in range(k)))
+    if n_unknowns == 0:
+        if all(v == 0 for v in rhs):
+            return (), []
+        return None
+    sol = solve_integer_linear(IntMatrix(rows, cols=n_unknowns), rhs)
+    if sol is None:
+        return None
+    t_dirs = hermite_row_basis([kv[:A] for kv in sol.kernel_basis], width=A)
+    return sol.particular[:A], list(t_dirs)

@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from toriclift.divisors import (
+    DivisorSubgroup,
     SubgroupValidationError,
     cartier_data,
     cartier_defect,
@@ -18,7 +22,13 @@ from toriclift.divisors import (
     principal_divisor,
 )
 from toriclift.fan import validate_fan
-from toriclift.lattice import FgAbGroup, lattice_contains, vec_dot
+from toriclift.lattice import (
+    FgAbGroup,
+    hermite_row_basis,
+    lattice_coefficients,
+    lattice_contains,
+    vec_dot,
+)
 
 
 def projective_plane():
@@ -144,7 +154,10 @@ def test_cartier_on_quadric():
 
 
 def test_cartier_lattice_quadric():
-    assert cartier_lattice(quadric_cone()) == ((1, 1), (0, 2))
+    fan = quadric_cone()
+    assert cartier_lattice(fan) == ((1, 1), (0, 2))
+    # computed once per fan
+    assert cartier_lattice(fan) is cartier_lattice(fan)
 
 
 def test_cartier_lattice_smooth_is_everything():
@@ -194,6 +207,47 @@ def test_kajiwara_subgroup_quadric():
     assert sub.basis == ((1, 1), (0, 2))
     assert sub.effective_generators() == ((0, 2), (1, 1), (2, 0))
     assert sub.contains((1, 1)) and not sub.contains((1, 0))
+
+
+def test_kajiwara_coefficients_outside_the_lattice():
+    # (0, 1) lies in the rational span of <(1, 1), (0, 2)> but not in it
+    sub = kajiwara_subgroup(quadric_cone())
+    assert sub.coefficients((0, 1)) is None
+    assert not sub.contains((0, 1))
+    assert sub.coefficients((3, 5)) == (3, 1)
+
+
+def test_coefficients_by_back_substitution_match_smith_solver():
+    fans = {
+        1: validate_fan(1, [(1,)], [(0,)]),
+        2: quadric_cone(),
+        3: validate_fan(2, [(0, 1), (1, 0), (1, 1)], [(0, 2), (1, 2)]),
+        4: wedge_pair_fan(),
+    }
+    rng = random.Random(7)
+    outside = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = [
+            [rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))
+        ]
+        sub = DivisorSubgroup(fan=fans[n], basis=hermite_row_basis(rows, width=n))
+        for v in itertools.product(range(-2, 3), repeat=n):
+            got = sub.coefficients(v)
+            assert got == lattice_coefficients(sub.basis, v), (sub.basis, v)
+            assert sub.contains(v) == (got is not None)
+            outside += got is None
+    assert outside
+
+
+def test_effective_generators_are_computed_once():
+    sub = kajiwara_subgroup(quadric_cone())
+    first = sub.effective_generators()
+    assert sub.effective_generators() is first
+    fresh = DivisorSubgroup(fan=sub.fan, basis=sub.basis)
+    assert fresh == sub
+    assert fresh.effective_generators() == first
+    assert fresh.effective_generators() is fresh.effective_generators()
 
 
 def test_subgroup_rejects_dependent_rows():

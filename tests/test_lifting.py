@@ -5,8 +5,11 @@ characters with ray images, and the small solve cases reduce to one-variable
 integer systems whose solution sets are written out in comments.
 """
 
+import random
+
 import pytest
 
+import oracles
 from toriclift.divisors import (
     cartier_data,
     cartier_subgroup_basis,
@@ -14,12 +17,13 @@ from toriclift.divisors import (
     divisor_subgroup,
 )
 from toriclift.fan import validate_fan
-from toriclift.lattice import IntMatrix, lattice_contains
+from toriclift.lattice import IntMatrix, hermite_row_basis, lattice_contains
 from toriclift.lifting import (
     ContainmentFailureCertificate,
     EffectivityFailureCertificate,
     ExtensionObstructionCertificate,
     MorphismValidationError,
+    _ProjectedContainment,
     _box_search,
     _rational_feasible,
     classify_liftings,
@@ -378,3 +382,78 @@ class TestFeasibilityHelpers:
 
     def test_empty_system_is_feasible(self):
         assert _rational_feasible([], [])
+
+
+# -- containment stage against the dense reference -------------------------------
+
+
+def _random_containment_instance(rng):
+    n = rng.randint(1, 4)
+    k = rng.randint(1, 3)
+    X = IntMatrix(
+        [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)], cols=n
+    )
+    kernels = [
+        IntMatrix(
+            [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(k)],
+            cols=n,
+        )
+        for _ in range(rng.randint(0, 4))
+    ]
+    shape = rng.random()
+    if shape < 0.1:
+        lattice_rows = hermite_row_basis([], width=n)
+    elif shape < 0.2:
+        lattice_rows = hermite_row_basis(
+            [tuple(int(i == j) for j in range(n)) for i in range(n)], width=n
+        )
+    else:
+        # small entries: the quotient often has torsion
+        lattice_rows = hermite_row_basis(
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n + 1))],
+            width=n,
+        )
+    zero_cells = [
+        (tuple(rng.randint(-1, 2) for _ in range(k)), rng.randrange(n))
+        for _ in range(rng.choice((0, 0, 1, 2)))
+    ]
+    return X, kernels, lattice_rows, zero_cells, k, n
+
+
+def test_projected_containment_matches_dense_system():
+    rng = random.Random(2024)
+    seen = {"feasible": 0, "infeasible": 0, "torsion": 0, "trivial": 0}
+    for _ in range(400):
+        X, kernels, lattice_rows, zero_cells, k, n = _random_containment_instance(rng)
+        system = _ProjectedContainment(X, kernels, lattice_rows)
+        seen["torsion"] += bool(system.torsion)
+        seen["trivial"] += not any(system.blocks)
+        got = system.solve(zero_cells)
+        want = oracles.containment_dense(X, kernels, lattice_rows, zero_cells, k, n)
+        assert (got is None) == (want is None), (X, kernels, lattice_rows, zero_cells)
+        if want is None:
+            seen["infeasible"] += 1
+        else:
+            seen["feasible"] += 1
+            t, dirs = got
+            assert dirs == want[1]
+            # the particular t solves the dense system
+            phi = X
+            for c, K in zip(t, kernels):
+                phi = phi + K * c
+            for j in range(k):
+                assert lattice_contains(lattice_rows, phi.row(j), width=n)
+            for coeffs, ray_i in zero_cells:
+                assert sum(c * phi[j, ray_i] for j, c in enumerate(coeffs)) == 0
+        failing = tuple(
+            j
+            for j in range(k)
+            if oracles.containment_dense(
+                IntMatrix([X.row(j)], cols=n),
+                [IntMatrix([K.row(j)], cols=n) for K in kernels],
+                lattice_rows, [], 1, n,
+            )
+            is None
+        )
+        assert system.failing_rows() == failing
+    assert all(count >= 20 for count in seen.values()), seen
