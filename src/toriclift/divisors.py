@@ -205,7 +205,8 @@ class DivisorSubgroup:
 
     ``basis`` is the canonical Hermite basis, so equal subgroups compare
     equal regardless of the generators they were built from.  Derived data
-    (effective generators, Cartier members) is computed once per instance.
+    (effective generators, Cartier members, grading cokernel) is computed
+    once per instance.
     """
 
     fan: Fan
@@ -230,6 +231,16 @@ class DivisorSubgroup:
         key = "effective_generators"
         if key not in self._cache:
             self._cache[key] = hilbert_basis(self.basis, self.fan.n_rays)
+        return self._cache[key]
+
+    def grading_cokernel(self) -> CokernelData:
+        """The grading group (subgroup) / (principal divisors), in coordinates
+        over ``basis``; computed once per instance."""
+        key = "grading_cokernel"
+        if key not in self._cache:
+            principal = [self.coefficients(p) for p in principal_basis(self.fan)]
+            assert None not in principal, "admissible subgroup must contain principal divisors"
+            self._cache[key] = CokernelData(IntMatrix(principal, cols=len(self.basis)).T)
         return self._cache[key]
 
 

@@ -125,12 +125,12 @@ class IntMatrix:
 
     @property
     def T(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self._data)) if self._data else (), cols=self.rows)
+        return IntMatrix(tuple(zip(*self._data)) if self._data else ((),) * self.cols, cols=self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bt = tuple(zip(*other._data)) if other._data else ()
+        bt = tuple(zip(*other._data)) if other._data else ((),) * other.cols
         return IntMatrix(
             tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in bt) for r in self._data),
             cols=other.cols,
@@ -757,12 +757,14 @@ def lattice_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width:
 class HomExtension:
     """Extensions of a homomorphism prescribed on a subgroup of Z^n.
 
-    ``particular`` is one extension (n x k, row-vector action v @ X); the
-    full solution set is particular + integer span of ``kernel``.
+    ``particular`` is one extension X (n x k, row-vector action v @ X) and
+    ``kernel`` an n x d matrix N whose independent columns span the integer
+    kernel of the subgroup basis B (B @ N = 0); the extensions are exactly
+    X + N @ T over integer d x k matrices T.
     """
 
     particular: IntMatrix
-    kernel: tuple[IntMatrix, ...]
+    kernel: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -811,20 +813,8 @@ def extend_homomorphism(
         Y[i] = [x // s for x in row]
     X = snf.V @ IntMatrix(Y, cols=k)
     rank = snf.rank
-    kernel = []
-    for i in range(rank, n):
-        col = snf.V.col(i)
-        for j in range(k):
-            kernel.append(
-                IntMatrix(
-                    tuple(
-                        tuple(col[r] if c == j else 0 for c in range(k))
-                        for r in range(n)
-                    ),
-                    cols=k,
-                )
-            )
-    return HomExtension(particular=X, kernel=tuple(kernel)), None
+    N = IntMatrix((row[rank:] for row in snf.V), cols=n - rank)
+    return HomExtension(particular=X, kernel=N), None
 
 
 # ---------------------------------------------------------------------------
@@ -905,14 +895,11 @@ def hilbert_basis(
     The semigroup of nonnegative lattice vectors is finitely generated; this
     returns its unique minimal generators sorted by (coordinate sum, lex).
     Uses extreme rays of the rational cone to bound a box enumeration, then a
-    reducibility sieve.  Guarded: ambient_rank <= 16 and bounded enumeration.
+    reducibility sieve.  The full lattice is answered directly; otherwise
+    guarded: ambient_rank <= 16 and bounded enumeration.
     """
     from . import polyhedra  # local import to avoid a cycle at module load
 
-    if ambient_rank > MAX_HILBERT_AMBIENT:
-        raise ResourceLimitError(
-            f"ambient rank {ambient_rank} exceeds Hilbert basis guard {MAX_HILBERT_AMBIENT}"
-        )
     rows = [_as_vec(r) for r in subgroup_basis]
     for r in rows:
         if len(r) != ambient_rank:
@@ -929,6 +916,10 @@ def hilbert_basis(
                 tuple(1 if i == j else 0 for j in range(ambient_rank))
                 for i in range(ambient_rank)
             )
+        )
+    if ambient_rank > MAX_HILBERT_AMBIENT:
+        raise ResourceLimitError(
+            f"ambient rank {ambient_rank} exceeds Hilbert basis guard {MAX_HILBERT_AMBIENT}"
         )
     # Extreme rays of {c : c @ h >= 0} in coefficient space -> ambient rays.
     ineqs = [tuple(row[j] for row in h) for j in range(ambient_rank)]

@@ -4,19 +4,19 @@ Given a lattice map carrying the source fan into the target fan, this module
 decides whether the morphism lifts to chosen quotient presentations on both
 sides.  The decision runs in stages: Cartier members of the target subgroup
 have forced pullbacks; those values must extend to the whole subgroup; each
-extended value must decompose as (member of the source subgroup) + (principal
-divisor); and finally the effectivity and support conditions are imposed on
-the effective generators — skipped for simplicial targets, where they hold
-automatically.  Failures carry machine-checkable certificates, and searches
+extended value must lie in the source subgroup, which by admissibility holds
+every principal divisor; and finally the effectivity and support conditions
+are imposed on the effective generators — skipped for simplicial targets,
+where they hold automatically.  Failures carry machine-checkable certificates, and searches
 that exhaust their configured bound report "undecided" rather than guessing.
 
-The containment stage is decided in the quotient group
-Z^n / (source subgroup + principal divisors), n the number of source rays:
-a value is contained iff its class there vanishes, which gives one equation
-per free coordinate and one congruence per torsion coordinate of the group,
-so the system's size follows the group rather than the lattice.  When the
-group is trivial (Cox source subgroups) containment holds without solving
-anything.
+The extensions are X + N @ T over integer matrices T.  Containment is
+decided in the quotient group Z^n / (source subgroup), n the number of
+source rays: a value is contained iff its class there vanishes, which gives
+one equation per free coordinate and one congruence per torsion coordinate
+of the group, so the system's size follows the group rather than the
+lattice.  When the group is trivial (Cox source subgroups) containment holds
+without solving anything.
 """
 
 from __future__ import annotations
@@ -39,15 +39,14 @@ from .lattice import (
     AbHom,
     CokernelData,
     IntMatrix,
+    ResourceLimitError,
     Vec,
     extend_homomorphism,
     hermite_row_basis,
-    lattice_coefficients,
     solve_integer_linear,
     vec_dot,
     vec_is_zero,
 )
-from .presentation import _principal_in_subgroup_coords
 
 SCOPE_NOTE = (
     "effectivity and support conditions are enforced on the minimal "
@@ -216,8 +215,8 @@ class ExtensionObstructionCertificate:
 
 @dataclass(frozen=True)
 class ContainmentFailureCertificate:
-    """Some extended value cannot be written as (source subgroup member) +
-    (principal divisor), for any choice of extension."""
+    """Some extended value lies outside the source subgroup (so is no member
+    plus principal divisor), for any choice of extension."""
 
     basis_indices: tuple[int, ...]  # target-subgroup basis rows that fail alone
     joint_only: bool  # True when rows fail only in combination
@@ -240,7 +239,8 @@ class GeometricPullbackWitness:
 
     ``phi`` row j is the pullback of basis divisor j as a source divisor;
     ``decomposition[j] = (member, character)`` writes that row as a source
-    subgroup member plus the principal divisor of the character.
+    subgroup member plus the principal divisor of the character; the row
+    itself lies in the source subgroup, so the character is zero.
     ``solution_lattice`` spans the remaining directions in which ``phi`` may
     be shifted while preserving every constraint that was checked.
     """
@@ -293,9 +293,9 @@ def solve_geometric_pullback(
     """Decide whether the morphism lifts to the chosen presentations.
 
     Stages: forced Cartier pullbacks; additive extension to the whole target
-    subgroup; containment of each value in (source subgroup + principal);
-    effectivity and support conditions on effective generators (skipped for
-    simplicial target fans unless ``force_conditions``).  ``search_bound``
+    subgroup; containment of each value in the source subgroup; effectivity
+    and support conditions on effective generators (skipped for simplicial
+    target fans unless ``force_conditions``).  ``search_bound``
     caps the coefficient box searched when residual freedom survives the
     linear stages; exhausting it yields verdict "undecided".
     """
@@ -322,15 +322,9 @@ def solve_geometric_pullback(
         forced.append(pullback_cartier(f, cd))
 
     # (b) extend from the Cartier members to the whole subgroup
-    if crows:
-        ext, obs = extend_homomorphism(
-            IntMatrix(crows, cols=k), IntMatrix(forced, cols=n_src)
-        )
-    else:
-        ext, obs = (
-            _free_extension(k, n_src),
-            None,
-        )
+    ext, obs = extend_homomorphism(
+        IntMatrix(crows, cols=k), IntMatrix(forced, cols=n_src)
+    )
     if obs is not None:
         divisor = tuple(
             sum(c * row[j] for c, row in zip(obs.element, basis))
@@ -343,18 +337,14 @@ def solve_geometric_pullback(
             conditions,
             search_bound,
         )
-    X = ext.particular  # k x n_src
-    kernels = list(ext.kernel)
-
-    # (c) containment in (source subgroup + principal), jointly over all rows
-    # in cokernel coordinates, plus the zero-forcing equations of the support
+    # (c) containment in the source subgroup, jointly over all rows in
+    # cokernel coordinates, plus the zero-forcing equations of the support
     # condition when active
-    lattice_rows = hermite_row_basis(
-        list(source_subgroup.basis) + list(principal_basis(f.source)), width=n_src
-    )
     zero_cells = _support_zero_cells(f, target_subgroup) if conditions else []
 
-    containment = _ProjectedContainment(X, kernels, lattice_rows)
+    containment = _ProjectedContainment(
+        ext.particular, ext.kernel, source_subgroup.basis
+    )
     solved = containment.solve([])
     if solved is None:
         failing = containment.failing_rows()
@@ -377,9 +367,8 @@ def solve_geometric_pullback(
             )
         solved = solved_eq
     t_particular, t_dirs = solved
-    phi0 = _phi_from_t(X, kernels, t_particular)
-    dirs = [_phi_from_t(IntMatrix.zeros(k, n_src), kernels, t) for t in t_dirs]
-    dirs = [d for d in dirs if not d.is_zero()]
+    phi0 = ext.particular + containment.shift(t_particular)
+    dirs = [containment.shift(t) for t in t_dirs]
 
     # (d) effectivity inequalities on the effective generators
     bound_used: Optional[int] = None
@@ -435,19 +424,16 @@ def solve_geometric_pullback(
                     conditions_checked=conditions,
                     search_bound=bound_used,
                 )
-            classes = [
-                _shift_phi(phi0, dirs, tau) for tau in found
-            ]
+            classes = [sum((D * c for c, D in zip(tau, dirs)), phi0) for tau in found]
     else:
         classes = [phi0]
 
     phi = classes[0]
     residual = tuple(dirs) if not conditions else ()
+    no_character = (0,) * f.source.rank
     witness = GeometricPullbackWitness(
         phi=phi,
-        decomposition=tuple(
-            _decompose_row(phi.row(j), source_subgroup) for j in range(k)
-        ),
+        decomposition=tuple((phi.row(j), no_character) for j in range(k)),
         solution_lattice=residual,
     )
     problems = verify_pullback_witness(
@@ -503,31 +489,6 @@ def _no_report(certificate, conditions: bool, bound) -> LiftingReport:
     )
 
 
-@dataclass(frozen=True)
-class _FreeExtension:
-    particular: IntMatrix
-    kernel: tuple[IntMatrix, ...]
-
-
-def _free_extension(k: int, n_src: int) -> _FreeExtension:
-    """No Cartier constraints at all: every matrix is a valid extension."""
-    kernels = []
-    for i in range(k):
-        for j in range(n_src):
-            kernels.append(
-                IntMatrix(
-                    tuple(
-                        tuple(1 if (r, c) == (i, j) else 0 for c in range(n_src))
-                        for r in range(k)
-                    ),
-                    cols=n_src,
-                )
-            )
-    return _FreeExtension(
-        particular=IntMatrix.zeros(k, n_src), kernel=tuple(kernels)
-    )
-
-
 def _support_zero_cells(
     f: ToricMorphism, target_subgroup: DivisorSubgroup
 ) -> list[tuple[Vec, int]]:
@@ -557,13 +518,14 @@ def _support_zero_cells(
 class _ProjectedContainment:
     """The containment stage in the cokernel C = Z^n / lattice.
 
-    The extended values are phi = X + sum_a t_a K_a over integer t.  Row j
-    of phi lies in the lattice iff its class in C vanishes, i.e.
-    sum_a t_a pi(K_a row j) = -pi(X row j) in C: an equation over Z per free
-    coordinate of C, and per torsion coordinate of order d a congruence mod
-    d, which becomes an equation with one multiplier unknown for that row
-    and coordinate.  ``blocks[j]`` holds row j's equations as pairs
-    (coefficients over t, right-hand side), torsion coordinates first.
+    The extended values are phi = X + N @ T over integer d x n matrices T,
+    whose entries T[i, c], read row by row, are the unknowns t.  Row j of
+    phi lies in the lattice iff its class in C vanishes, i.e.
+    sum_{i,c} N[j, i] T[i, c] pi(e_c) = -pi(X row j) in C: an equation over Z
+    per free coordinate of C, and per torsion coordinate of order m a
+    congruence mod m, which becomes an equation with one multiplier unknown
+    for that row and coordinate.  ``blocks[j]`` holds row j's equations as
+    pairs (coefficients over t, right-hand side), torsion coordinates first.
 
     The feasible t are those of the dense system that stacks every lattice
     coefficient of every row as an unknown, so the Hermite basis of their
@@ -571,14 +533,14 @@ class _ProjectedContainment:
     differ, by an element of that lattice.
     """
 
-    def __init__(
-        self, X: IntMatrix, kernels: Sequence[IntMatrix], lattice_rows: Sequence[Vec]
-    ):
-        """``lattice_rows`` is the Hermite basis of the lattice in Z^n,
+    def __init__(self, X: IntMatrix, N: IntMatrix, lattice_rows: Sequence[Vec]):
+        """``N`` is k x d with independent columns, k = ``X.rows``;
+        ``lattice_rows`` is the Hermite basis of the lattice in Z^n,
         n = ``X.cols``."""
         self.X = X
-        self.kernels = list(kernels)
+        self.N = N
         n = X.cols
+        self.n_unknowns = N.cols * n
         # the Hermite basis of Z^n is the identity: C is trivial, nothing to solve
         if len(lattice_rows) == n and all(r[i] == 1 for i, r in enumerate(lattice_rows)):
             self.torsion: tuple[int, ...] = ()
@@ -587,18 +549,16 @@ class _ProjectedContainment:
         columns = [[row[i] for row in lattice_rows] for i in range(n)]
         coker = CokernelData(IntMatrix(columns, cols=len(lattice_rows)))
         self.torsion = coker.group.torsion
-        zero = (0,) * coker.group.n_generators
-
-        def project(v: Vec) -> Vec:
-            return coker.project(v) if any(v) else zero
-
+        orders = self.torsion + (0,) * coker.group.free_rank
+        units = [coker.project(tuple(int(c == r) for r in range(n))) for c in range(n)]
+        # pi(a e_c) = a pi(e_c), torsion coordinates reduced as project does
         self.blocks = []
         for j in range(X.rows):
-            x = project(X.row(j))
-            ks = [project(K.row(j)) for K in self.kernels]
-            self.blocks.append(
-                [(tuple(kv[c] for kv in ks), -x[c]) for c in range(len(zero))]
-            )
+            x = coker.project(X.row(j))
+            self.blocks.append([
+                (tuple(a * u[g] % m if m else a * u[g] for a in N.row(j) for u in units), -x[g])
+                for g, m in enumerate(orders)
+            ])
 
     def solve(
         self, zero_cells: Sequence[tuple[Vec, int]]
@@ -607,15 +567,13 @@ class _ProjectedContainment:
         equations (generator coefficients, source ray) of the support
         condition.  Returns the particular t and the Hermite basis of the
         t-directions of the solution set, or None when infeasible."""
-        k = self.X.rows
+        n = self.X.cols
         extra = []
         for coeffs, ray_i in zero_cells:
-            extra.append((
-                tuple(
-                    sum(coeffs[j] * K[j, ray_i] for j in range(k)) for K in self.kernels
-                ),
-                -sum(coeffs[j] * self.X[j, ray_i] for j in range(k)),
-            ))
+            # phi[., ray_i] only involves the unknowns T[., ray_i]
+            row = [0] * self.n_unknowns
+            row[ray_i::n] = self.N.left_apply(coeffs)
+            extra.append((row, -vec_dot(coeffs, self.X.col(ray_i))))
         return self._solve(self.blocks, extra)
 
     def failing_rows(self) -> tuple[int, ...]:
@@ -624,8 +582,14 @@ class _ProjectedContainment:
             j for j, block in enumerate(self.blocks) if self._solve([block], []) is None
         )
 
+    def shift(self, t: Sequence[int]) -> IntMatrix:
+        """N @ T for the unknowns t."""
+        n = self.X.cols
+        T = IntMatrix((t[i * n:(i + 1) * n] for i in range(self.N.cols)), cols=n)
+        return self.N @ T
+
     def _solve(self, blocks, extra) -> Optional[tuple[Vec, list[Vec]]]:
-        A = len(self.kernels)
+        A = self.n_unknowns
         tau = len(self.torsion)
         n_unknowns = A + len(blocks) * tau
         rows: list[list[int]] = []
@@ -640,37 +604,12 @@ class _ProjectedContainment:
         for coeffs, b in extra:
             rows.append(list(coeffs) + [0] * (n_unknowns - A))
             rhs.append(b)
-        if not rows:
-            # nothing to satisfy: every t is feasible
-            return (0,) * A, [
-                tuple(1 if i == a else 0 for i in range(A)) for a in range(A)
-            ]
-        if n_unknowns == 0:
-            if all(v == 0 for v in rhs):
-                return (), []
-            return None
         sol = solve_integer_linear(IntMatrix(rows, cols=n_unknowns), rhs)
         if sol is None:
             return None
         t_part = sol.particular[:A]
         t_dirs = hermite_row_basis([kv[:A] for kv in sol.kernel_basis], width=A)
         return t_part, list(t_dirs)
-
-
-def _phi_from_t(X: IntMatrix, kernels: list[IntMatrix], t: Sequence[int]) -> IntMatrix:
-    out = X
-    for c, K in zip(t, kernels):
-        if c:
-            out = out + K * c
-    return out
-
-
-def _shift_phi(phi: IntMatrix, dirs: list[IntMatrix], tau: Sequence[int]) -> IntMatrix:
-    out = phi
-    for c, D in zip(tau, dirs):
-        if c:
-            out = out + D * c
-    return out
 
 
 def _first_negative(
@@ -732,10 +671,14 @@ def _box_search(
 ) -> Optional[list[Vec]]:
     """All integer points in [-bound, bound]^dim satisfying the system, in
     lexicographic order; None when there are none (a bounded search, so the
-    caller reports 'undecided', not 'no')."""
+    caller reports 'undecided', not 'no').  A box too large to search raises
+    ResourceLimitError rather than reporting a search that never ran."""
     total = (2 * bound + 1) ** dim
     if total > MAX_SEARCH_POINTS:
-        return None
+        raise ResourceLimitError(
+            f"effectivity search box of {total} points ((2 * {bound} + 1)^{dim}) exceeds "
+            f"guard MAX_SEARCH_POINTS = {MAX_SEARCH_POINTS}; lower --search-bound"
+        )
     out = []
     for tau in product(range(-bound, bound + 1), repeat=dim):
         ok = all(
@@ -749,23 +692,6 @@ def _box_search(
     return out or None
 
 
-def _decompose_row(row: Vec, source_subgroup: DivisorSubgroup) -> tuple[Vec, Vec]:
-    """Write the row as (subgroup member, character of a principal divisor),
-    preferring a zero character when the row already lies in the subgroup."""
-    fan = source_subgroup.fan
-    if source_subgroup.contains(row):
-        return row, (0,) * fan.rank
-    stacked = list(source_subgroup.basis) + list(principal_basis(fan))
-    c = lattice_coefficients(stacked, row)
-    assert c is not None, "containment stage guarantees a decomposition"
-    nb = len(source_subgroup.basis)
-    member = tuple(
-        sum(ci * b[r] for ci, b in zip(c[:nb], source_subgroup.basis))
-        for r in range(fan.n_rays)
-    )
-    return member, tuple(c[nb:])
-
-
 def induced_grading_hom(
     f: ToricMorphism,
     target_subgroup: DivisorSubgroup,
@@ -774,16 +700,14 @@ def induced_grading_hom(
 ) -> AbHom:
     """The homomorphism (target subgroup)/(principal) -> (source subgroup)/
     (principal) induced by the witness: the grading-level shadow of the
-    lifting.  Independent of the chosen decompositions, since alternative
-    members differ by principal divisors."""
-    coker_t = CokernelData(_principal_in_subgroup_coords(target_subgroup))
-    coker_s = CokernelData(_principal_in_subgroup_coords(source_subgroup))
+    lifting.  The witness rows lie in the source subgroup, so the image of
+    each grading generator is read off in source subgroup coordinates."""
+    coker_t = target_subgroup.grading_cokernel()
+    coker_s = source_subgroup.grading_cokernel()
     rows = []
     for lift in coker_t.generator_lifts:
-        row = witness.phi.left_apply(lift)
-        member, _ = _decompose_row(row, source_subgroup)
-        c = source_subgroup.coefficients(member)
-        assert c is not None
+        c = source_subgroup.coefficients(witness.phi.left_apply(lift))
+        assert c is not None, "witness rows lie in the source subgroup"
         rows.append(coker_s.group.reduce(coker_s.project(c)))
     return AbHom(
         domain=coker_t.group,

@@ -12,7 +12,7 @@ divisors; ``custom`` accepts any admissible subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -59,7 +59,6 @@ class Presentation:
     degrees: tuple[Vec, ...]
     exceptional_collections: tuple[tuple[int, ...], ...]
     enough: EnoughDivisorsReport
-    grading_coker: CokernelData = field(compare=False, repr=False)
 
     @property
     def n_coordinates(self) -> int:
@@ -74,24 +73,8 @@ class Presentation:
         c = self.subgroup.coefficients(coeffs)
         if c is None:
             raise ValueError("divisor does not lie in the subgroup")
-        return self.grading_group.reduce(self.grading_coker.project(c))
-
-
-def _principal_in_subgroup_coords(sub: DivisorSubgroup) -> IntMatrix:
-    """Columns are the principal-divisor basis expressed in subgroup
-    coordinates (the subgroup contains them by admissibility)."""
-    from .divisors import principal_basis
-
-    cols = []
-    for p in principal_basis(sub.fan):
-        c = sub.coefficients(p)
-        assert c is not None, "admissible subgroup must contain principal divisors"
-        cols.append(c)
-    k = len(sub.basis)
-    return IntMatrix(
-        tuple(tuple(col[i] for col in cols) for i in range(k)),
-        cols=len(cols),
-    )
+        coker = self.subgroup.grading_cokernel()
+        return self.grading_group.reduce(coker.project(c))
 
 
 def build_presentation(
@@ -130,7 +113,7 @@ def presentation_from_subgroup(
     fan: Fan, sub: DivisorSubgroup, mode: str = "custom"
 ) -> Presentation:
     coords = sub.effective_generators()
-    coker = CokernelData(_principal_in_subgroup_coords(sub))
+    coker = sub.grading_cokernel()
     grading = coker.group
     degrees = []
     for w in coords:
@@ -147,7 +130,6 @@ def presentation_from_subgroup(
         degrees=tuple(degrees),
         exceptional_collections=collections,
         enough=enough_divisors(sub),
-        grading_coker=coker,
     )
 
 
@@ -228,18 +210,11 @@ def grading_factorization(pres: Presentation) -> GradingFactorization:
     sub = pres.subgroup
     n = fan.n_rays
     cl = class_group(fan)
-    grading_coker = pres.grading_coker
+    grading_coker = sub.grading_cokernel()
     grading = pres.grading_group
 
     # residual: divisors modulo the subgroup
-    residual_coker = CokernelData(
-        IntMatrix(
-            tuple(tuple(row[i] for row in sub.basis) for i in range(n)),
-            cols=len(sub.basis),
-        )
-        if sub.basis
-        else IntMatrix.zeros(n, 1)
-    )
+    residual_coker = CokernelData(IntMatrix(sub.basis, cols=n).T)
     residual = residual_coker.group
 
     # grading generator -> divisor in Z^rays -> class

@@ -156,6 +156,19 @@ class TestLift:
         )
         assert code == 2 and "exists: undecided" in out
 
+    def test_search_box_over_guard_is_a_resource_limit(self, files, capsys):
+        args = ("lift", files["plane"], files["diamond"], "--matrix", "0,0,0,0,2,2")
+        code, out, _ = run(capsys, *args, "--search-bound", "200")
+        assert code == 0 and "exists: true" in out
+        assert "uniqueness: 4 witness classes found within coefficient bound 200" in out
+        # (2 * 224 + 1)^2 points exceed MAX_SEARCH_POINTS: the box is not
+        # searched, so the answer is a guard, not "undecided"
+        code, out, err = run(capsys, *args, "--search-bound", "224")
+        assert code == 2 and out == ""
+        assert "resource limit" in err and "undecided" not in err
+        assert "201601 points" in err
+        assert "MAX_SEARCH_POINTS" in err and "--search-bound" in err
+
     def test_default_bound_decides(self, files, capsys):
         code, out, _ = run(
             capsys, "lift", files["line"], files["diamond"], "--matrix", "1,0,3"

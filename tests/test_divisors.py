@@ -248,6 +248,9 @@ def test_effective_generators_are_computed_once():
     assert fresh == sub
     assert fresh.effective_generators() == first
     assert fresh.effective_generators() is fresh.effective_generators()
+    grading = sub.grading_cokernel()
+    assert sub.grading_cokernel() is grading
+    assert grading.group.is_trivial()  # Cartier divisors on an affine cone are principal
 
 
 def test_subgroup_rejects_dependent_rows():

@@ -47,6 +47,16 @@ def test_matmul_apply_transpose():
     assert (a * 2).to_lists() == [[2, 4], [6, 8]]
 
 
+def test_empty_shapes():
+    t = IntMatrix((), cols=3).T
+    assert (t.rows, t.cols) == (3, 0)
+    t = IntMatrix([(), ()]).T
+    assert (t.rows, t.cols) == (0, 2)
+    assert IntMatrix([(), ()]) @ IntMatrix((), cols=3) == IntMatrix.zeros(2, 3)
+    p = IntMatrix((), cols=2) @ M([[1, 2, 3], [4, 5, 6]])
+    assert (p.rows, p.cols) == (0, 3)
+
+
 def test_determinant_and_rank():
     assert determinant(M([[2, 0], [0, 3]])) == 6
     assert determinant(M([[1, 2], [2, 4]])) == 0
@@ -121,6 +131,17 @@ def test_solve_integer_linear():
         assert B.apply(k) == (0,)
     # (1,-1,0) lies in the kernel lattice
     assert lattice_contains(sol.kernel_basis, (1, -1, 0))
+
+
+def test_solve_integer_linear_empty_systems():
+    # no equations in three unknowns: zero particular solution, unit kernel
+    sol = solve_integer_linear(IntMatrix((), cols=3), ())
+    assert sol.particular == (0, 0, 0)
+    assert sol.kernel_basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # equations without unknowns: solvable iff the rhs vanishes
+    sol = solve_integer_linear(IntMatrix([(), ()]), (0, 0))
+    assert sol.particular == () and sol.kernel_basis == ()
+    assert solve_integer_linear(IntMatrix([(), ()]), (0, 1)) is None
 
 
 def test_kernel_basis_random_oracle():
@@ -299,7 +320,8 @@ def test_extend_homomorphism_success():
     assert obs is None and ext is not None
     X = ext.particular
     assert M([(2, 0), (0, 3)]) @ X == M([(2,), (3,)])
-    assert ext.kernel == ()
+    assert (ext.kernel.rows, ext.kernel.cols) == (2, 0)
+    assert (M([(2, 0), (0, 3)]) @ ext.kernel).is_zero()
 
 
 def test_extend_homomorphism_obstruction():
@@ -330,10 +352,17 @@ def test_extend_homomorphism_underdetermined_kernel():
     W = M([(5,)])
     ext, obs = extend_homomorphism(B, W)
     assert obs is None and ext is not None
-    assert len(ext.kernel) == 1
-    for K in ext.kernel:
-        assert (B @ K).is_zero()
+    assert (ext.kernel.rows, ext.kernel.cols) == (2, 1)
+    assert (B @ ext.kernel).is_zero()
     assert (B @ ext.particular) == W
+
+
+def test_extend_homomorphism_zero_row_basis_is_free():
+    # nothing prescribed: every 3 x 2 matrix extends, N is the identity
+    ext, obs = extend_homomorphism(IntMatrix((), cols=3), IntMatrix((), cols=2))
+    assert obs is None
+    assert ext.particular == IntMatrix.zeros(3, 2)
+    assert ext.kernel == IntMatrix.identity(3)
 
 
 def test_extend_homomorphism_inconsistent():
@@ -399,8 +428,15 @@ def test_hilbert_generates_semigroup():
 
 
 def test_hilbert_guard():
+    # a rank-17 sublattice of index 2 in Z^17: no fast path, the guard trips
+    basis = [tuple((2 if i == 0 else 1) if j == i else 0 for j in range(17)) for i in range(17)]
     with pytest.raises(ResourceLimitError):
-        hilbert_basis([tuple(1 if j == i else 0 for j in range(17)) for i in range(17)], 17)
+        hilbert_basis(basis, 17)
+
+
+def test_hilbert_full_lattice_skips_guard():
+    units = [tuple(1 if j == i else 0 for j in range(17)) for i in range(17)]
+    assert hilbert_basis(units, 17) == tuple(sorted(units))
 
 
 def test_hilbert_point_limit():

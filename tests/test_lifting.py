@@ -17,7 +17,7 @@ from toriclift.divisors import (
     divisor_subgroup,
 )
 from toriclift.fan import validate_fan
-from toriclift.lattice import IntMatrix, hermite_row_basis, lattice_contains
+from toriclift.lattice import CokernelData, IntMatrix, hermite_row_basis, lattice_contains
 from toriclift.lifting import (
     ContainmentFailureCertificate,
     EffectivityFailureCertificate,
@@ -393,13 +393,11 @@ def _random_containment_instance(rng):
     X = IntMatrix(
         [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)], cols=n
     )
-    kernels = [
-        IntMatrix(
-            [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(k)],
-            cols=n,
-        )
-        for _ in range(rng.randint(0, 4))
-    ]
+    d = rng.randint(0, 3)
+    N = IntMatrix(
+        [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(d)] for _ in range(k)],
+        cols=d,
+    )
     shape = rng.random()
     if shape < 0.1:
         lattice_rows = hermite_row_basis([], width=n)
@@ -417,17 +415,37 @@ def _random_containment_instance(rng):
         (tuple(rng.randint(-1, 2) for _ in range(k)), rng.randrange(n))
         for _ in range(rng.choice((0, 0, 1, 2)))
     ]
-    return X, kernels, lattice_rows, zero_cells, k, n
+    return X, N, lattice_rows, zero_cells, k, n
+
+
+def _one_hot_kernels(N, n):
+    """The extensions X + N @ T as X + sum_a t_a K_a, one k x n matrix K_a
+    per entry T[i, c] (row by row): column i of N placed in column c."""
+    return [
+        IntMatrix([[N[j, i] if col == c else 0 for col in range(n)] for j in range(N.rows)], cols=n)
+        for i in range(N.cols)
+        for c in range(n)
+    ]
 
 
 def test_projected_containment_matches_dense_system():
     rng = random.Random(2024)
     seen = {"feasible": 0, "infeasible": 0, "torsion": 0, "trivial": 0}
     for _ in range(400):
-        X, kernels, lattice_rows, zero_cells, k, n = _random_containment_instance(rng)
-        system = _ProjectedContainment(X, kernels, lattice_rows)
+        X, N, lattice_rows, zero_cells, k, n = _random_containment_instance(rng)
+        kernels = _one_hot_kernels(N, n)
+        system = _ProjectedContainment(X, N, lattice_rows)
         seen["torsion"] += bool(system.torsion)
         seen["trivial"] += not any(system.blocks)
+        if any(system.blocks):
+            # each coefficient is the class of the one-hot kernel row, with
+            # torsion coordinates reduced as project reduces them
+            coker = CokernelData(
+                IntMatrix([[r[i] for r in lattice_rows] for i in range(n)], cols=len(lattice_rows))
+            )
+            for j, block in enumerate(system.blocks):
+                classes = [coker.project(K.row(j)) for K in kernels]
+                assert [c for c, _ in block] == [tuple(p[g] for p in classes) for g in range(len(block))]
         got = system.solve(zero_cells)
         want = oracles.containment_dense(X, kernels, lattice_rows, zero_cells, k, n)
         assert (got is None) == (want is None), (X, kernels, lattice_rows, zero_cells)
@@ -441,6 +459,7 @@ def test_projected_containment_matches_dense_system():
             phi = X
             for c, K in zip(t, kernels):
                 phi = phi + K * c
+            assert X + system.shift(t) == phi
             for j in range(k):
                 assert lattice_contains(lattice_rows, phi.row(j), width=n)
             for coeffs, ray_i in zero_cells:
