@@ -64,6 +64,12 @@ def _load(path: str, max_rays: Optional[int]) -> FanDocument:
     return validate_document(read_fan_document(path), max_rays=max_rays)
 
 
+def _load_target(path: str, src: FanDocument, max_rays: Optional[int]) -> FanDocument:
+    """The target document; the source one when the path string is the same
+    (compared as given, since the report prints each path)."""
+    return src if path == src.path else _load(path, max_rays)
+
+
 def _resolve_subgroup(doc: FanDocument, name: str):
     if name in doc.subgroups:
         return divisor_subgroup(doc.fan, doc.subgroups[name])
@@ -217,7 +223,7 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
             if args.target is not None
             else str(src.morphism_target_path(args.morphism))
         )
-        dst = _load(target_path, args.max_rays)
+        dst = _load_target(target_path, src, args.max_rays)
         matrix = morphism_matrix(
             src.morphisms[args.morphism], dst.fan.rank, src.fan.rank
         )
@@ -226,12 +232,15 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
             raise _InputError("lift needs a target file (or --morphism LABEL)")
         if args.matrix is None:
             raise _InputError("lift needs --matrix (or --morphism LABEL)")
-        dst = _load(args.target, args.max_rays)
+        dst = _load_target(args.target, src, args.max_rays)
         matrix = _parse_matrix_flag(args.matrix, dst.fan.rank, src.fan.rank)
 
     f = validate_toric_morphism(src.fan, dst.fan, matrix)
     target_sub = _resolve_subgroup(dst, args.dst_subgroup)
-    source_sub = _resolve_subgroup(src, args.src_subgroup)
+    if dst is src and args.src_subgroup == args.dst_subgroup:
+        source_sub = target_sub
+    else:
+        source_sub = _resolve_subgroup(src, args.src_subgroup)
     report = solve_geometric_pullback(
         f, target_sub, source_sub, search_bound=args.search_bound
     )

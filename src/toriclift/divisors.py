@@ -24,10 +24,7 @@ from .lattice import (
     hermite_row_basis,
     hilbert_basis,
     lattice_contains,
-    lattice_equal,
     lattice_intersection,
-    lattice_sum,
-    matrix_rank,
     solve_with_snf,
     vec_dot,
     vec_is_zero,
@@ -171,29 +168,9 @@ class ClassGroupData:
 
 
 def class_group(fan: Fan) -> ClassGroupData:
-    n = fan.n_rays
-    if n == 0:
-        return ClassGroupData(
-            fan=fan, group=FgAbGroup(0, ()), _coker=_EmptyCokernel()
-        )
     A = fan.ray_matrix()  # n x rank; columns = principal divisors of e_j
     coker = CokernelData(A)
     return ClassGroupData(fan=fan, group=coker.group, _coker=coker)
-
-
-class _EmptyCokernel:
-    """Cokernel of the zero lattice (no rays): the trivial group."""
-
-    group = FgAbGroup(0, ())
-    generator_lifts: tuple[Vec, ...] = ()
-
-    def project(self, v: Sequence[int]) -> Vec:
-        if len(v) != 0:
-            raise ValueError("length mismatch")
-        return ()
-
-    def is_zero(self, v: Sequence[int]) -> bool:
-        return len(v) == 0
 
 
 # -- admissible divisor subgroups ------------------------------------------------
@@ -266,12 +243,12 @@ def divisor_subgroup(fan: Fan, rows: Sequence[Sequence[int]]) -> DivisorSubgroup
     if problems:
         raise SubgroupValidationError(problems)
 
-    if clean and matrix_rank(IntMatrix(clean, cols=n)) != len(clean):
-        problems.append("generators are linearly dependent")
-
+    # a Hermite basis has one row per rank of the generated lattice
     basis = hermite_row_basis(clean, width=n)
+    if len(basis) != len(clean):
+        problems.append("generators are linearly dependent")
     for j, p in enumerate(principal_basis(fan)):
-        if not lattice_contains(basis, p, width=n):
+        if hermite_coefficients(basis, p) is None:
             problems.append(
                 f"principal divisor of character {j} is missing: {list(p)}"
             )
@@ -279,8 +256,7 @@ def divisor_subgroup(fan: Fan, rows: Sequence[Sequence[int]]) -> DivisorSubgroup
         raise SubgroupValidationError(problems)
 
     effective = hilbert_basis(basis, n)
-    regenerated = lattice_sum(principal_basis(fan), effective, width=n)
-    if not lattice_equal(regenerated, basis, width=n):
+    if hermite_row_basis([*principal_basis(fan), *effective], width=n) != basis:
         problems.append(
             "subgroup is not generated by its effective members together "
             "with the principal divisors"

@@ -5,7 +5,9 @@ rank, a list of primitive ray generators and a list of maximal cones given
 by ray index sets.  ``validate_fan`` checks the fan axioms exactly (over the
 integers/rationals, never floats) and produces a canonicalized fan: rays are
 sorted lexicographically and cone index sets follow that order, so equal
-fans have equal representations.
+fans have equal representations.  The facet description of each max cone
+computed by the checks stays on the returned fan, and every caller reads
+cone geometry from there.
 
 Degenerate fans (rays not spanning the ambient lattice) are legal; they
 describe varieties with a torus factor, split off by ``split_torus_factor``.
@@ -14,7 +16,6 @@ describe varieties with a torus factor, split off by ``split_torus_factor``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from . import polyhedra
@@ -24,7 +25,6 @@ from .lattice import (
     SNFDecomposition,
     Vec,
     matrix_rank,
-    primitive_vector,
     smith_normal_form,
     vec_dot,
     vec_gcd,
@@ -56,7 +56,7 @@ class DegenerateFanError(ValueError):
 
 @dataclass(frozen=True)
 class Location:
-    """Minimal cone of a fan containing a given lattice point.
+    """Minimal cone of a fan containing given lattice points.
 
     ``face_rays`` are the ray indices generating the face (empty for the
     zero cone); ``max_cone`` is the index of one maximal cone containing it
@@ -86,17 +86,17 @@ class SmoothnessProfile:
 class Fan:
     """Validated fan.  Construct via :func:`validate_fan`.
 
-    Immutable; geometric cone data (facet descriptions) is computed on
-    demand and cached, which is safe for concurrent readers.
+    Immutable; per-cone data (facet descriptions, Smith forms) and fan
+    invariants are computed once, on demand, and cached in ``_dict``, which
+    is safe for concurrent readers.
     """
 
-    __slots__ = ("rank", "rays", "max_cones", "_hreps", "_dict")
+    __slots__ = ("rank", "rays", "max_cones", "_dict")
 
     def __init__(self, rank: int, rays: tuple[Vec, ...], max_cones: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", max_cones)
-        object.__setattr__(self, "_hreps", {})
         object.__setattr__(self, "_dict", {})
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
@@ -146,10 +146,12 @@ class Fan:
     # -- cone geometry ------------------------------------------------------
 
     def cone_hrep(self, cone_index: int) -> polyhedra.HRep:
-        if cone_index not in self._hreps:
+        """Facet description of a max cone, computed once per fan."""
+        key = ("cone_hrep", cone_index)
+        if key not in self._dict:
             gens = self.cone_rays(self.max_cones[cone_index])
-            self._hreps[cone_index] = polyhedra.facet_description(gens, self.rank)
-        return self._hreps[cone_index]
+            self._dict[key] = polyhedra.facet_description(gens, self.rank)
+        return self._dict[key]
 
     def cone_snf(self, cone_index: int) -> SNFDecomposition:
         """Smith decomposition of a max cone's ray matrix (rays as rows),
@@ -163,18 +165,25 @@ class Fan:
     def max_cone_contains(self, cone_index: int, v: Sequence[int]) -> bool:
         return self.cone_hrep(cone_index).contains(v)
 
-    def locate(self, v: Sequence[int]) -> Optional[Location]:
-        """Minimal cone of the fan containing v, or None if v is outside
-        the support."""
-        if len(v) != self.rank:
+    def locate(self, *points: Sequence[int]) -> Optional[Location]:
+        """Minimal cone of the fan containing all the points, or None if no
+        cone holds them all.
+
+        That cone is the face of the first max cone holding every point cut
+        out by the facets tight on the points' sum.
+        """
+        if any(len(v) != self.rank for v in points):
             raise ValueError("point of wrong rank")
-        if vec_is_zero(v) and not self.max_cones:
-            return Location(face_rays=(), max_cone=None)
+        if not self.max_cones:
+            if all(vec_is_zero(v) for v in points):
+                return Location(face_rays=(), max_cone=None)
+            return None
+        total = tuple(sum(v[j] for v in points) for j in range(self.rank))
         for ci, cone in enumerate(self.max_cones):
             h = self.cone_hrep(ci)
-            if not h.contains(v):
+            if not all(h.contains(v) for v in points):
                 continue
-            tight = [u for u in h.inequalities if vec_dot(u, v) == 0]
+            tight = [u for u in h.inequalities if vec_dot(u, total) == 0]
             face = tuple(
                 i
                 for i in cone
@@ -194,9 +203,10 @@ class Fan:
     def smoothness(self) -> SmoothnessProfile:
         key = "smoothness"
         if key not in self._dict:
-            profiles = []
-            for cone in self.max_cones:
-                profiles.append(cone_profile(self.cone_rays(cone)))
+            profiles = [
+                _profile(self.cone_snf(ci), len(cone))
+                for ci, cone in enumerate(self.max_cones)
+            ]
             self._dict[key] = SmoothnessProfile(
                 cones=tuple(profiles),
                 simplicial=all(p.simplicial for p in profiles),
@@ -209,22 +219,23 @@ class Fan:
             return True  # the zero cone
         return cone_profile(self.cone_rays(ray_indices)).smooth
 
-    def split_torus_factor(self) -> "TorusFactorSplit":
-        return split_torus_factor(self)
-
 
 def cone_profile(rays: Sequence[Vec]) -> ConeProfile:
     """Simpliciality/smoothness/multiplicity of a single cone."""
     if not rays:
         return ConeProfile(ray_count=0, dim=0, simplicial=True, smooth=True, index=1)
-    snf = smith_normal_form(IntMatrix(rays))
+    return _profile(smith_normal_form(IntMatrix(rays)), len(rays))
+
+
+def _profile(snf: SNFDecomposition, ray_count: int) -> ConeProfile:
+    """Profile of a cone from the Smith form of its ray matrix."""
     dim = snf.rank
-    simplicial = dim == len(rays)
+    simplicial = dim == ray_count
     index = 1
     for d in snf.invariant_factors:
         index *= d
     return ConeProfile(
-        ray_count=len(rays),
+        ray_count=ray_count,
         dim=dim,
         simplicial=simplicial,
         smooth=simplicial and index == 1,
@@ -251,9 +262,8 @@ class TorusFactorSplit:
 def split_torus_factor(fan: Fan) -> TorusFactorSplit:
     rank = fan.rank
     if fan.n_rays == 0:
-        reduced = validate_fan(0, [], [])
         return TorusFactorSplit(
-            reduced_fan=reduced,
+            reduced_fan=Fan(0, (), ()),
             torus_rank=rank,
             change_of_basis=IntMatrix.identity(rank),
             ray_map=(),
@@ -269,16 +279,28 @@ def split_torus_factor(fan: Fan) -> TorusFactorSplit:
         img = U.apply(ray)
         assert all(x == 0 for x in img[s:]), "span reduction failed"
         reduced_rays.append(img[:s])
-    reduced = validate_fan(s, reduced_rays, fan.max_cones)
-    # validate_fan re-sorts rays; recover where each original ray went
-    pos = {ray: i for i, ray in enumerate(reduced.rays)}
-    ray_map = tuple(pos[tuple(r)] for r in reduced_rays)
+    # On the ray span U is a lattice isomorphism onto Z^s, so the images
+    # satisfy the fan axioms already; only the canonical order is redone.
+    rays, cones, ray_map = _canonical_order(reduced_rays, fan.max_cones)
     return TorusFactorSplit(
-        reduced_fan=reduced,
+        reduced_fan=Fan(s, rays, cones),
         torus_rank=rank - s,
         change_of_basis=U,
         ray_map=ray_map,
     )
+
+
+def _canonical_order(
+    rays: Sequence[Vec], cones: Sequence[Sequence[int]]
+) -> tuple[tuple[Vec, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Lex-sorted rays, the cones re-indexed to them (each sorted, the list
+    sorted, repeats kept), and the new index of every given ray."""
+    order = sorted(range(len(rays)), key=lambda i: rays[i])
+    position = [0] * len(rays)
+    for new, old in enumerate(order):
+        position[old] = new
+    canon_cones = sorted(tuple(sorted(position[i] for i in cone)) for cone in cones)
+    return tuple(rays[i] for i in order), tuple(canon_cones), tuple(position)
 
 
 def validate_fan(
@@ -352,11 +374,7 @@ def validate_fan(
     if not structural_ok:
         raise FanValidationError(problems)
 
-    # canonical order: lex-sorted rays, remapped and sorted cones
-    order = sorted(range(n), key=lambda i: clean_rays[i])
-    new_index = {old: new for new, old in enumerate(order)}
-    canon_rays = tuple(clean_rays[i] for i in order)
-    canon_cones = sorted(tuple(sorted(new_index[i] for i in cone)) for cone in cones)
+    canon_rays, canon_cones, _ = _canonical_order(clean_rays, cones)
     dup = {c for c in canon_cones if canon_cones.count(c) > 1}
     for c in dup:
         problems.append(f"max cone {list(c)} listed more than once")
@@ -367,12 +385,12 @@ def validate_fan(
         if i not in covered:
             problems.append(f"ray {i} = {list(canon_rays[i])} lies in no max cone")
 
-    # geometric checks
-    gens_of = [tuple(canon_rays[i] for i in cone) for cone in canon_cones]
-    hreps: list[polyhedra.HRep] = []
-    for cone, gens in zip(canon_cones, gens_of):
-        lines, extreme = polyhedra.extreme_rays(gens, rank)
-        hreps.append(polyhedra.facet_description(gens, rank))
+    # geometric checks, on the fan's own facet descriptions
+    fan = Fan(rank=rank, rays=canon_rays, max_cones=tuple(canon_cones))
+    gens_of = [fan.cone_rays(cone) for cone in canon_cones]
+    hreps = [fan.cone_hrep(ci) for ci in range(len(canon_cones))]
+    for cone, gens, h in zip(canon_cones, gens_of, hreps):
+        lines, extreme = polyhedra.extreme_rays(h, rank)
         if lines:
             problems.append(
                 f"max cone {list(cone)} is not strongly convex (contains a line)"
@@ -419,4 +437,4 @@ def validate_fan(
     if problems:
         raise FanValidationError(problems)
 
-    return Fan(rank=rank, rays=canon_rays, max_cones=tuple(canon_cones))
+    return fan

@@ -716,12 +716,6 @@ def lattice_coefficients(
     return sol.particular
 
 
-def lattice_sum(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int
-) -> tuple[Vec, ...]:
-    return hermite_row_basis(list(a) + list(b), width=width)
-
-
 def lattice_intersection(
     a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int
 ) -> tuple[Vec, ...]:
@@ -742,10 +736,6 @@ def lattice_intersection(
                 w[j] += c * row[j]
         vecs.append(tuple(w))
     return hermite_row_basis(vecs, width=width)
-
-
-def lattice_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int) -> bool:
-    return hermite_row_basis(a, width=width) == hermite_row_basis(b, width=width)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .lattice import (
     hermite_row_basis,
     solve_integer_linear,
     vec_dot,
-    vec_is_zero,
 )
 
 SCOPE_NOTE = (
@@ -112,7 +111,7 @@ def validate_toric_morphism(
     locations: list[Location] = []
     for cone in source.max_cones:
         images = [matrix.apply(source.rays[i]) for i in cone]
-        loc = _locate_cone_image(target, images)
+        loc = target.locate(*images)
         if loc is None:
             problems.append(
                 f"image of source max cone {list(cone)} (rays "
@@ -125,28 +124,6 @@ def validate_toric_morphism(
     return ToricMorphism(
         source=source, target=target, matrix=matrix, cone_targets=tuple(locations)
     )
-
-
-def _locate_cone_image(target: Fan, images: Sequence[Vec]) -> Optional[Location]:
-    """Minimal target cone containing all the given points, or None."""
-    if not target.max_cones:
-        if all(vec_is_zero(w) for w in images):
-            return Location(face_rays=(), max_cone=None)
-        return None
-    for ci in range(len(target.max_cones)):
-        if all(target.max_cone_contains(ci, w) for w in images):
-            # minimal face of this cone containing the whole image: the one
-            # cut out by the facets tight on the generator sum
-            h = target.cone_hrep(ci)
-            total = tuple(sum(w[j] for w in images) for j in range(target.rank))
-            tight = [u for u in h.inequalities if vec_dot(u, total) == 0]
-            face = tuple(
-                i
-                for i in target.max_cones[ci]
-                if all(vec_dot(u, target.rays[i]) == 0 for u in tight)
-            )
-            return Location(face_rays=face, max_cone=ci)
-    return None
 
 
 def identity_morphism(fan: Fan) -> ToricMorphism:

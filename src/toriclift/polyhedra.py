@@ -23,7 +23,7 @@ combinatorial zero-set test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .lattice import (
     Vec,
@@ -158,16 +158,11 @@ def facet_description(generators: Sequence[Sequence[int]], dim: int) -> HRep:
     return HRep(equations=lines, inequalities=rays)
 
 
-def extreme_rays(generators: Sequence[Sequence[int]], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """(lines, extreme rays) of cone(generators), canonical and primitive."""
-    h = facet_description(generators, dim)
+def extreme_rays(h: HRep, dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """(lines, extreme rays) of the cone with H-description ``h``, canonical
+    and primitive."""
     normals = list(h.inequalities)
     for e in h.equations:
         normals.append(e)
         normals.append(vec_scale(-1, e))
     return dual_description(normals, dim)
-
-
-def cone_is_pointed(generators: Sequence[Sequence[int]], dim: int) -> bool:
-    lines, _ = extreme_rays(generators, dim)
-    return not lines

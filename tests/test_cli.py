@@ -230,6 +230,29 @@ class TestLift:
         )
         assert code == 1 and "no target cone" in err
 
+    def test_same_path_loads_one_document(self, files, capsys, monkeypatch):
+        import toriclift.cli as cli
+        import toriclift.fanfile as fanfile
+
+        calls = {"validate_fan": 0, "cox_subgroup": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(fanfile, "validate_fan")
+        counting(cli, "cox_subgroup")
+        path = files["blowup"]
+        code, out, _ = run(capsys, "lift", path, path, "--matrix", "1,0,0,1")
+        assert code == 0 and "exists: true" in out
+        assert f"source: {path} sha256" in out and f"target: {path} sha256" in out
+        assert calls == {"validate_fan": 1, "cox_subgroup": 1}
+
     def test_morphism_label(self, tmp_path, files, capsys):
         p = tmp_path / "src.fan"
         p.write_text(BLOWUP + f"morphism down {files['plane']}\n1 0\n0 1\nend\n")

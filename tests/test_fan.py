@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import fangen
 from toriclift.fan import (
     FanValidationError,
     Location,
@@ -137,6 +138,10 @@ def test_locate_interior_face_and_outside():
     assert fan.locate((0, 0)).face_rays == ()
     # complete fan: everything has a location
     assert fan.locate((-5, 3)) is not None
+    # several points: the minimal cone holding them all
+    assert fan.locate((0, 1), (1, 0)) == loc
+    assert fan.locate((0, 1), (0, 3)).face_rays == (1,)
+    assert fan.locate((1, 0), (1, 0), (0, 0)).face_rays == (2,)
 
 
 def test_locate_outside_support():
@@ -232,6 +237,18 @@ def test_split_pure_torus():
     s = split_torus_factor(fan)
     assert s.torus_rank == 3
     assert s.reduced_fan.rank == 0
+
+
+def test_split_reduced_fan_passes_validation():
+    # the reduced fan is built without re-checking the fan axioms; check them
+    rng = random.Random(11)
+    for _ in range(150):
+        fan = fangen.random_fan(rng, torus_rank=rng.randint(0, 2))
+        s = split_torus_factor(fan)
+        r = s.reduced_fan
+        assert r == validate_fan(r.rank, r.rays, r.max_cones)
+        for i, ray in enumerate(fan.rays):
+            assert s.change_of_basis.apply(ray)[: r.rank] == r.rays[s.ray_map[i]]
 
 
 def test_split_line_fan():

@@ -1,10 +1,17 @@
-"""Golden ``lift --out`` reports: any byte drift in these JSON mirrors fails.
+"""Golden ``--out`` reports: any byte drift in these JSON mirrors fails.
 
 The golden files under ``tests/golden/`` hold the full JSON report with the
-directory of the input files replaced by ``<dir>``.  Two cases have a unique
-witness, one two witness classes found by the effectivity search.  Only the
-Kajiwara A2 case has a nontrivial containment cokernel (Z/2) and a kernel
-direction in the extension stage; the Cox sources have neither.
+directory of the input files replaced by ``<dir>``.
+
+The ``lift`` cases: two have a unique witness, one two witness classes found
+by the effectivity search.  Only the Kajiwara A2 case has a nontrivial
+containment cokernel (Z/2) and a kernel direction in the extension stage;
+the Cox sources have neither.
+
+The ``iso`` and ``split`` cases use the Hirzebruch surface F1 padded by one
+torus factor, and a unimodular conjugate of it that mixes the torus direction
+into the rays: they pin the change of basis, the reduced rays and the
+isomorphism matrix of the reduced fans.
 """
 
 from pathlib import Path
@@ -33,38 +40,63 @@ DIAMOND = (
     "ray -1 0 1\nray 0 -1 1\nray 0 1 1\nray 1 0 1\n"
     "cone 0 1 2 3\n"
 )
+F1_CONES = "cone 0 1\ncone 1 2\ncone 2 3\ncone 3 0\n"
+# Hirzebruch F1 times a one-dimensional torus
+F1_TORUS = "fan 1\nrank 3\nray 1 0 0\nray 0 1 0\nray -1 1 0\nray 0 -1 0\n" + F1_CONES
+# its rays under the unimodular map [[1, 1, 1], [0, 1, 2], [1, 1, 2]]
+F1_TORUS_CONJ = (
+    "fan 1\nrank 3\nray 1 0 1\nray 1 1 1\nray 0 1 0\nray -1 -1 -1\n" + F1_CONES
+)
 
-CASES = {
+LIFT_CASES = {
     # Cox identity lift of the 12-ray polygon: a unique witness
     "lift_polygon12_cox_identity": (
-        ("polygon12", POLYGON_12), ("polygon12", POLYGON_12),
-        "1,0,0,1",
+        [("polygon12", POLYGON_12), ("polygon12", POLYGON_12)],
+        ["lift", "--matrix=1,0,0,1"],
     ),
     # line -> diamond cone with image (0, 1, 3): two witness classes
-    "lift_line_diamond_013": (("line", LINE), ("diamond", DIAMOND), "0,1,3"),
+    "lift_line_diamond_013": (
+        [("line", LINE), ("diamond", DIAMOND)], ["lift", "--matrix=0,1,3"]
+    ),
     # A2 cone (Kajiwara) -> diamond cone: cokernel Z/2, one kernel direction
     # of the extension, a unique witness
     "lift_a2_kajiwara_diamond": (
-        ("a2", A2_CONE), ("diamond", DIAMOND),
-        "-1,0,0,1,1,1", "--src-subgroup", "kajiwara",
+        [("a2", A2_CONE), ("diamond", DIAMOND)],
+        ["lift", "--matrix=-1,0,0,1,1,1", "--src-subgroup", "kajiwara"],
     ),
 }
 
+TORUS_CASES = {
+    "iso_f1_torus_conjugate": (
+        [("f1_torus", F1_TORUS), ("f1_torus_conj", F1_TORUS_CONJ)], ["iso"]
+    ),
+    "split_f1_torus_conjugate": ([("f1_torus_conj", F1_TORUS_CONJ)], ["split"]),
+}
 
-def lift_report(tmp_path: Path, source, target, matrix: str, *extra: str) -> str:
+
+def report(tmp_path: Path, files, argv) -> str:
+    """``--out`` JSON of ``toriclift argv[0] FILES argv[1:]``, where each
+    (name, text) of ``files`` is written to ``tmp_path/<name>.fan``."""
     paths = []
-    for name, text in (source, target):
+    for name, text in files:
         p = tmp_path / f"{name}.fan"
         p.write_text(text)
         paths.append(str(p))
     out = tmp_path / "report.json"
-    code = main(["lift", *paths, f"--matrix={matrix}", *extra, "--out", str(out)])
+    code = main([argv[0], *paths, *argv[1:], "--out", str(out)])
     assert code == 0
     return out.read_text(encoding="utf-8").replace(str(tmp_path), "<dir>")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(LIFT_CASES))
 def test_lift_report_matches_golden(name, tmp_path, capsys):
-    got = lift_report(tmp_path, *CASES[name])
+    got = report(tmp_path, *LIFT_CASES[name])
+    capsys.readouterr()
+    assert got == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_CASES))
+def test_torus_report_matches_golden(name, tmp_path, capsys):
+    got = report(tmp_path, *TORUS_CASES[name])
     capsys.readouterr()
     assert got == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
