@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -402,10 +403,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+_MATRIX_VALUE = re.compile(r"-?\d+(,-?\d+)*")
+
+
+def _attach_matrix_values(argv: Sequence[str]) -> list[str]:
+    """``--matrix V`` as ``--matrix=V`` when V is a list of integers, so that
+    argparse does not read a leading minus sign as the start of a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--matrix" and _MATRIX_VALUE.fullmatch(arg):
+            out[-1] = f"--matrix={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(_attach_matrix_values(argv))
     except SystemExit as e:
         # argparse exits 2 on usage errors, but 2 means "guard/undecided"
         # here; bad flags are input errors

@@ -13,7 +13,6 @@ divisors; ``custom`` accepts any admissible subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .divisors import (
@@ -37,7 +36,7 @@ from .lattice import (
 
 MODES = ("cox", "kajiwara", "custom")
 
-MAX_COLLECTION_COORDINATES = 20
+MAX_COLLECTION_FACES = 100_000
 
 
 @dataclass(frozen=True)
@@ -140,38 +139,61 @@ def exceptional_collections(
     intersection on the variety.
 
     The supports of a set of effective divisors meet on the variety iff some
-    max cone touches every one of them, so a set is exceptional iff the
-    cones *missed* by its members cover all max cones; we enumerate the
-    inclusion-minimal covers.
+    max cone touches every one of them.  Those sets (the faces) are closed
+    under taking subsets, and the exceptional collections are the minimal
+    non-faces.  With each coordinate's missed cones as a bitmask, a set is a
+    face iff its masks do not cover all cones.  The faces are walked depth
+    first, each extended only by later coordinates: an extension that is no
+    face is minimal iff dropping any earlier member leaves a face (dropping
+    the new one gives the face it extends).  The work grows with the number
+    of faces, which is guarded; for a Cox presentation of a simplicial fan
+    it is the number of cones.
     """
     n_cones = len(fan.max_cones)
     if n_cones == 0:
         return ()
-    supports = [frozenset(j for j, x in enumerate(w) if x > 0) for w in coordinates]
-    missed = []
-    for supp in supports:
-        missed.append(
-            frozenset(
-                ci
-                for ci, cone in enumerate(fan.max_cones)
-                if not supp & set(cone)
-            )
-        )
-    useful = [i for i, m in enumerate(missed) if m]
-    if len(useful) > MAX_COLLECTION_COORDINATES:
-        raise ResourceLimitError(
-            f"{len(useful)} coordinates exceed the exceptional-collection "
-            f"search guard {MAX_COLLECTION_COORDINATES}"
-        )
-    everything = frozenset(range(n_cones))
+    every_cone = (1 << n_cones) - 1
+    ray_cones: dict[int, int] = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for j in cone:
+            ray_cones[j] = ray_cones.get(j, 0) | 1 << ci
+    useful: list[int] = []
+    missed: list[int] = []
+    coverable = 0
+    for i, w in enumerate(coordinates):
+        touched = 0
+        for j, x in enumerate(w):
+            if x > 0:
+                touched |= ray_cones.get(j, 0)
+        if touched != every_cone:
+            useful.append(i)
+            missed.append(every_cone & ~touched)
+            coverable |= missed[-1]
+    if coverable != every_cone:
+        return ()  # some cone is missed by no coordinate: every set is a face
     found: list[tuple[int, ...]] = []
-    for size in range(1, len(useful) + 1):
-        for combo in combinations(useful, size):
-            if any(set(f) <= set(combo) for f in found):
-                continue
-            covered = frozenset().union(*(missed[i] for i in combo))
-            if covered == everything:
-                found.append(combo)
+    faces = 0
+    # (members, next position, their missed cones, the same without each member)
+    stack: list[tuple[tuple[int, ...], int, int, tuple[int, ...]]] = [((), 0, 0, ())]
+    while stack:
+        members, start, covered, without = stack.pop()
+        for pos in range(start, len(useful)):
+            m = missed[pos]
+            if covered | m != every_cone:
+                faces += 1
+                if faces > MAX_COLLECTION_FACES:
+                    raise ResourceLimitError(
+                        f"exceptional-collection search passed {faces} faces, "
+                        f"over guard MAX_COLLECTION_FACES = {MAX_COLLECTION_FACES}"
+                    )
+                stack.append((
+                    members + (useful[pos],),
+                    pos + 1,
+                    covered | m,
+                    tuple(c | m for c in without) + (covered,),
+                ))
+            elif all(c | m != every_cone for c in without):
+                found.append(members + (useful[pos],))
     return tuple(sorted(found))
 
 

@@ -116,3 +116,15 @@ def random_fan(rng: Random, max_rank: int = 3, torus_rank: int = 0) -> Fan:
         padded = [r + (0,) * torus_rank for r in fan.rays]
         fan = validate_fan(total, padded, fan.max_cones)
     return conjugate_fan(fan, random_unimodular(total, rng))
+
+
+def smooth_polygon_rays(n: int) -> list[tuple[int, int]]:
+    """Rays, in cyclic order, of a smooth complete polygon fan with n >= 3
+    rays: the projective plane blown up n - 3 times at torus-fixed points
+    spread around the cycle.  Its max cones are the consecutive pairs."""
+    cycle = [(1, 0), (0, 1), (-1, -1)]
+    while len(cycle) < n:
+        i = 5 * (len(cycle) - 3) % len(cycle)
+        u, v = cycle[i], cycle[(i + 1) % len(cycle)]
+        cycle.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return cycle

@@ -259,3 +259,33 @@ def containment_dense(X, kernels, lattice_rows, zero_cells, k, n_src):
         return None
     t_dirs = hermite_row_basis([kv[:A] for kv in sol.kernel_basis], width=A)
     return sol.particular[:A], list(t_dirs)
+
+
+# -- exceptional collections, every coordinate subset in size order -------------
+
+
+def exceptional_collections_bruteforce(
+    max_cones: Sequence[Sequence[int]], coordinates: Sequence[Vec]
+) -> tuple[tuple[int, ...], ...]:
+    """Reference for ``presentation.exceptional_collections``: try every
+    subset of the coordinates that miss some cone, smallest first, and keep
+    those whose missed cones cover all cones and that contain no set kept
+    before.  Exponential in the number of coordinates."""
+    n_cones = len(max_cones)
+    if n_cones == 0:
+        return ()
+    supports = [frozenset(j for j, x in enumerate(w) if x > 0) for w in coordinates]
+    missed = [
+        frozenset(ci for ci, cone in enumerate(max_cones) if not supp & set(cone))
+        for supp in supports
+    ]
+    useful = [i for i, m in enumerate(missed) if m]
+    everything = frozenset(range(n_cones))
+    found: list[tuple[int, ...]] = []
+    for size in range(1, len(useful) + 1):
+        for combo in itertools.combinations(useful, size):
+            if any(set(f) <= set(combo) for f in found):
+                continue
+            if frozenset().union(*(missed[i] for i in combo)) == everything:
+                found.append(combo)
+    return tuple(sorted(found))

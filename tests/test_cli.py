@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import fangen
 from toriclift.cli import main
 
 QUADRIC = "fan 1\nrank 2\nray 1 0\nray 1 2\ncone 0 1\n"
@@ -17,6 +18,14 @@ DIAMOND = (
     "cone 0 1 2 3\n"
 )
 HALF_TORUS = "fan 1\nrank 2\nray 1 0\ncone 0\n"  # rays span a proper subspace
+
+
+def smooth_polygon_text(n):
+    return (
+        "fan 1\nrank 2\n"
+        + "".join(f"ray {x} {y}\n" for x, y in fangen.smooth_polygon_rays(n))
+        + "".join(f"cone {i} {(i + 1) % n}\n" for i in range(n))
+    )
 
 
 @pytest.fixture
@@ -128,6 +137,15 @@ class TestPresent:
         )
         assert code == 0 and "mode: subgroup full" in out
         assert "grading group: Z/2" in out
+
+    def test_cox_24_ray_polygon(self, tmp_path, capsys):
+        # past the old 20-coordinate guard: the 24 * 21 / 2 non-adjacent pairs
+        p = tmp_path / "polygon24.fan"
+        p.write_text(smooth_polygon_text(24))
+        code, out, err = run(capsys, "present", str(p), "--mode", "cox")
+        assert code == 0 and err == ""
+        assert "coordinates: 24" in out
+        assert "exceptional collections: 252" in out
 
 
 class TestLift:
@@ -293,6 +311,18 @@ class TestSplit:
     def test_nothing_to_split(self, files, capsys):
         code, out, _ = run(capsys, "split", files["quadric"])
         assert code == 0 and "torus factor rank: 0" in out
+
+
+def test_consecutive_calls_give_their_own_reports(files, capsys):
+    code, out, _ = run(capsys, "present", files["quadric"])
+    assert code == 0 and "mode: cox" in out and "grading group: Z/2" in out
+    code, out, _ = run(
+        capsys, "lift", files["blowup"], files["plane"], "--matrix", "1,0,0,1"
+    )
+    assert code == 0 and "exists: true" in out and "mode:" not in out
+    assert run(capsys, "present", files["quadric"], "--bogus")[0] == 1
+    code, out, _ = run(capsys, "iso", files["plane"], files["plane"])
+    assert code == 0 and "isomorphic: yes" in out and "exists:" not in out
 
 
 def test_version_flag(capsys):

@@ -8,6 +8,11 @@ by the effectivity search.  Only the Kajiwara A2 case has a nontrivial
 containment cokernel (Z/2) and a kernel direction in the extension stage;
 the Cox sources have neither.
 
+The ``present`` cases pin the exceptional collections byte for byte: the
+Cox presentation of the 12-ray polygon (the 54 non-adjacent ray pairs) and
+the presentation of (P^1)^3 by the subgroup of divisors with even degree on
+each factor.
+
 The ``iso`` and ``split`` cases use the Hirzebruch surface F1 padded by one
 torus factor, and a unimodular conjugate of it that mixes the torus direction
 into the rays: they pin the change of basis, the reduced rays and the
@@ -40,6 +45,16 @@ DIAMOND = (
     "ray -1 0 1\nray 0 -1 1\nray 0 1 1\nray 1 0 1\n"
     "cone 0 1 2 3\n"
 )
+# (P^1)^3, rays +-e_i; "even": the principal divisors plus twice each divisor
+P1_CUBED = (
+    "fan 1\nrank 3\n"
+    "ray 1 0 0\nray -1 0 0\nray 0 1 0\nray 0 -1 0\nray 0 0 1\nray 0 0 -1\n"
+    + "".join(f"cone {a} {b} {c}\n" for a in (0, 1) for b in (2, 3) for c in (4, 5))
+    + "subgroup even\n"
+    "1 1 0 0 0 0\n0 0 1 1 0 0\n0 0 0 0 1 1\n"
+    "2 0 0 0 0 0\n0 0 2 0 0 0\n0 0 0 0 2 0\n"
+    "end\n"
+)
 F1_CONES = "cone 0 1\ncone 1 2\ncone 2 3\ncone 3 0\n"
 # Hirzebruch F1 times a one-dimensional torus
 F1_TORUS = "fan 1\nrank 3\nray 1 0 0\nray 0 1 0\nray -1 1 0\nray 0 -1 0\n" + F1_CONES
@@ -63,6 +78,13 @@ LIFT_CASES = {
     "lift_a2_kajiwara_diamond": (
         [("a2", A2_CONE), ("diamond", DIAMOND)],
         ["lift", "--matrix=-1,0,0,1,1,1", "--src-subgroup", "kajiwara"],
+    ),
+}
+
+PRESENT_CASES = {
+    "present_polygon12_cox": ([("polygon12", POLYGON_12)], ["present", "--mode", "cox"]),
+    "present_p1cubed_subgroup_even": (
+        [("p1cubed", P1_CUBED)], ["present", "--mode", "subgroup", "--subgroup", "even"]
     ),
 }
 
@@ -91,6 +113,21 @@ def report(tmp_path: Path, files, argv) -> str:
 @pytest.mark.parametrize("name", sorted(LIFT_CASES))
 def test_lift_report_matches_golden(name, tmp_path, capsys):
     got = report(tmp_path, *LIFT_CASES[name])
+    capsys.readouterr()
+    assert got == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_matrix_value_may_start_with_minus(tmp_path, capsys):
+    files, argv = LIFT_CASES["lift_a2_kajiwara_diamond"]
+    assert argv[1] == "--matrix=-1,0,0,1,1,1"
+    got = report(tmp_path, files, ["lift", "--matrix", "-1,0,0,1,1,1", *argv[2:]])
+    capsys.readouterr()
+    assert got == (GOLDEN / "lift_a2_kajiwara_diamond.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(PRESENT_CASES))
+def test_present_report_matches_golden(name, tmp_path, capsys):
+    got = report(tmp_path, *PRESENT_CASES[name])
     capsys.readouterr()
     assert got == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 

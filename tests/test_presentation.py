@@ -1,8 +1,15 @@
+import itertools
+import random
+from types import SimpleNamespace
+
 import pytest
 
+import fangen
+import oracles
+import toriclift.presentation as presentation
 from toriclift.divisors import principal_basis
 from toriclift.fan import DegenerateFanError, validate_fan
-from toriclift.lattice import FgAbGroup
+from toriclift.lattice import FgAbGroup, ResourceLimitError
 from toriclift.presentation import (
     build_presentation,
     exceptional_collections,
@@ -156,6 +163,122 @@ def test_exceptional_collections_multiray_supports():
     divisors = [(1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     cols = exceptional_collections(fan, divisors)
     assert cols == ((0, 1, 2),)
+
+
+def units(n):
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def smooth_polygon(n):
+    rays = fangen.smooth_polygon_rays(n)
+    return validate_fan(2, rays, [(i, (i + 1) % n) for i in range(n)])
+
+
+def random_collection_instance(rng):
+    """Max cones as ray-index sets lacking one to three rays each, and 0-12
+    coordinates whose supports have 0 (no positive entry), 1, 2 or all
+    rays.  In about one instance in seven every coordinate is positive on a
+    ray of the first cone."""
+    n_rays = rng.randint(1, 8)
+    missing = rng.randint(1, 3)
+    cones = [
+        tuple(sorted(rng.sample(range(n_rays), max(0, n_rays - rng.randint(1, missing)))))
+        for _ in range(rng.randint(0, 10))
+    ]
+    coords = []
+    for _ in range(rng.randint(0, 12)):
+        size = min(n_rays, rng.choice((0, 1, 1, 1, 2, n_rays)))
+        support = rng.sample(range(n_rays), size)
+        coords.append(tuple(
+            rng.randint(1, 2) if j in support else rng.choice((0, -1)) for j in range(n_rays)
+        ))
+    if cones and coords and rng.random() < 0.15:
+        r = rng.randrange(n_rays)
+        cones[0] = tuple(sorted(set(cones[0]) | {r}))
+        coords = [w[:r] + (1,) + w[r + 1 :] for w in coords]
+    return cones, coords
+
+
+def test_exceptional_collections_match_bruteforce():
+    rng = random.Random(20261018)
+    seen = dict.fromkeys(
+        ["no coordinates", "zero support", "touches every cone",
+         "cone no coordinate misses", "nonempty answer", "collection of three"], 0
+    )
+    for _ in range(2000):
+        cones, coords = random_collection_instance(rng)
+        got = exceptional_collections(SimpleNamespace(max_cones=cones), coords)
+        assert got == oracles.exceptional_collections_bruteforce(cones, coords), (
+            cones, coords)
+        if not cones:
+            continue
+        touched = [
+            {ci for ci, c in enumerate(cones) if any(w[j] > 0 for j in c)}
+            for w in coords
+        ]
+        seen["no coordinates"] += not coords
+        seen["zero support"] += any(max(w) <= 0 for w in coords)
+        seen["touches every cone"] += any(len(t) == len(cones) for t in touched)
+        seen["cone no coordinate misses"] += bool(coords) and any(
+            all(ci in t for t in touched) for ci in range(len(cones))
+        )
+        seen["nonempty answer"] += bool(got)
+        seen["collection of three"] += any(len(c) >= 3 for c in got)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("n", range(5, 33))
+def test_polygon_collections_are_the_non_adjacent_pairs(n):
+    fan = smooth_polygon(n)
+    non_adjacent = [
+        (a, b) for a, b in itertools.combinations(range(n), 2)
+        if not any({a, b} <= set(c) for c in fan.max_cones)
+    ]
+    assert len(non_adjacent) == n * (n - 3) // 2
+    assert exceptional_collections(fan, units(n)) == tuple(non_adjacent)
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_p1_power_collections_are_the_opposite_pairs(r):
+    rays = [tuple(s * (j == i) for j in range(r)) for i in range(r) for s in (1, -1)]
+    cones = [
+        tuple(2 * i + b for i, b in enumerate(bits))
+        for bits in itertools.product((0, 1), repeat=r)
+    ]
+    fan = validate_fan(r, rays, cones)
+    got = exceptional_collections(fan, units(2 * r))
+    assert len(got) == r
+    for a, b in got:
+        assert all(x + y == 0 for x, y in zip(fan.rays[a], fan.rays[b]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_projective_space_collection_is_every_coordinate(n):
+    rays = units(n) + [(-1,) * n]
+    fan = validate_fan(n, rays, list(itertools.combinations(range(n + 1), n)))
+    assert exceptional_collections(fan, units(n + 1)) == (tuple(range(n + 1)),)
+
+
+def test_collection_guard_counts_faces(monkeypatch):
+    # the 12-ray polygon's faces are its 12 rays and 12 edges
+    fan, coords = smooth_polygon(12), units(12)
+    monkeypatch.setattr(presentation, "MAX_COLLECTION_FACES", 24)
+    assert len(exceptional_collections(fan, coords)) == 54
+    monkeypatch.setattr(presentation, "MAX_COLLECTION_FACES", 23)
+    with pytest.raises(ResourceLimitError) as e:
+        exceptional_collections(fan, coords)
+    assert str(e.value) == (
+        "exceptional-collection search passed 24 faces, "
+        "over guard MAX_COLLECTION_FACES = 23"
+    )
+
+
+def test_cone_no_coordinate_misses_answers_before_the_guard(monkeypatch):
+    # every subset of the 40 coordinates touches cone 0: no walk at all
+    monkeypatch.setattr(presentation, "MAX_COLLECTION_FACES", 0)
+    coords = [(1, 0, 0)] * 20 + [(1, 1, 0)] * 20
+    fan = SimpleNamespace(max_cones=[(0, 1), (1, 2), (2,)])
+    assert exceptional_collections(fan, coords) == ()
 
 
 # -- degrees ------------------------------------------------------------------------
