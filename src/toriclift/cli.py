@@ -32,6 +32,7 @@ from .fanfile import (
     FanDocument,
     FanFileError,
     morphism_matrix,
+    parse_fan_file,
     read_fan_document,
     validate_document,
 )
@@ -61,14 +62,10 @@ def _header(*inputs: tuple[str, FanDocument]) -> list[str]:
     return lines
 
 
-def _load(path: str, max_rays: Optional[int]) -> FanDocument:
-    return validate_document(read_fan_document(path), max_rays=max_rays)
-
-
 def _load_target(path: str, src: FanDocument, max_rays: Optional[int]) -> FanDocument:
     """The target document; the source one when the path string is the same
     (compared as given, since the report prints each path)."""
-    return src if path == src.path else _load(path, max_rays)
+    return src if path == src.path else parse_fan_file(path, max_rays=max_rays)
 
 
 def _resolve_subgroup(doc: FanDocument, name: str):
@@ -122,7 +119,7 @@ def _cmd_validate(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_invariants(args) -> tuple[int, list[str], dict]:
-    doc = _load(args.file, args.max_rays)
+    doc = parse_fan_file(args.file, max_rays=args.max_rays)
     fan = doc.fan
     smooth = fan.smoothness
     split = split_torus_factor(fan)
@@ -150,7 +147,7 @@ def _cmd_invariants(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_present(args) -> tuple[int, list[str], dict]:
-    doc = _load(args.file, args.max_rays)
+    doc = parse_fan_file(args.file, max_rays=args.max_rays)
     if args.mode == "subgroup":
         if not args.subgroup:
             raise _InputError("--mode subgroup requires --subgroup NAME")
@@ -211,7 +208,7 @@ def _parse_matrix_flag(text: str, rows: int, cols: int) -> IntMatrix:
 
 
 def _cmd_lift(args) -> tuple[int, list[str], dict]:
-    src = _load(args.source, args.max_rays)
+    src = parse_fan_file(args.source, max_rays=args.max_rays)
     if args.morphism is not None and args.matrix is not None:
         raise _InputError("give either --matrix or --morphism, not both")
     if args.morphism is not None:
@@ -292,8 +289,8 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_iso(args) -> tuple[int, list[str], dict]:
-    a = _load(args.first, args.max_rays)
-    b = _load(args.second, args.max_rays)
+    a = parse_fan_file(args.first, max_rays=args.max_rays)
+    b = parse_fan_file(args.second, max_rays=args.max_rays)
     report = toric_isomorphism(a.fan, b.fan)
     lines = _header(("first", a), ("second", b)) + [
         f"isomorphic: {'yes' if report.isomorphic else 'no'}",
@@ -323,7 +320,7 @@ def _cmd_iso(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_split(args) -> tuple[int, list[str], dict]:
-    doc = _load(args.file, args.max_rays)
+    doc = parse_fan_file(args.file, max_rays=args.max_rays)
     split = split_torus_factor(doc.fan)
     red = split.reduced_fan
     lines = _header(("input", doc)) + [

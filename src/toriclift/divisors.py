@@ -23,7 +23,6 @@ from .lattice import (
     hermite_coefficients,
     hermite_row_basis,
     hilbert_basis,
-    lattice_contains,
     lattice_intersection,
     solve_with_snf,
     vec_dot,
@@ -56,14 +55,6 @@ def principal_divisor(fan: Fan, character: Sequence[int]) -> Vec:
     return tuple(vec_dot(character, ray) for ray in fan.rays)
 
 
-def is_principal(fan: Fan, coeffs: Sequence[int]) -> bool:
-    return lattice_contains(principal_basis(fan), coeffs, width=fan.n_rays)
-
-
-def is_effective(coeffs: Sequence[int]) -> bool:
-    return all(c >= 0 for c in coeffs)
-
-
 @dataclass(frozen=True)
 class CartierData:
     """Local trivializations of a Cartier divisor: one character per max
@@ -86,19 +77,6 @@ def cartier_data(fan: Fan, coeffs: Sequence[int]) -> Optional[CartierData]:
             return None
         chars.append(sol.particular)
     return CartierData(characters=tuple(chars))
-
-
-def cartier_defect(fan: Fan, coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Indices of the max cones on which no local character exists."""
-    out = []
-    for ci, cone in enumerate(fan.max_cones):
-        if solve_with_snf(fan.cone_snf(ci), [coeffs[i] for i in cone]) is None:
-            out.append(ci)
-    return tuple(out)
-
-
-def is_cartier(fan: Fan, coeffs: Sequence[int]) -> bool:
-    return cartier_data(fan, coeffs) is not None
 
 
 def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
@@ -159,9 +137,6 @@ class ClassGroupData:
     def divisor_class(self, coeffs: Sequence[int]) -> Vec:
         return self.group.reduce(self._coker.project(coeffs))
 
-    def is_trivial_class(self, coeffs: Sequence[int]) -> bool:
-        return self._coker.is_zero(coeffs)
-
     @property
     def generator_divisors(self) -> tuple[Vec, ...]:
         return self._coker.generator_lifts
@@ -189,10 +164,6 @@ class DivisorSubgroup:
     fan: Fan
     basis: tuple[Vec, ...]
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def subgroup_rank(self) -> int:
-        return len(self.basis)
 
     def contains(self, coeffs: Sequence[int]) -> bool:
         return self.coefficients(coeffs) is not None

@@ -162,9 +162,6 @@ class Fan:
             self._dict[key] = smith_normal_form(IntMatrix(rows, cols=self.rank))
         return self._dict[key]
 
-    def max_cone_contains(self, cone_index: int, v: Sequence[int]) -> bool:
-        return self.cone_hrep(cone_index).contains(v)
-
     def locate(self, *points: Sequence[int]) -> Optional[Location]:
         """Minimal cone of the fan containing all the points, or None if no
         cone holds them all.
@@ -194,7 +191,7 @@ class Fan:
 
     def max_cones_containing(self, v: Sequence[int]) -> tuple[int, ...]:
         return tuple(
-            ci for ci in range(len(self.max_cones)) if self.max_cone_contains(ci, v)
+            ci for ci in range(len(self.max_cones)) if self.cone_hrep(ci).contains(v)
         )
 
     # -- invariants ---------------------------------------------------------
@@ -308,13 +305,13 @@ def validate_fan(
     rays: Sequence[Sequence[int]],
     max_cones: Sequence[Sequence[int]],
     *,
-    max_rank: int = MAX_RANK,
-    max_rays: int = MAX_RAYS,
+    max_rays: Optional[int] = None,
 ) -> Fan:
     """Check the fan axioms and return the canonicalized fan.
 
     Raises :class:`FanValidationError` carrying every detected violation, or
-    :class:`ResourceLimitError` when the instance exceeds the size guards.
+    :class:`ResourceLimitError` when the instance exceeds the size guards
+    (``MAX_RANK``, and ``max_rays``, which defaults to ``MAX_RAYS``).
 
     Checks: primitive distinct nonzero rays; well-formed cone index sets;
     every ray in some maximal cone; each maximal cone strongly convex with
@@ -323,8 +320,10 @@ def validate_fan(
     """
     if rank < 0:
         raise FanValidationError(["rank must be nonnegative"])
-    if rank > max_rank:
-        raise ResourceLimitError(f"rank {rank} exceeds guard {max_rank}")
+    if rank > MAX_RANK:
+        raise ResourceLimitError(f"rank {rank} exceeds guard {MAX_RANK}")
+    if max_rays is None:
+        max_rays = MAX_RAYS
     if len(rays) > max_rays:
         raise ResourceLimitError(f"{len(rays)} rays exceed guard {max_rays}")
 

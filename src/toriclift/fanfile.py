@@ -268,10 +268,7 @@ def read_fan_document(path) -> RawFanDocument:
 
 def validate_document(raw: RawFanDocument, *, max_rays: Optional[int] = None) -> FanDocument:
     """Fan-validate a raw document and re-index its subgroups canonically."""
-    kwargs = {}
-    if max_rays is not None:
-        kwargs["max_rays"] = max_rays
-    fan = validate_fan(raw.rank, raw.rays, raw.max_cones, **kwargs)
+    fan = validate_fan(raw.rank, raw.rays, raw.max_cones, max_rays=max_rays)
     # the canonical fan sorts its rays; subgroup columns follow the file's
     # ray order and must be permuted to match
     perm = [fan.rays.index(tuple(r)) for r in raw.rays]

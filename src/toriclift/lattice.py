@@ -36,10 +36,6 @@ def _as_vec(v: Iterable[int]) -> Vec:
     return t
 
 
-def vec_add(a: Sequence[int], b: Sequence[int]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Sequence[int], b: Sequence[int]) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
@@ -372,10 +368,6 @@ def matrix_rank(A: IntMatrix) -> int:
     return smith_normal_form(A).rank
 
 
-def is_unimodular(A: IntMatrix) -> bool:
-    return A.rows == A.cols and abs(determinant(A)) == 1
-
-
 @dataclass(frozen=True)
 class IntegerSolution:
     """All integer solutions of A @ x = b: particular + kernel lattice basis."""
@@ -538,9 +530,6 @@ class CokernelData:
         free = tuple(self._signs[i] * y[i] for i in self._free_idx)
         return tor + free
 
-    def is_zero(self, v: Sequence[int]) -> bool:
-        return vec_is_zero(self.project(v))
-
 
 @dataclass(frozen=True)
 class AbHom:
@@ -581,16 +570,6 @@ class AbHom:
         return all(
             self.codomain.is_zero_element(self.matrix.row(i))
             for i in range(self.matrix.rows)
-        )
-
-    def is_identity(self) -> bool:
-        if self.domain != self.codomain:
-            return False
-        n = self.domain.n_generators
-        ident = IntMatrix.identity(n)
-        return all(
-            self.codomain.is_zero_element(vec_sub(self.matrix.row(i), ident.row(i)))
-            for i in range(n)
         )
 
 
@@ -673,12 +652,6 @@ def _exgcd(a: int, b: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-def lattice_contains(basis: Sequence[Sequence[int]], v: Sequence[int], width: Optional[int] = None) -> bool:
-    """Membership of v in the lattice spanned by ``basis`` rows."""
-    h = hermite_row_basis(basis, width=width if width is not None else len(v))
-    return hermite_coefficients(h, v) is not None
-
-
 def hermite_coefficients(h: Sequence[Vec], v: Sequence[int]) -> Optional[Vec]:
     """Coefficients c with c @ h = v for a Hermite basis ``h``, or None.
 
@@ -700,20 +673,6 @@ def hermite_coefficients(h: Sequence[Vec], v: Sequence[int]) -> Optional[Vec]:
             r = [a - q * b for a, b in zip(r, row)]
         coeffs.append(q)
     return tuple(coeffs) if vec_is_zero(r) else None
-
-
-def lattice_coefficients(
-    basis: Sequence[Sequence[int]], v: Sequence[int]
-) -> Optional[Vec]:
-    """Integer coefficients c with c @ basis = v, or None."""
-    rows = [_as_vec(r) for r in basis]
-    if not rows:
-        return () if vec_is_zero(v) else None
-    A = IntMatrix(rows).T  # columns = basis vectors
-    sol = solve_integer_linear(A, v)
-    if sol is None:
-        return None
-    return sol.particular
 
 
 def lattice_intersection(
@@ -816,10 +775,9 @@ MAX_HILBERT_POINTS = 500_000
 MAX_HILBERT_BOX = 10**6
 
 
-def _lattice_points_in_box(
-    basis: Sequence[Vec], bounds: Sequence[int], limit: int
-) -> list[Vec]:
-    """All lattice points x with 0 <= x <= bounds, by DFS over the Hermite basis."""
+def _lattice_points_in_box(basis: Sequence[Vec], bounds: Sequence[int]) -> list[Vec]:
+    """All lattice points x with 0 <= x <= bounds, by DFS over the Hermite basis;
+    at most ``MAX_HILBERT_POINTS`` are visited."""
     h = hermite_row_basis(basis, width=len(bounds))
     n = len(bounds)
     if not h:
@@ -835,9 +793,9 @@ def _lattice_points_in_box(
     def dfs(depth: int):
         if depth == len(h):
             visited[0] += 1
-            if visited[0] > limit:
+            if visited[0] > MAX_HILBERT_POINTS:
                 raise ResourceLimitError(
-                    f"lattice point enumeration exceeded {limit} points"
+                    f"lattice point enumeration exceeded {MAX_HILBERT_POINTS} points"
                 )
             if all(0 <= current[j] <= bounds[j] for j in range(n)):
                 out.append(tuple(current))
@@ -852,7 +810,7 @@ def _lattice_points_in_box(
         base = current[p]
         # c must satisfy 0 <= base + c*pv <= bounds[p], with pv > 0
         lo = _ceil_div(-base, pv)
-        hi = _floor_div(bounds[p] - base, pv)
+        hi = (bounds[p] - base) // pv
         for c in range(lo, hi + 1):
             if c:
                 for j in range(p, n):
@@ -870,15 +828,8 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def hilbert_basis(
-    subgroup_basis: Sequence[Sequence[int]],
-    ambient_rank: int,
-    *,
-    max_points: int = MAX_HILBERT_POINTS,
+    subgroup_basis: Sequence[Sequence[int]], ambient_rank: int
 ) -> tuple[Vec, ...]:
     """Minimal generating set of (lattice) intersect (nonnegative orthant).
 
@@ -932,7 +883,7 @@ def hilbert_basis(
         )
     pts = [
         p
-        for p in _lattice_points_in_box(h, bounds, max_points)
+        for p in _lattice_points_in_box(h, bounds)
         if not vec_is_zero(p) and all(x >= 0 for x in p)
     ]
     pts.sort(key=lambda p: (sum(p), p))

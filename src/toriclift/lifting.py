@@ -126,10 +126,6 @@ def validate_toric_morphism(
     )
 
 
-def identity_morphism(fan: Fan) -> ToricMorphism:
-    return validate_toric_morphism(fan, fan, IntMatrix.identity(fan.rank))
-
-
 # -- pullback of Cartier divisors -------------------------------------------------
 
 
@@ -312,7 +308,6 @@ def solve_geometric_pullback(
                 multiplier=obs.multiplier, divisor=divisor, required=obs.required
             ),
             conditions,
-            search_bound,
         )
     # (c) containment in the source subgroup, jointly over all rows in
     # cokernel coordinates, plus the zero-forcing equations of the support
@@ -330,7 +325,6 @@ def solve_geometric_pullback(
                 basis_indices=failing, joint_only=not failing
             ),
             conditions,
-            search_bound,
         )
     if zero_cells:
         solved_eq = containment.solve(zero_cells)
@@ -340,7 +334,6 @@ def solve_geometric_pullback(
                     generator=None, coefficient_index=None, rationally_infeasible=False
                 ),
                 conditions,
-                search_bound,
             )
         solved = solved_eq
     t_particular, t_dirs = solved
@@ -365,7 +358,6 @@ def solve_geometric_pullback(
                         generator=g, coefficient_index=idx, rationally_infeasible=False
                     ),
                     conditions,
-                    search_bound,
                 )
             classes = [phi0]
         else:
@@ -377,7 +369,6 @@ def solve_geometric_pullback(
                         rationally_infeasible=True,
                     ),
                     conditions,
-                    search_bound,
                 )
             entries = [abs(x) for row in phi0 for x in row]
             bound_used = (
@@ -452,7 +443,7 @@ def solve_geometric_pullback(
     )
 
 
-def _no_report(certificate, conditions: bool, bound) -> LiftingReport:
+def _no_report(certificate, conditions: bool) -> LiftingReport:
     return LiftingReport(
         verdict="no",
         witness=None,

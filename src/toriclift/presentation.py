@@ -63,18 +63,6 @@ class Presentation:
     def n_coordinates(self) -> int:
         return len(self.coordinates)
 
-    @property
-    def has_size_one_collection(self) -> bool:
-        return any(len(c) == 1 for c in self.exceptional_collections)
-
-    def degree_of(self, coeffs: Sequence[int]) -> Vec:
-        """Degree of an arbitrary subgroup member."""
-        c = self.subgroup.coefficients(coeffs)
-        if c is None:
-            raise ValueError("divisor does not lie in the subgroup")
-        coker = self.subgroup.grading_cokernel()
-        return self.grading_group.reduce(coker.project(c))
-
 
 def build_presentation(
     fan: Fan,
@@ -218,13 +206,6 @@ class GradingFactorization:
     composite_is_zero: bool
     ranks_additive: bool
     orders_multiplicative: Optional[bool]
-
-    @property
-    def consistent(self) -> bool:
-        checks = [self.composite_is_zero, self.ranks_additive]
-        if self.orders_multiplicative is not None:
-            checks.append(self.orders_multiplicative)
-        return all(checks)
 
 
 def grading_factorization(pres: Presentation) -> GradingFactorization:

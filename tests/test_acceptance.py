@@ -130,7 +130,6 @@ def test_criterion_5_grading_factorization(corpus):
                 assert gf.composite_is_zero
                 assert gf.ranks_additive
                 assert gf.orders_multiplicative in (None, True)
-                assert gf.consistent
                 pairs += 1
         assert pairs == 2 * len(corpus)
 

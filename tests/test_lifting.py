@@ -17,7 +17,12 @@ from toriclift.divisors import (
     divisor_subgroup,
 )
 from toriclift.fan import validate_fan
-from toriclift.lattice import CokernelData, IntMatrix, hermite_row_basis, lattice_contains
+from toriclift.lattice import (
+    CokernelData,
+    IntMatrix,
+    hermite_coefficients,
+    hermite_row_basis,
+)
 from toriclift.lifting import (
     ContainmentFailureCertificate,
     EffectivityFailureCertificate,
@@ -27,7 +32,6 @@ from toriclift.lifting import (
     _box_search,
     _rational_feasible,
     classify_liftings,
-    identity_morphism,
     pullback_cartier,
     solve_geometric_pullback,
     strict_transform,
@@ -103,7 +107,7 @@ class TestValidateMorphism:
             validate_toric_morphism(line, quadric, IntMatrix.identity(2))
 
     def test_identity_morphism(self, quadric):
-        f = identity_morphism(quadric)
+        f = validate_toric_morphism(quadric, quadric, IntMatrix.identity(2))
         assert f.source == f.target == quadric
         assert f.matrix == IntMatrix.identity(2)
 
@@ -179,7 +183,7 @@ class TestLiftingObstructions:
     def test_containment_failure_certificate(self, quadric):
         # identity on the quadric, but the source presentation only admits
         # principal divisors: the coordinate divisors cannot decompose
-        f = identity_morphism(quadric)
+        f = validate_toric_morphism(quadric, quadric, IntMatrix.identity(2))
         principal_only = divisor_subgroup(quadric, [(1, 1), (0, 2)])
         report = solve_geometric_pullback(
             f, cox_subgroup(quadric), principal_only
@@ -207,8 +211,9 @@ class TestLiftingObstructions:
         assert ob.required[0] % 2 == 1
         cart = cartier_subgroup_basis(cox_subgroup(diamond))
         doubled = tuple(2 * x for x in ob.divisor)
-        assert lattice_contains(cart, doubled)
-        assert not lattice_contains(cart, ob.divisor)
+        # cart is a Hermite basis: membership is back-substitution on it
+        assert hermite_coefficients(cart, doubled) is not None
+        assert hermite_coefficients(cart, ob.divisor) is None
 
 
 # -- the lifting solver: existence ------------------------------------------------
@@ -247,7 +252,7 @@ class TestLiftingExists:
             assert strict_transform(f, b) == report.witness.phi.row(j)
 
     def test_identity_lifts_identically(self, quadric):
-        f = identity_morphism(quadric)
+        f = validate_toric_morphism(quadric, quadric, IntMatrix.identity(2))
         report = solve_geometric_pullback(
             f, cox_subgroup(quadric), cox_subgroup(quadric)
         )
@@ -328,7 +333,7 @@ class TestLiftingExists:
         assert problems
 
     def test_subgroup_fan_mismatch(self, quadric, plane):
-        f = identity_morphism(quadric)
+        f = validate_toric_morphism(quadric, quadric, IntMatrix.identity(2))
         with pytest.raises(ValueError):
             solve_geometric_pullback(f, cox_subgroup(plane), cox_subgroup(quadric))
         with pytest.raises(ValueError):
@@ -461,7 +466,7 @@ def test_projected_containment_matches_dense_system():
                 phi = phi + K * c
             assert X + system.shift(t) == phi
             for j in range(k):
-                assert lattice_contains(lattice_rows, phi.row(j), width=n)
+                assert hermite_coefficients(lattice_rows, phi.row(j)) is not None
             for coeffs, ray_i in zero_cells:
                 assert sum(c * phi[j, ray_i] for j, c in enumerate(coeffs)) == 0
         failing = tuple(

@@ -42,7 +42,7 @@ def test_cox_p2():
     assert d[0] == d[1] == d[2]
     assert abs(d[0][0]) == 1
     assert pres.exceptional_collections == ((0, 1, 2),)
-    assert not pres.has_size_one_collection
+    assert all(len(c) > 1 for c in pres.exceptional_collections)
     assert pres.enough.ok
 
 
@@ -286,11 +286,14 @@ def test_cone_no_coordinate_misses_answers_before_the_guard(monkeypatch):
 
 def test_degree_of_member():
     pres = build_presentation(quadric_cone(), mode="cox")
-    assert pres.degree_of((1, 1)) == (0,)  # principal
-    assert pres.degree_of((1, 0)) == (1,)
-    assert pres.degree_of((1, 2)) == (1,)
-    with pytest.raises(ValueError):
-        build_presentation(quadric_cone(), mode="kajiwara").degree_of((1, 0))
+    degree = dict(zip(pres.coordinates, pres.degrees))
+    assert degree[(1, 0)] == degree[(0, 1)] == (1,)
+    # degrees are additive: (1, 1) = (1, 0) + (0, 1) is principal, and
+    # (1, 2) = (1, 0) + 2 (0, 1)
+    reduce = pres.grading_group.reduce
+    assert reduce((degree[(1, 0)][0] + degree[(0, 1)][0],)) == (0,)
+    assert reduce((degree[(1, 0)][0] + 2 * degree[(0, 1)][0],)) == (1,)
+    assert not build_presentation(quadric_cone(), mode="kajiwara").subgroup.contains((1, 0))
 
 
 # -- grading factorization ------------------------------------------------------------
@@ -305,7 +308,6 @@ def test_factorization_cox_quadric():
     assert fac.composite_is_zero
     assert fac.ranks_additive
     assert fac.orders_multiplicative is True
-    assert fac.consistent
 
 
 def test_factorization_kajiwara_quadric():
@@ -314,7 +316,7 @@ def test_factorization_kajiwara_quadric():
     assert fac.grading_group.is_trivial()
     assert fac.residual_group == FgAbGroup(0, (2,))
     assert fac.orders_multiplicative is True
-    assert fac.consistent
+    assert fac.composite_is_zero and fac.ranks_additive
 
 
 def test_factorization_cox_p2():
@@ -322,7 +324,7 @@ def test_factorization_cox_p2():
     assert fac.class_group == FgAbGroup(1, ())
     assert fac.residual_group.is_trivial()
     assert fac.orders_multiplicative is None  # infinite groups
-    assert fac.consistent
+    assert fac.composite_is_zero and fac.ranks_additive
 
 
 def test_factorization_custom_principal():
@@ -331,4 +333,5 @@ def test_factorization_custom_principal():
     fac = grading_factorization(pres)
     assert fac.grading_group.is_trivial()
     assert fac.residual_group == FgAbGroup(0, (2,))
-    assert fac.consistent
+    assert fac.composite_is_zero and fac.ranks_additive
+    assert fac.orders_multiplicative is True
