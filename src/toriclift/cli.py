@@ -345,6 +345,16 @@ def _cmd_split(args) -> tuple[int, list[str], dict]:
     return EXIT_OK, lines, payload
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toriclift",
@@ -355,7 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--max-rays", type=int, default=None, help="ray-count guard override")
+        p.add_argument("--max-rays", type=_non_negative, default=None,
+                       help="ray-count guard override")
         p.add_argument("--out", default=None, help="also write the report as JSON to this file")
 
     p = sub.add_parser("validate", help="check the fan axioms")
@@ -382,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--morphism", default=None, help="named morphism declared in the source file")
     p.add_argument("--src-subgroup", default="cox")
     p.add_argument("--dst-subgroup", default="cox")
-    p.add_argument("--search-bound", type=int, default=None,
+    p.add_argument("--search-bound", type=_non_negative, default=None,
                    help="coefficient box bound for the feasibility search")
     common(p)
     p.set_defaults(handler=_cmd_lift)

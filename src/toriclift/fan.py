@@ -321,11 +321,17 @@ def validate_fan(
     if rank < 0:
         raise FanValidationError(["rank must be nonnegative"])
     if rank > MAX_RANK:
-        raise ResourceLimitError(f"rank {rank} exceeds guard {MAX_RANK}")
+        raise ResourceLimitError(
+            f"rank {rank} exceeds guard {MAX_RANK}: MAX_RANK = {MAX_RANK} in "
+            f"toriclift.fan, no flag overrides it"
+        )
     if max_rays is None:
         max_rays = MAX_RAYS
     if len(rays) > max_rays:
-        raise ResourceLimitError(f"{len(rays)} rays exceed guard {max_rays}")
+        raise ResourceLimitError(
+            f"{len(rays)} rays exceed guard {max_rays}: MAX_RAYS = {MAX_RAYS} in "
+            f"toriclift.fan, override with --max-rays"
+        )
 
     problems: list[str] = []
     clean_rays: list[Vec] = []

@@ -156,7 +156,8 @@ def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
     if n_assign > MAX_ISO_ASSIGNMENTS:
         raise ResourceLimitError(
             f"isomorphism search would try {n_assign} ray assignments "
-            f"(limit {MAX_ISO_ASSIGNMENTS})"
+            f"(limit {MAX_ISO_ASSIGNMENTS}): MAX_ISO_ASSIGNMENTS = "
+            f"{MAX_ISO_ASSIGNMENTS} in toriclift.isomorphism, no flag overrides it"
         )
 
     for assign in permutations(range(b.n_rays), a.rank):

@@ -780,6 +780,7 @@ def _lattice_points_in_box(basis: Sequence[Vec], bounds: Sequence[int]) -> list[
     at most ``MAX_HILBERT_POINTS`` are visited."""
     h = hermite_row_basis(basis, width=len(bounds))
     n = len(bounds)
+    limit = MAX_HILBERT_POINTS
     if not h:
         return [(0,) * n]
     pivots = []
@@ -793,9 +794,11 @@ def _lattice_points_in_box(basis: Sequence[Vec], bounds: Sequence[int]) -> list[
     def dfs(depth: int):
         if depth == len(h):
             visited[0] += 1
-            if visited[0] > MAX_HILBERT_POINTS:
+            if visited[0] > limit:
                 raise ResourceLimitError(
-                    f"lattice point enumeration exceeded {MAX_HILBERT_POINTS} points"
+                    f"lattice point enumeration exceeded {limit} points: "
+                    f"MAX_HILBERT_POINTS = {limit} in toriclift.lattice, "
+                    f"no flag overrides it"
                 )
             if all(0 <= current[j] <= bounds[j] for j in range(n)):
                 out.append(tuple(current))
@@ -860,7 +863,9 @@ def hilbert_basis(
         )
     if ambient_rank > MAX_HILBERT_AMBIENT:
         raise ResourceLimitError(
-            f"ambient rank {ambient_rank} exceeds Hilbert basis guard {MAX_HILBERT_AMBIENT}"
+            f"ambient rank {ambient_rank} exceeds Hilbert basis guard {MAX_HILBERT_AMBIENT}: "
+            f"MAX_HILBERT_AMBIENT = {MAX_HILBERT_AMBIENT} in toriclift.lattice, "
+            f"no flag overrides it"
         )
     # Extreme rays of {c : c @ h >= 0} in coefficient space -> ambient rays.
     ineqs = [tuple(row[j] for row in h) for j in range(ambient_rank)]
@@ -879,7 +884,9 @@ def hilbert_basis(
     bounds = tuple(sum(g[j] for g in gens) for j in range(ambient_rank))
     if any(b > MAX_HILBERT_BOX for b in bounds):
         raise ResourceLimitError(
-            f"Hilbert basis enumeration box {bounds} exceeds guard {MAX_HILBERT_BOX}"
+            f"Hilbert basis enumeration box {bounds} exceeds guard {MAX_HILBERT_BOX}: "
+            f"MAX_HILBERT_BOX = {MAX_HILBERT_BOX} in toriclift.lattice, "
+            f"no flag overrides it"
         )
     pts = [
         p

@@ -270,8 +270,11 @@ def solve_geometric_pullback(
     and support conditions on effective generators (skipped for simplicial
     target fans unless ``force_conditions``).  ``search_bound``
     caps the coefficient box searched when residual freedom survives the
-    linear stages; exhausting it yields verdict "undecided".
+    linear stages; exhausting it yields verdict "undecided".  A negative
+    ``search_bound`` is a ValueError: it would search an empty box.
     """
+    if search_bound is not None and search_bound < 0:
+        raise ValueError(f"search bound must be non-negative, got {search_bound}")
     if target_subgroup.fan != f.target:
         raise ValueError("target subgroup lives on a different fan")
     if source_subgroup.fan != f.source:

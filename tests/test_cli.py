@@ -81,6 +81,11 @@ class TestValidate:
     def test_ray_guard_exit(self, files, capsys):
         code, _, err = run(capsys, "validate", files["quadric"], "--max-rays", "1")
         assert code == 2 and "resource limit" in err
+        assert "MAX_RAYS" in err and "--max-rays" in err
+
+    def test_negative_ray_guard_is_an_input_error(self, files, capsys):
+        code, out, err = run(capsys, "validate", files["line"], "--max-rays=-1")
+        assert code == 1 and out == "" and "must be non-negative" in err
 
     def test_bad_flags_are_input_errors(self, files, capsys):
         assert run(capsys, "validate", files["quadric"], "--bogus")[0] == 1
@@ -323,6 +328,18 @@ def test_consecutive_calls_give_their_own_reports(files, capsys):
     assert run(capsys, "present", files["quadric"], "--bogus")[0] == 1
     code, out, _ = run(capsys, "iso", files["plane"], files["plane"])
     assert code == 0 and "isomorphic: yes" in out and "exists:" not in out
+
+
+@pytest.mark.parametrize("flag", ["--search-bound", "--max-rays"])
+@pytest.mark.parametrize("joined", [False, True])
+def test_negative_bounds_are_input_errors(files, capsys, flag, joined):
+    # a negative search bound is an empty box and a negative ray guard
+    # rejects every fan: neither is a guard trip or "undecided"
+    args = ["lift", files["line"], files["diamond"], "--matrix", "1,0,3"]
+    args += [f"{flag}=-1"] if joined else [flag, "-1"]
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert f"argument {flag}: must be non-negative, got -1" in err
 
 
 def test_version_flag(capsys):

@@ -10,7 +10,10 @@ from toriclift.fan import (
     split_torus_factor,
     validate_fan,
 )
-from toriclift.lattice import IntMatrix, ResourceLimitError, determinant
+from toriclift import fan as fan_module
+from toriclift import isomorphism, lattice
+from toriclift.isomorphism import fan_isomorphic
+from toriclift.lattice import IntMatrix, ResourceLimitError, determinant, hilbert_basis
 
 
 def projective_plane():
@@ -124,6 +127,39 @@ def test_guards():
     cones = [(i, i + 1) for i in range(64)]
     with pytest.raises(ResourceLimitError):
         validate_fan(2, rays, cones)
+
+
+def _plane():
+    return validate_fan(2, [(1, 0), (0, 1)], [(0, 1)])
+
+
+def _index_two_hilbert():
+    return hilbert_basis([(1, 1), (0, 2)], 2)
+
+
+def _p2_self_iso():
+    return fan_isomorphic(projective_plane(), projective_plane())
+
+
+@pytest.mark.parametrize(
+    "module, constant, trip, override",
+    [
+        (fan_module, "MAX_RANK", _plane, "no flag overrides it"),
+        (fan_module, "MAX_RAYS", _plane, "override with --max-rays"),
+        (lattice, "MAX_HILBERT_AMBIENT", _index_two_hilbert, "no flag overrides it"),
+        (lattice, "MAX_HILBERT_POINTS", _index_two_hilbert, "no flag overrides it"),
+        (lattice, "MAX_HILBERT_BOX", _index_two_hilbert, "no flag overrides it"),
+        (isomorphism, "MAX_ISO_ASSIGNMENTS", _p2_self_iso, "no flag overrides it"),
+    ],
+)
+def test_guard_messages_name_constant_and_override(
+    monkeypatch, module, constant, trip, override
+):
+    trip()  # passes under the default guard
+    monkeypatch.setattr(module, constant, 1)
+    with pytest.raises(ResourceLimitError) as e:
+        trip()
+    assert f"{constant} = 1 in {module.__name__}, {override}" in str(e.value)
 
 
 # -- location ---------------------------------------------------------------------

@@ -364,6 +364,14 @@ class TestUndecided:
         found = {tuple(x for (x,) in m) for m in report.witness_classes}
         assert found == {(0, 1, 1, 1), (1, 0, 0, 2)}
 
+    def test_negative_bound_is_rejected(self, line, diamond):
+        # a negative bound is an empty box: nothing would be searched
+        f = validate_toric_morphism(line, diamond, IntMatrix.column((1, 0, 3)))
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_geometric_pullback(
+                f, cox_subgroup(diamond), cox_subgroup(line), search_bound=-1
+            )
+
 
 # -- feasibility helpers ----------------------------------------------------------
 
