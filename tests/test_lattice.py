@@ -196,13 +196,12 @@ def test_hermite_canonical_and_membership():
         assert hermite_row_basis(shuffled, width=n) == h
         # every generator is a member; membership agrees with brute force
         for r in rows:
-            assert member(h, r)
+            assert hermite_coefficients(h, r) is not None
         probe = tuple(rng.randrange(-4, 5) for _ in range(n))
+        c = hermite_coefficients(h, probe)
         if oracles.in_lattice_bruteforce(probe, rows, coeff_bound=9):
-            assert member(h, probe)
-        if member(h, probe):
-            c = hermite_coefficients(h, probe)
             assert c is not None
+        if c is not None:
             rebuilt = tuple(
                 sum(ci * hr[j] for ci, hr in zip(c, h)) for j in range(n)
             )

@@ -6,6 +6,7 @@ somewhere in the package outside its own definition, or be exported in
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import toriclift
@@ -13,32 +14,27 @@ import toriclift
 PACKAGE = Path(toriclift.__file__).parent
 
 
-def _references(tree, skip):
-    """Names loaded or attributes read in ``tree``, outside the node ``skip``."""
-    out = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return out
+def _names(node):
+    """Every name loaded or attribute read beneath ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
 
 
 def test_every_public_function_is_used_or_exported():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
-    assert "lattice.py" in trees and "cli.py" in trees
-    unused = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                continue
-            if node.name in toriclift.__all__:
-                continue
-            if not any(node.name in _references(t, node) for t in trees.values()):
-                unused.append(f"{name[:-3]}.{node.name}")
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    assert "lattice" in trees and "cli" in trees
+    uses = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in toriclift.__all__
+        # a reference inside its own def (recursion) does not count
+        and uses[node.name] == _names(node)[node.name]
+    ]
     assert unused == []
