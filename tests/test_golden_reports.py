@@ -13,6 +13,11 @@ Cox presentation of the 12-ray polygon (the 54 non-adjacent ray pairs) and
 the presentation of (P^1)^3 by the subgroup of divisors with even degree on
 each factor.
 
+The ``validate`` cases pin the problem lists of three invalid fans: two
+cones that overlap in no common face, one max cone inside another, and a
+listed ray that is not extreme.  The first reaches the pairwise double
+description that decides "is not a common face".
+
 The ``iso`` and ``split`` cases use the Hirzebruch surface F1 padded by one
 torus factor, and a unimodular conjugate of it that mixes the torus direction
 into the rays: they pin the change of basis, the reduced rays and the
@@ -63,6 +68,11 @@ F1_TORUS_CONJ = (
     "fan 1\nrank 3\nray 1 0 1\nray 1 1 1\nray 0 1 0\nray -1 -1 -1\n" + F1_CONES
 )
 
+# cone((1,1),(-1,0)) cuts through cone((1,0),(0,1))
+OVERLAP = "fan 1\nrank 2\nray 1 0\nray 0 1\nray 1 1\nray -1 0\ncone 0 1\ncone 2 3\n"
+NESTED_CONES = "fan 1\nrank 2\nray 1 0\nray 0 1\nray 1 1\ncone 0 1\ncone 0 2\n"
+NOT_EXTREME = "fan 1\nrank 2\nray 1 0\nray 1 1\nray 1 2\ncone 0 1 2\n"
+
 LIFT_CASES = {
     # Cox identity lift of the 12-ray polygon: a unique witness
     "lift_polygon12_cox_identity": (
@@ -86,6 +96,12 @@ PRESENT_CASES = {
     "present_p1cubed_subgroup_even": (
         [("p1cubed", P1_CUBED)], ["present", "--mode", "subgroup", "--subgroup", "even"]
     ),
+}
+
+VALIDATE_CASES = {
+    "validate_overlap": ([("overlap", OVERLAP)], ["validate"]),
+    "validate_nested_cones": ([("nested_cones", NESTED_CONES)], ["validate"]),
+    "validate_not_extreme": ([("not_extreme", NOT_EXTREME)], ["validate"]),
 }
 
 TORUS_CASES = {
@@ -128,6 +144,13 @@ def test_matrix_value_may_start_with_minus(tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(PRESENT_CASES))
 def test_present_report_matches_golden(name, tmp_path, capsys):
     got = report(tmp_path, *PRESENT_CASES[name])
+    capsys.readouterr()
+    assert got == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
+def test_validate_report_matches_golden(name, tmp_path, capsys):
+    got = report(tmp_path, *VALIDATE_CASES[name])
     capsys.readouterr()
     assert got == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
