@@ -9,6 +9,17 @@ fans have equal representations.  The facet description of each max cone
 computed by the checks stays on the returned fan, and every caller reads
 cone geometry from there.
 
+Two max cones meet in a common face iff some linear functional is >= 0 on
+one, <= 0 on the other, and cuts both in the same face (the separation
+lemma, Cox-Little-Schenck, *Toric Varieties*, 1.2.13).  Validation first
+tries the functional summed from one cone's facet normals through the shared
+rays, in either order; that needs no new double description and certifies
+every pair of most fans.  A max cone with linearly independent rays is
+simplicial, so it is strongly convex with every ray extreme, and its
+extreme-ray check is skipped.  Every pair the cheap functional does not
+certify, and so every failure, takes the exact test by double description,
+and the problems it reports are the same, in the same order.
+
 Degenerate fans (rays not spanning the ambient lattice) are legal; they
 describe varieties with a torus factor, split off by ``split_torus_factor``.
 """
@@ -300,6 +311,55 @@ def _canonical_order(
     return tuple(rays[i] for i in order), tuple(canon_cones), tuple(position)
 
 
+def _meet_in_common_face(fan: Fan, a: int, b: int) -> bool:
+    """Whether max cones ``a`` and ``b`` of ``fan``, strongly convex and
+    neither inside the other, meet in a face of both.
+
+    First the cheap separator in either order (:func:`_separates`); only when
+    neither certifies the pair, the exact test: u, the sum of the extreme
+    rays of {u : u >= 0 on a, u <= 0 on b}, lies in the relative interior of
+    the separating functionals, and the pair meets in a common face iff the
+    rays of a and of b on u's hyperplane are the same and lie in both cones.
+    """
+    if _separates(fan, a, b) or _separates(fan, b, a):
+        return True
+    ca, cb = fan.max_cones[a], fan.max_cones[b]
+    ga, gb = fan.cone_rays(ca), fan.cone_rays(cb)
+    ha, hb = fan.cone_hrep(a), fan.cone_hrep(b)
+    normals = [g for g in ga] + [tuple(-x for x in g) for g in gb]
+    _, qrays = polyhedra.dual_description(normals, fan.rank)
+    u = tuple(sum(q[j] for q in qrays) for j in range(fan.rank))
+    ta = [i for i, g in zip(ca, ga) if vec_dot(u, g) == 0]
+    tb = [i for i, g in zip(cb, gb) if vec_dot(u, g) == 0]
+    ok = all(hb.contains(fan.rays[i]) for i in ta) and all(
+        ha.contains(fan.rays[i]) for i in tb
+    )
+    return ok and set(ta) == set(tb)
+
+
+def _separates(fan: Fan, a: int, b: int) -> bool:
+    """The separation lemma (Cox-Little-Schenck, *Toric Varieties*, 1.2.13)
+    with a functional read off the facets of max cone ``a``.
+
+    Let F be the rays shared with max cone ``b``, and u the sum of a's facet
+    normals vanishing on F.  If u vanishes on a's rays exactly at F, then a
+    meets u's hyperplane in cone(F); if also u <= 0 on b's rays, vanishing
+    exactly at F, then b meets it in cone(F) too, and a and b meet in
+    cone(F), a face of both.  False says only that this u does not certify
+    the pair.
+    """
+    ca, cb = fan.max_cones[a], fan.max_cones[b]
+    shared = set(ca).intersection(cb)
+    u = [0] * fan.rank
+    for w in fan.cone_hrep(a).inequalities:
+        if all(vec_dot(w, fan.rays[i]) == 0 for i in shared):
+            u = [x + y for x, y in zip(u, w)]
+    # u >= 0 on a and u = 0 on F hold by construction
+    return all(
+        vec_dot(u, fan.rays[i]) != 0 for i in ca if i not in shared
+    ) and all(vec_dot(u, fan.rays[i]) < 0 for i in cb if i not in shared)
+
+
 def validate_fan(
     rank: int,
     rays: Sequence[Sequence[int]],
@@ -317,6 +377,14 @@ def validate_fan(
     every ray in some maximal cone; each maximal cone strongly convex with
     every listed ray extreme; no maximal cone contained in another; every
     pairwise intersection of maximal cones is a common face of both.
+
+    Each max cone costs one double description (its facet description, kept
+    on the fan), plus one for its extreme rays unless its rays are linearly
+    independent.  A pair of max cones costs none when the sum of one cone's
+    facet normals through their shared rays separates them (the separation
+    lemma; see :func:`_separates`); otherwise, and so for every pair that
+    fails, it takes the double-description test of
+    :func:`_meet_in_common_face`.
     """
     if rank < 0:
         raise FanValidationError(["rank must be nonnegative"])
@@ -395,6 +463,8 @@ def validate_fan(
     gens_of = [fan.cone_rays(cone) for cone in canon_cones]
     hreps = [fan.cone_hrep(ci) for ci in range(len(canon_cones))]
     for cone, gens, h in zip(canon_cones, gens_of, hreps):
+        if len(cone) + len(h.equations) == rank:
+            continue  # independent rays: simplicial, so pointed, all extreme
         lines, extreme = polyhedra.extreme_rays(h, rank)
         if lines:
             problems.append(
@@ -424,16 +494,7 @@ def validate_fan(
                 problems.append(f"max cone {list(cb)} is contained in max cone {list(ca)}")
             if a_in_b or b_in_a:
                 continue
-            # relative-interior separator for the face-intersection test
-            normals = [g for g in ga] + [tuple(-x for x in g) for g in gb]
-            _, qrays = polyhedra.dual_description(normals, rank)
-            u = tuple(sum(q[j] for q in qrays) for j in range(rank))
-            ta = [i for i, g in zip(ca, ga) if vec_dot(u, g) == 0]
-            tb = [i for i, g in zip(cb, gb) if vec_dot(u, g) == 0]
-            ok = all(hb.contains(canon_rays[i]) for i in ta) and all(
-                ha.contains(canon_rays[i]) for i in tb
-            )
-            if not ok or set(ta) != set(tb):
+            if not _meet_in_common_face(fan, a, b):
                 problems.append(
                     f"intersection of max cones {list(ca)} and {list(cb)} "
                     f"is not a common face"

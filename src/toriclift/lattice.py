@@ -365,7 +365,31 @@ def determinant(A: IntMatrix) -> int:
 
 
 def matrix_rank(A: IntMatrix) -> int:
-    return smith_normal_form(A).rank
+    """Rank over the rationals, by fraction-free (Bareiss) elimination.
+
+    A column with no nonzero entry at or below the next pivot row is skipped;
+    every division is exact, because each entry is a minor of A.
+    """
+    a = [list(r) for r in A.row_list()]
+    m, n = A.rows, A.cols
+    rank = 0
+    prev = 1
+    for j in range(n):
+        if rank == m:
+            break
+        i = next((i for i in range(rank, m) if a[i][j] != 0), None)
+        if i is None:
+            continue
+        a[rank], a[i] = a[i], a[rank]
+        top = a[rank]
+        p = top[j]
+        for row in a[rank + 1:]:
+            f = row[j]
+            for k in range(j + 1, n):
+                row[k] = (row[k] * p - f * top[k]) // prev
+        prev = p
+        rank += 1
+    return rank
 
 
 @dataclass(frozen=True)

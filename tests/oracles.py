@@ -289,3 +289,31 @@ def exceptional_collections_bruteforce(
             if frozenset().union(*(missed[i] for i in combo)) == everything:
                 found.append(combo)
     return tuple(sorted(found))
+
+
+# -- fan validation: the pairwise common-face test by double description -------
+
+
+def common_face_by_double_description(fan, a: int, b: int) -> bool:
+    """Reference for ``fan._meet_in_common_face``: the test ``validate_fan``
+    ran on every pair of max cones before the cheap separator.
+
+    ``a`` and ``b`` index two strongly convex max cones of ``fan``, neither
+    inside the other.  One double description gives the cone of functionals
+    u >= 0 on a and u <= 0 on b; the sum u of its extreme rays lies in its
+    relative interior, and a and b meet in a common face iff a's rays and
+    b's rays on u's hyperplane are the same and each lies in the other cone.
+    """
+    from toriclift.polyhedra import dual_description
+
+    ca, cb = fan.max_cones[a], fan.max_cones[b]
+    ha, hb = fan.cone_hrep(a), fan.cone_hrep(b)
+    normals = [fan.rays[i] for i in ca] + [tuple(-x for x in fan.rays[i]) for i in cb]
+    _, qrays = dual_description(normals, fan.rank)
+    u = [sum(q[j] for q in qrays) for j in range(fan.rank)]
+    ta = [i for i in ca if sum(x * y for x, y in zip(u, fan.rays[i])) == 0]
+    tb = [i for i in cb if sum(x * y for x, y in zip(u, fan.rays[i])) == 0]
+    ok = all(hb.contains(fan.rays[i]) for i in ta) and all(
+        ha.contains(fan.rays[i]) for i in tb
+    )
+    return ok and set(ta) == set(tb)

@@ -1,8 +1,11 @@
+import itertools
 import random
+from math import gcd
 
 import pytest
 
 import fangen
+import oracles
 from toriclift.fan import (
     FanValidationError,
     Location,
@@ -11,7 +14,7 @@ from toriclift.fan import (
     validate_fan,
 )
 from toriclift import fan as fan_module
-from toriclift import isomorphism, lattice
+from toriclift import isomorphism, lattice, polyhedra
 from toriclift.isomorphism import fan_isomorphic
 from toriclift.lattice import IntMatrix, ResourceLimitError, determinant, hilbert_basis
 
@@ -108,6 +111,14 @@ def test_rejects_non_extreme_listed_ray():
     assert any("not an extreme ray" in p for p in probs)
 
 
+def test_rejects_dependent_rays_of_a_lower_dimensional_cone():
+    # fewer rays than the rank, but not linearly independent
+    probs = bad(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
+    assert probs == ["max cone [0, 1, 2] is not strongly convex (contains a line)"]
+    probs = bad(3, [(1, 0, 0), (1, 1, 0), (1, 2, 0)], [(0, 1, 2)])
+    assert probs == ["ray 1 = [1, 1, 0] is not an extreme ray of max cone [0, 1, 2]"]
+
+
 def test_rejects_contained_cone():
     probs = bad(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
     assert any("contained in" in p for p in probs)
@@ -118,6 +129,141 @@ def test_rejects_non_face_overlap():
         2, [(1, 0), (1, 2), (1, 1), (0, 1)], [(0, 1), (2, 3)]
     )
     assert any("not a common face" in p for p in probs)
+
+
+# -- the pairwise common-face test: separator against the oracle -------------------
+
+# the invalid shapes of the benchmark's present workload
+INVALID_SHAPES = [
+    # cone((1,1),(-1,0)) cuts through cone((1,0),(0,1))
+    (2, [(1, 0), (0, 1), (1, 1), (-1, 0)], [(0, 1), (2, 3)]),
+    (2, [(1, 0), (-1, 0), (0, 1)], [(0, 1, 2)]),
+    (2, [(2, 0), (0, 1)], [(0, 1)]),
+    (2, [(1, 0), (1, 1), (1, 2)], [(0, 1, 2)]),
+    (2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)]),
+]
+
+
+# rank 4: tau = cone(a, c, f) meets sigma = cone(a, b, c, d, e) in the diagonal
+# cone(a, c) of sigma's square facet cone(a, b, c, d), which is no face of sigma
+SQUARE_DIAGONAL = (
+    4,
+    [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 1), (0, 0, 0, -1)],
+    [(0, 1, 2, 3, 4), (0, 2, 5)],
+)
+
+
+def _random_cone_pair(rng):
+    """Two random cones in rank 1-3 over rays with entries in [-2, 2]; most
+    are simplicial of full dimension, so they often overlap."""
+    rank = rng.randint(1, 3)
+    pool = [
+        v for v in itertools.product(range(-2, 3), repeat=rank) if gcd(*v, 0) == 1
+    ]
+    # rank 1 has only the two rays +-1
+    rays = rng.sample(pool, min(len(pool), 2 * rank))
+    sizes = (rank - 1 or 1, rank, rank, rank, rank + 1) if rank > 1 else (1,)
+    cones = [rng.sample(range(len(rays)), rng.choice(sizes)) for _ in range(2)]
+    used = sorted(set(cones[0]) | set(cones[1]))
+    return (
+        rank,
+        [rays[i] for i in used],
+        [[used.index(i) for i in cone] for cone in cones],
+    )
+
+
+def _outcome(rank, rays, cones):
+    try:
+        return validate_fan(rank, rays, cones)
+    except FanValidationError as e:
+        return e.problems
+
+
+def test_separator_agrees_with_double_description_oracle(monkeypatch):
+    rng = random.Random(4711)
+    inputs = []
+    for _ in range(300):
+        fan = fangen.random_fan(rng, torus_rank=rng.randint(0, 2))
+        inputs.append((fan.rank, fan.rays, fan.max_cones))
+    inputs += INVALID_SHAPES + [SQUARE_DIAGONAL]
+    inputs += [_random_cone_pair(rng) for _ in range(1500)]
+    got = [_outcome(*x) for x in inputs]
+    monkeypatch.setattr(
+        fan_module, "_meet_in_common_face", oracles.common_face_by_double_description
+    )
+    want = [_outcome(*x) for x in inputs]
+    assert got == want
+    not_a_face = [
+        o for o in want
+        if isinstance(o, list) and any("is not a common face" in p for p in o)
+    ]
+    assert len(not_a_face) >= 40
+
+
+def _product(*fans):
+    """Rank, rays and max cones of a product of fans given the same way."""
+    rank = sum(f[0] for f in fans)
+    rays, parts, offset = [], [], 0
+    for r, rs, cs in fans:
+        base = len(rays)
+        rays += [(0,) * offset + tuple(v) + (0,) * (rank - offset - r) for v in rs]
+        parts.append([tuple(base + i for i in c) for c in cs])
+        offset += r
+    return rank, rays, [sum(c, ()) for c in itertools.product(*parts)]
+
+
+def _projective_space(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return n, rays, list(itertools.combinations(range(n + 1), n))
+
+
+F2 = (2, [(1, 0), (0, 1), (-1, 2), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+# the fan over the faces of the cube [-1, 1]^3: six non-simplicial cones
+CUBE_RAYS = list(itertools.product((-1, 1), repeat=3))
+CUBE = (
+    3,
+    CUBE_RAYS,
+    [
+        tuple(i for i, v in enumerate(CUBE_RAYS) if v[axis] == side)
+        for axis in range(3)
+        for side in (-1, 1)
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "shape, calls",
+    [
+        (_projective_space(6), 7),
+        (_product(*[_projective_space(1)] * 5), 32),
+        (_product(_projective_space(2), _projective_space(2)), 9),
+        (_product(F2, _projective_space(1)), 8),
+        # six facet descriptions and six extreme-ray checks
+        (CUBE, 12),
+    ],
+    ids=["P6", "(P1)^5", "P2xP2", "F2xP1", "cube"],
+)
+def test_validation_double_descriptions(monkeypatch, shape, calls):
+    """Each max cone gets one facet description; only non-simplicial cones
+    get an extreme-ray check, and every pair is certified by a separator."""
+    count = [0]
+    dual_description = polyhedra.dual_description
+
+    def counted(*args):
+        count[0] += 1
+        return dual_description(*args)
+
+    monkeypatch.setattr(polyhedra, "dual_description", counted)
+    fan = validate_fan(*shape)
+    assert len(fan.max_cones) == len(shape[2])
+    assert count[0] == calls
+
+
+def test_rejects_overlap_in_no_face_of_one_cone():
+    probs = bad(*SQUARE_DIAGONAL)
+    assert probs == [
+        "intersection of max cones [0, 1, 3, 4, 5] and [0, 2, 5] is not a common face"
+    ]
 
 
 def test_guards():

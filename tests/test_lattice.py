@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -91,6 +92,44 @@ SNF_GOLDEN = [
 @pytest.mark.parametrize("rows,expected", SNF_GOLDEN)
 def test_snf_golden(rows, expected):
     assert smith_normal_form(M(rows)).invariant_factors == expected
+
+
+def _leibniz_determinant(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_rank_and_determinant_by_elimination_match_oracles():
+    rng = random.Random(8128)
+    shapes = [(0, 3), (3, 0), (0, 0)]
+    for _ in range(150):
+        n = rng.randrange(1, 6)
+        shapes += [(n, n), (rng.randrange(1, 6), rng.randrange(1, 6))]
+    for trial, (m, n) in enumerate(shapes):
+        # a product through k dimensions has rank at most k; mostly k is full
+        k = min(m, n) if rng.random() < 0.6 else rng.randrange(0, min(m, n) + 1)
+        left = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] or [0] * n
+                for row in left]
+        if m and rng.random() < 0.3:
+            rows[rng.randrange(m)] = [0] * n
+        if n and rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        A = IntMatrix(rows, cols=n)
+        assert (A.rows, A.cols) == (m, n)
+        assert matrix_rank(A) == len(oracles.snf_diagonal_randomized(rows, seed=trial))
+        if m == n:
+            assert determinant(A) == _leibniz_determinant(rows)
 
 
 def test_snf_transforms_and_oracle():
