@@ -13,20 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import polyhedra
 from .fan import Fan
 from .lattice import (
     CokernelData,
     FgAbGroup,
     IntMatrix,
     Vec,
+    _is_identity_basis,
+    effective_cone_rays,
     hermite_coefficients,
     hermite_row_basis,
     hilbert_basis,
     lattice_intersection,
+    primitive_vector,
     solve_with_snf,
     vec_dot,
-    vec_is_zero,
 )
 
 
@@ -103,7 +104,7 @@ def _cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
         ]
         rsub = hermite_row_basis(restricted, width=len(cone))
         # identity basis: a smooth cone, on which every divisor is Cartier
-        if len(rsub) == len(cone) and all(r[i] == 1 for i, r in enumerate(rsub)):
+        if _is_identity_basis(rsub, len(cone)):
             continue
         gens = []
         pos = {ray_i: k for k, ray_i in enumerate(cone)}
@@ -287,45 +288,23 @@ class EnoughDivisorsReport:
 
 def enough_divisors(sub: DivisorSubgroup) -> EnoughDivisorsReport:
     """Check the subgroup has, for every max cone, an effective member
-    supported exactly on the complement of the cone's rays."""
-    fan = sub.fan
-    n = fan.n_rays
+    supported exactly on the complement of the cone's rays.
+
+    The effective members are the images c @ basis of the pointed cone
+    {c : c @ basis >= 0}.  Those vanishing on a max cone's rays form a face,
+    spanned by the extreme rays whose image vanishes there; the sum of those
+    rays has the largest support on the face, and the image of its primitive
+    multiple is the smallest member on its ray.
+    """
+    basis = IntMatrix(sub.basis, cols=sub.fan.n_rays)
+    rays = [(c, basis.left_apply(c)) for c in effective_cone_rays(sub.basis)]
     witnesses: list[Optional[Vec]] = []
-    for cone in fan.max_cones:
-        inside = set(cone)
-        # rational cone in coefficient space: c @ basis >= 0, with equality
-        # on coordinates inside the cone
-        normals = []
-        for j in range(n):
-            col = tuple(row[j] for row in sub.basis)
-            if j in inside:
-                normals.append(col)
-                normals.append(tuple(-x for x in col))
-            else:
-                normals.append(col)
-        lines, rays = polyhedra.dual_description(normals, len(sub.basis))
-        # sum of extreme rays has maximal support among cone members
+    for cone in sub.fan.max_cones:
         total = [0] * len(sub.basis)
-        for r in rays:
-            for k, x in enumerate(r):
-                total[k] += x
-        w = tuple(
-            sum(c * row[j] for c, row in zip(total, sub.basis)) for j in range(n)
-        )
-        if all(w[j] > 0 for j in range(n) if j not in inside) and all(
-            w[j] == 0 for j in inside
-        ):
-            witnesses.append(_integral_witness(sub, w))
-        else:
-            witnesses.append(None)
+        for c, image in rays:
+            if all(image[j] == 0 for j in cone):
+                total = [t + x for t, x in zip(total, c)]
+        w = basis.left_apply(primitive_vector(total))
+        witnesses.append(w if all(x > 0 for j, x in enumerate(w) if j not in cone) else None)
     ok = all(w is not None for w in witnesses)
     return EnoughDivisorsReport(ok=ok, witnesses=tuple(witnesses))
-
-
-def _integral_witness(sub: DivisorSubgroup, w: Vec) -> Vec:
-    """Scale a rational-cone witness to a primitive subgroup member."""
-    from .lattice import primitive_vector, _minimal_lattice_multiple
-
-    if vec_is_zero(w):
-        return w
-    return _minimal_lattice_multiple(sub.basis, primitive_vector(w))

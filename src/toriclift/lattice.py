@@ -95,14 +95,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)), cols=cols)
-
-    @classmethod
-    def column(cls, v: Sequence[int]) -> "IntMatrix":
-        return cls(tuple((int(x),) for x in v), cols=1)
-
     def row(self, i: int) -> Vec:
         return self._data[i]
 
@@ -180,9 +172,6 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self._data]
-
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self._data)
 
 
 @dataclass(frozen=True)
@@ -483,9 +472,6 @@ class FgAbGroup:
             out *= k
         return out
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def reduce(self, coords: Sequence[int]) -> Vec:
         """Canonical representative: torsion coordinates mod their orders."""
         if len(coords) != self.n_generators:
@@ -676,6 +662,14 @@ def _exgcd(a: int, b: int) -> tuple[int, int]:
     return old_x, old_y
 
 
+def _is_identity_basis(h: Sequence[Vec], width: int) -> bool:
+    """Whether the Hermite basis ``h`` spans all of Z^width, i.e. is the identity.
+
+    With ``width`` rows its pivots lie on the diagonal, and entries above a
+    pivot of 1 are reduced to 0."""
+    return len(h) == width and all(r[i] == 1 for i, r in enumerate(h))
+
+
 def hermite_coefficients(h: Sequence[Vec], v: Sequence[int]) -> Optional[Vec]:
     """Coefficients c with c @ h = v for a Hermite basis ``h``, or None.
 
@@ -799,14 +793,11 @@ MAX_HILBERT_POINTS = 500_000
 MAX_HILBERT_BOX = 10**6
 
 
-def _lattice_points_in_box(basis: Sequence[Vec], bounds: Sequence[int]) -> list[Vec]:
-    """All lattice points x with 0 <= x <= bounds, by DFS over the Hermite basis;
-    at most ``MAX_HILBERT_POINTS`` are visited."""
-    h = hermite_row_basis(basis, width=len(bounds))
+def _lattice_points_in_box(h: Sequence[Vec], bounds: Sequence[int]) -> list[Vec]:
+    """All lattice points x with 0 <= x <= bounds, by DFS over the Hermite
+    basis ``h``; at most ``MAX_HILBERT_POINTS`` are visited."""
     n = len(bounds)
     limit = MAX_HILBERT_POINTS
-    if not h:
-        return [(0,) * n]
     pivots = []
     for row in h:
         lead = next(c for c in range(n) if row[c] != 0)
@@ -855,6 +846,28 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def effective_cone_rays(h: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Primitive extreme rays of the effective cone {c : c @ h >= 0} in the
+    coefficient space of a Hermite basis ``h``, lex-sorted.
+
+    The rows of ``h`` are independent, so the cone is pointed: the extreme
+    rays of a face are exactly the rays on it, and for a primitive c the
+    image c @ h is the smallest lattice point on its ray.  The identity gives
+    the unit vectors; any other basis takes one double description.
+    """
+    from . import polyhedra  # local import to avoid a cycle at module load
+
+    if not h:
+        return ()
+    width = len(h[0])
+    if _is_identity_basis(h, width):
+        return tuple(sorted(h))
+    ineqs = [tuple(row[j] for row in h) for j in range(width)]
+    lines, rays = polyhedra.dual_description(ineqs, len(h))
+    assert not lines, "coefficient cone of an independent basis is pointed"
+    return rays
+
+
 def hilbert_basis(
     subgroup_basis: Sequence[Sequence[int]], ambient_rank: int
 ) -> tuple[Vec, ...]:
@@ -862,12 +875,10 @@ def hilbert_basis(
 
     The semigroup of nonnegative lattice vectors is finitely generated; this
     returns its unique minimal generators sorted by (coordinate sum, lex).
-    Uses extreme rays of the rational cone to bound a box enumeration, then a
+    The images of the effective cone's rays bound a box enumeration, then a
     reducibility sieve.  The full lattice is answered directly; otherwise
     guarded: ambient_rank <= 16 and bounded enumeration.
     """
-    from . import polyhedra  # local import to avoid a cycle at module load
-
     rows = [_as_vec(r) for r in subgroup_basis]
     for r in rows:
         if len(r) != ambient_rank:
@@ -876,33 +887,16 @@ def hilbert_basis(
     if not h:
         return ()
     # Fast path: the full integer lattice — generators are the unit vectors.
-    if h == tuple(
-        tuple(1 if i == j else 0 for j in range(ambient_rank)) for i in range(ambient_rank)
-    ):
-        return tuple(
-            sorted(
-                tuple(1 if i == j else 0 for j in range(ambient_rank))
-                for i in range(ambient_rank)
-            )
-        )
+    if _is_identity_basis(h, ambient_rank):
+        return tuple(sorted(h))
     if ambient_rank > MAX_HILBERT_AMBIENT:
         raise ResourceLimitError(
             f"ambient rank {ambient_rank} exceeds Hilbert basis guard {MAX_HILBERT_AMBIENT}: "
             f"MAX_HILBERT_AMBIENT = {MAX_HILBERT_AMBIENT} in toriclift.lattice, "
             f"no flag overrides it"
         )
-    # Extreme rays of {c : c @ h >= 0} in coefficient space -> ambient rays.
-    ineqs = [tuple(row[j] for row in h) for j in range(ambient_rank)]
-    lines, rays = polyhedra.dual_description(ineqs, len(h))
-    assert not lines, "coefficient cone of an independent basis is pointed"
-    gens: list[Vec] = []
-    for c in rays:
-        x = [0] * ambient_rank
-        for ci, row in zip(c, h):
-            for j in range(ambient_rank):
-                x[j] += ci * row[j]
-        xv = primitive_vector(x)
-        gens.append(_minimal_lattice_multiple(h, xv))
+    basis = IntMatrix(h)
+    gens = [basis.left_apply(c) for c in effective_cone_rays(h)]
     if not gens:
         return ()
     bounds = tuple(sum(g[j] for g in gens) for j in range(ambient_rank))
@@ -933,23 +927,3 @@ def hilbert_basis(
         if not reducible:
             basis_out.append(p)
     return tuple(basis_out)
-
-
-def _minimal_lattice_multiple(basis: Sequence[Vec], direction: Vec) -> Vec:
-    """Smallest positive multiple of ``direction`` lying in the row lattice.
-
-    ``direction`` must lie in the rational span of the basis rows.
-    """
-    rows = [list(r) for r in basis]
-    width = len(direction)
-    # kernel of (c, k) -> c @ basis - k * direction is one-dimensional
-    cols = [[rows[i][j] for i in range(len(rows))] + [-direction[j]] for j in range(width)]
-    ker = kernel_basis(IntMatrix(cols, cols=len(rows) + 1))
-    assert len(ker) == 1, "direction must lie in the span of the basis"
-    v = ker[0]
-    k = v[-1]
-    assert k != 0
-    if k < 0:
-        v = vec_scale(-1, v)
-        k = -k
-    return vec_scale(k, direction)

@@ -41,6 +41,7 @@ from .lattice import (
     IntMatrix,
     ResourceLimitError,
     Vec,
+    _is_identity_basis,
     extend_homomorphism,
     hermite_row_basis,
     solve_integer_linear,
@@ -513,7 +514,7 @@ class _ProjectedContainment:
         n = X.cols
         self.n_unknowns = N.cols * n
         # the Hermite basis of Z^n is the identity: C is trivial, nothing to solve
-        if len(lattice_rows) == n and all(r[i] == 1 for i, r in enumerate(lattice_rows)):
+        if _is_identity_basis(lattice_rows, n):
             self.torsion: tuple[int, ...] = ()
             self.blocks: list[list[tuple[Vec, int]]] = [[] for _ in range(X.rows)]
             return

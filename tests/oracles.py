@@ -317,3 +317,56 @@ def common_face_by_double_description(fan, a: int, b: int) -> bool:
         ha.contains(fan.rays[i]) for i in tb
     )
     return ok and set(ta) == set(tb)
+
+
+# -- enough effective divisors: one double description per max cone -----------
+
+
+def minimal_lattice_multiple(basis: Sequence[Vec], direction: Vec) -> Vec:
+    """Smallest positive multiple of ``direction`` in the row lattice of
+    ``basis``, read off the one-dimensional integer kernel of
+    (c, k) -> c @ basis - k * direction by a Smith form.
+
+    ``direction`` must lie in the rational span of the basis rows.
+    """
+    from toriclift.lattice import IntMatrix, kernel_basis
+
+    cols = [[row[j] for row in basis] + [-direction[j]] for j in range(len(direction))]
+    ker = kernel_basis(IntMatrix(cols, cols=len(basis) + 1))
+    assert len(ker) == 1, "direction must lie in the span of the basis"
+    k = abs(ker[0][-1])
+    assert k != 0
+    return tuple(k * x for x in direction)
+
+
+def enough_divisors_per_cone(sub) -> tuple:
+    """Reference for ``divisors.enough_divisors``: the witnesses of every max
+    cone, each from its own double description.
+
+    For each max cone, the cone {c : c @ basis >= 0, zero on the cone's rays}
+    in coefficient space is described afresh; the sum of its extreme rays has
+    maximal support among its members, and its image, made primitive, is
+    scaled to the smallest lattice member on its ray.
+    """
+    from toriclift.lattice import primitive_vector
+    from toriclift.polyhedra import dual_description
+
+    n = sub.fan.n_rays
+    witnesses = []
+    for cone in sub.fan.max_cones:
+        normals = []
+        for j in range(n):
+            col = tuple(row[j] for row in sub.basis)
+            normals.append(col)
+            if j in cone:
+                normals.append(tuple(-x for x in col))
+        _, rays = dual_description(normals, len(sub.basis))
+        total = [sum(r[k] for r in rays) for k in range(len(sub.basis))]
+        w = tuple(sum(c * row[j] for c, row in zip(total, sub.basis)) for j in range(n))
+        if all(w[j] > 0 for j in range(n) if j not in cone) and all(w[j] == 0 for j in cone):
+            witnesses.append(
+                w if not any(w) else minimal_lattice_multiple(sub.basis, primitive_vector(w))
+            )
+        else:
+            witnesses.append(None)
+    return tuple(witnesses)

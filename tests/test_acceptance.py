@@ -114,7 +114,7 @@ def test_criterion_4_covering_property(corpus):
         assert report.failing_cones == (0, 1, 2)  # one certificate per chart
         assert report.witnesses == (None, None, None)
         pres = build_presentation(corpus["quadric"], mode="kajiwara")
-        assert pres.grading_group.is_trivial()
+        assert pres.grading_group == FgAbGroup(0)
         assert pres.enough.ok
 
 
@@ -205,8 +205,8 @@ def test_criterion_7_functoriality_locks(corpus):
             (corpus["blowup"], corpus["plane"], IntMatrix.identity(2)),
             (corpus["subdivided"], corpus["quadric"], IntMatrix.identity(2)),
             (corpus["f1"], corpus["p2"], IntMatrix.identity(2)),
-            (corpus["line"], corpus["diamond"], IntMatrix.column((1, 0, 3))),
-            (corpus["line"], corpus["diamond"], IntMatrix.column((0, 1, 1))),
+            (corpus["line"], corpus["diamond"], IntMatrix([(1,), (0,), (3,)])),
+            (corpus["line"], corpus["diamond"], IntMatrix([(0,), (1,), (1,)])),
             (corpus["plane"], corpus["line"], IntMatrix([[1, 0]], cols=2)),
             (corpus["diamond"], corpus["line"], IntMatrix([[0, 0, 1]], cols=3)),
             (corpus["line"], corpus["line"], IntMatrix([[3]], cols=1)),

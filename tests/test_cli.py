@@ -152,6 +152,16 @@ class TestPresent:
         assert "coordinates: 24" in out
         assert "exceptional collections: 252" in out
 
+    def test_cox_64_ray_polygon(self, tmp_path, capsys):
+        # at MAX_RAYS: each witness of enough divisors is read off the unit rays
+        p = tmp_path / "polygon64.fan"
+        p.write_text(smooth_polygon_text(64))
+        code, out, err = run(capsys, "present", str(p), "--mode", "cox")
+        assert code == 0 and err == ""
+        assert "coordinates: 64" in out
+        assert "enough divisors: yes" in out
+        assert "exceptional collections: 1952" in out
+
 
 class TestLift:
     def test_blowup_lifts(self, files, capsys):

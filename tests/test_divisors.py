@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import fangen
+from toriclift import lattice, polyhedra
 from toriclift.divisors import (
     DivisorSubgroup,
     SubgroupValidationError,
@@ -20,8 +22,11 @@ from toriclift.divisors import (
 from toriclift.fan import validate_fan
 from toriclift.lattice import (
     FgAbGroup,
+    IntMatrix,
+    effective_cone_rays,
     hermite_coefficients,
     hermite_row_basis,
+    primitive_vector,
     solve_with_snf,
     vec_dot,
 )
@@ -114,10 +119,10 @@ def test_class_group_diamond_cone():
 
 def test_class_group_degenerate_and_torus():
     fan = validate_fan(3, [(1, 0, 0), (0, 1, 0)], [(0, 1)])
-    assert class_group(fan).group.is_trivial()
+    assert class_group(fan).group == FgAbGroup(0)
     torus = validate_fan(2, [], [])
     data = class_group(torus)
-    assert data.group.is_trivial()
+    assert data.group == FgAbGroup(0)
     assert data.divisor_class(()) == ()
 
 
@@ -252,7 +257,7 @@ def test_effective_generators_are_computed_once():
     assert fresh.effective_generators() is fresh.effective_generators()
     grading = sub.grading_cokernel()
     assert sub.grading_cokernel() is grading
-    assert grading.group.is_trivial()  # Cartier divisors on an affine cone are principal
+    assert grading.group == FgAbGroup(0)  # Cartier divisors on an affine cone are principal
 
 
 def test_subgroup_rejects_dependent_rows():
@@ -342,3 +347,65 @@ def test_enough_divisors_kajiwara_diamond():
     # the diamond cone is affine, so even the small Cartier subgroup works
     rep = enough_divisors(kajiwara_subgroup(diamond_cone()))
     assert rep.ok
+
+
+def _admissible_subgroups(rng, count):
+    """Seeded admissible subgroups of ``fangen`` fans of torus rank 0 or 1:
+    Cox, Kajiwara, and principal divisors plus random multiples of unit
+    divisors (admissible, since those multiples are effective)."""
+    out = []
+    while len(out) < count:
+        fan = fangen.random_fan(rng, torus_rank=rng.randint(0, 1))
+        n = fan.n_rays
+        out += [cox_subgroup(fan), kajiwara_subgroup(fan)]
+        for _ in range(2):
+            gens = list(principal_basis(fan))
+            for i in range(n):
+                if rng.random() < 0.6:
+                    gens.append(tuple(rng.randint(1, 3) if j == i else 0 for j in range(n)))
+            out.append(divisor_subgroup(fan, hermite_row_basis(gens, width=n)))
+    return out
+
+
+def test_enough_divisors_matches_per_cone_oracle():
+    failing = 0
+    subs = _admissible_subgroups(random.Random(20261018), 1000)
+    for sub in subs:
+        rep = enough_divisors(sub)
+        assert rep.witnesses == oracles.enough_divisors_per_cone(sub), sub.basis
+        failing += not rep.ok
+        # a primitive coefficient ray's image is the smallest member on its ray
+        basis = IntMatrix(sub.basis, cols=sub.fan.n_rays)
+        for c in effective_cone_rays(sub.basis):
+            image = basis.left_apply(c)
+            assert image == oracles.minimal_lattice_multiple(sub.basis, primitive_vector(image))
+    assert len(subs) >= 1000
+    assert failing >= 20  # 25 subgroups of this seed have failing cones
+
+
+def test_enough_divisors_takes_one_description_and_no_smith_form(monkeypatch, corpus):
+    cox = [cox_subgroup(fan) for fan in corpus.values()]
+    others = [kajiwara_subgroup(fan) for fan in corpus.values()]
+    others += _admissible_subgroups(random.Random(7), 60)
+    calls = {"dual_description": 0, "smith_normal_form": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polyhedra, "dual_description", counted("dual_description", polyhedra.dual_description))
+    monkeypatch.setattr(lattice, "smith_normal_form", counted("smith_normal_form", lattice.smith_normal_form))
+    described = 0
+    for subs, most in ((cox, 0), (others, 1)):
+        for sub in subs:
+            calls.update(dual_description=0, smith_normal_form=0)
+            enough_divisors(sub)
+            assert calls["dual_description"] <= most
+            assert calls["smith_normal_form"] == 0
+            described += calls["dual_description"]
+    # both patches are live
+    assert described > 0
+    oracles.minimal_lattice_multiple(((1, 1), (0, 2)), (0, 1))
+    assert calls["smith_normal_form"] > 0

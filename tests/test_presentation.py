@@ -83,7 +83,7 @@ def test_cox_hirzebruch_collections():
 def test_kajiwara_quadric():
     pres = build_presentation(quadric_cone(), mode="kajiwara")
     assert pres.coordinates == ((0, 2), (1, 1), (2, 0))
-    assert pres.grading_group.is_trivial()
+    assert pres.grading_group == FgAbGroup(0)
     assert pres.degrees == ((), (), ())
     assert pres.exceptional_collections == ()
     assert pres.enough.ok
@@ -106,7 +106,7 @@ def test_custom_principal_subgroup():
     pres = build_presentation(
         fan, mode="custom", subgroup_rows=principal_basis(fan)
     )
-    assert pres.grading_group.is_trivial()
+    assert pres.grading_group == FgAbGroup(0)
     assert pres.coordinates == ((0, 2), (1, 1), (2, 0))
 
 
@@ -128,7 +128,7 @@ def test_degenerate_fan_rejected():
 def test_point_fan_presentation():
     pres = build_presentation(validate_fan(0, [], []), mode="cox")
     assert pres.coordinates == ()
-    assert pres.grading_group.is_trivial()
+    assert pres.grading_group == FgAbGroup(0)
     assert pres.exceptional_collections == ()
 
 
@@ -304,7 +304,7 @@ def test_factorization_cox_quadric():
     fac = grading_factorization(pres)
     assert fac.grading_group == FgAbGroup(0, (2,))
     assert fac.class_group == FgAbGroup(0, (2,))
-    assert fac.residual_group.is_trivial()
+    assert fac.residual_group == FgAbGroup(0)
     assert fac.composite_is_zero
     assert fac.ranks_additive
     assert fac.orders_multiplicative is True
@@ -313,7 +313,7 @@ def test_factorization_cox_quadric():
 def test_factorization_kajiwara_quadric():
     pres = build_presentation(quadric_cone(), mode="kajiwara")
     fac = grading_factorization(pres)
-    assert fac.grading_group.is_trivial()
+    assert fac.grading_group == FgAbGroup(0)
     assert fac.residual_group == FgAbGroup(0, (2,))
     assert fac.orders_multiplicative is True
     assert fac.composite_is_zero and fac.ranks_additive
@@ -322,7 +322,7 @@ def test_factorization_kajiwara_quadric():
 def test_factorization_cox_p2():
     fac = grading_factorization(build_presentation(projective_plane(), "cox"))
     assert fac.class_group == FgAbGroup(1, ())
-    assert fac.residual_group.is_trivial()
+    assert fac.residual_group == FgAbGroup(0)
     assert fac.orders_multiplicative is None  # infinite groups
     assert fac.composite_is_zero and fac.ranks_additive
 
@@ -331,7 +331,7 @@ def test_factorization_custom_principal():
     fan = quadric_cone()
     pres = build_presentation(fan, mode="custom", subgroup_rows=principal_basis(fan))
     fac = grading_factorization(pres)
-    assert fac.grading_group.is_trivial()
+    assert fac.grading_group == FgAbGroup(0)
     assert fac.residual_group == FgAbGroup(0, (2,))
     assert fac.composite_is_zero and fac.ranks_additive
     assert fac.orders_multiplicative is True

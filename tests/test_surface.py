@@ -1,8 +1,13 @@
-"""The engine keeps no public function that nothing uses.
+"""The engine keeps no public function or method that nothing uses.
 
 Every public module-level function in ``src/toriclift`` must be referenced
 somewhere in the package outside its own definition, or be exported in
-``toriclift.__all__``.  A function only the tests call belongs in the tests.
+``toriclift.__all__``.  Every public method of a module-level class (dunders
+and properties aside) must be referenced somewhere in the package outside its
+own definition.  A function only the tests call belongs in the tests.
+
+References are matched by name, so a method whose name another definition
+shares counts as used when either is.
 """
 
 import ast
@@ -23,10 +28,19 @@ def _names(node):
     )
 
 
-def test_every_public_function_is_used_or_exported():
+def _trees():
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
     assert "lattice" in trees and "cli" in trees
-    uses = sum((_names(tree) for tree in trees.values()), Counter())
+    return trees, sum((_names(tree) for tree in trees.values()), Counter())
+
+
+def _unused(node, uses):
+    # a reference inside its own def (recursion) does not count
+    return uses[node.name] == _names(node)[node.name]
+
+
+def test_every_public_function_is_used_or_exported():
+    trees, uses = _trees()
     unused = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -34,7 +48,22 @@ def test_every_public_function_is_used_or_exported():
         if isinstance(node, ast.FunctionDef)
         and not node.name.startswith("_")
         and node.name not in toriclift.__all__
-        # a reference inside its own def (recursion) does not count
-        and uses[node.name] == _names(node)[node.name]
+        and _unused(node, uses)
+    ]
+    assert unused == []
+
+
+def test_every_public_method_is_used():
+    trees, uses = _trees()
+    unused = [
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and not any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+        and _unused(node, uses)
     ]
     assert unused == []
