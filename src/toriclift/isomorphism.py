@@ -23,7 +23,9 @@ from typing import Optional, Sequence
 
 from .divisors import class_group
 from .fan import Fan, TorusFactorSplit, split_torus_factor
-from .lattice import IntMatrix, ResourceLimitError, Vec, determinant, matrix_rank
+from .lattice import (
+    IntMatrix, ResourceLimitError, Vec, determinant, matrix_rank, smith_normal_form,
+)
 
 MAX_ISO_ASSIGNMENTS = 2_000_000
 
@@ -106,22 +108,12 @@ def _independent_ray_subset(fan: Fan) -> list[int]:
     return chosen
 
 
-def _adjugate(m: IntMatrix) -> IntMatrix:
-    n = m.rows
-    if n == 0:
-        return IntMatrix((), cols=0)
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r, c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            sign = -1 if (i + j) % 2 else 1
-            cof[i][j] = sign * determinant(IntMatrix(minor, cols=n - 1))
-    # adjugate = transpose of the cofactor matrix
-    return IntMatrix(tuple(zip(*cof)), cols=n)
+def _adjugate(m: IntMatrix, det: int) -> IntMatrix:
+    """adj(m) = det * m^-1 for a nonsingular m of determinant ``det``: from
+    its Smith form U m V = S, m^-1 = V S^-1 U, so adj(m) = V diag(det / s_i) U."""
+    snf = smith_normal_form(m)
+    scaled = (tuple(det // s * x for x in row) for s, row in zip(snf.diagonal, snf.U))
+    return snf.V @ IntMatrix(scaled, cols=m.rows)
 
 
 def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
@@ -150,7 +142,7 @@ def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
     r_mat = IntMatrix(tuple(a.rays[i] for i in base), cols=a.rank).T
     det_r = determinant(r_mat)
     assert det_r != 0
-    adj_r = _adjugate(r_mat)
+    adj_r = _adjugate(r_mat, det_r)
 
     n_assign = factorial(b.n_rays) // factorial(b.n_rays - a.rank)
     if n_assign > MAX_ISO_ASSIGNMENTS:

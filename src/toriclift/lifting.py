@@ -22,9 +22,8 @@ without solving anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from math import gcd
 from typing import Optional, Sequence
 
 from .divisors import (
@@ -344,59 +343,45 @@ def solve_geometric_pullback(
     phi0 = ext.particular + containment.shift(t_particular)
     dirs = [containment.shift(t) for t in t_dirs]
 
-    # (d) effectivity inequalities on the effective generators
+    # (d) effectivity inequalities on the effective generators, over the
+    # coordinates tau of phi0 + sum_s tau_s dirs[s]
     bound_used: Optional[int] = None
     if conditions:
         gens = target_subgroup.effective_generators()
-        gen_coeffs = []
-        for g in gens:
-            c = target_subgroup.coefficients(g)
-            assert c is not None
-            gen_coeffs.append(c)
-        if not dirs:
-            bad = _first_negative(phi0, gen_coeffs, gens)
-            if bad is not None:
-                g, idx = bad
-                return _no_report(
-                    EffectivityFailureCertificate(
-                        generator=g, coefficient_index=idx, rationally_infeasible=False
-                    ),
-                    conditions,
-                )
-            classes = [phi0]
-        else:
-            ineqs, rhs = _effectivity_system(phi0, dirs, gen_coeffs, n_src)
-            if not _rational_feasible(ineqs, rhs):
-                return _no_report(
-                    EffectivityFailureCertificate(
-                        generator=None, coefficient_index=None,
-                        rationally_infeasible=True,
-                    ),
-                    conditions,
-                )
-            entries = [abs(x) for row in phi0 for x in row]
-            bound_used = (
-                search_bound
-                if search_bound is not None
-                else 4 * max([1] + entries)
+        gen_coeffs = [target_subgroup.coefficients(g) for g in gens]
+        assert None not in gen_coeffs
+        chain = _projections(_effectivity_system(phi0, dirs, gen_coeffs, n_src), len(dirs))
+        bad = next((r for r, (_, b) in enumerate(chain[0]) if b > 0), None)
+        if bad is not None:
+            # with no direction chain[0] is the system itself, whose row r is
+            # the pullback of generator r // n_src at source ray r % n_src
+            return _no_report(
+                EffectivityFailureCertificate(
+                    generator=None if dirs else gens[bad // n_src],
+                    coefficient_index=None if dirs else bad % n_src,
+                    rationally_infeasible=bool(dirs),
+                ),
+                conditions,
             )
-            found = _box_search(ineqs, rhs, len(dirs), bound_used)
-            if found is None:
-                return LiftingReport(
-                    verdict="undecided",
-                    witness=None,
-                    witness_classes=(),
-                    induced_grading_hom=None,
-                    uniqueness_note=(
-                        f"no integral solution within coefficient bound "
-                        f"{bound_used}; the rational relaxation is feasible"
-                    ),
-                    obstruction=None,
-                    scope_note=SCOPE_NOTE,
-                    conditions_checked=conditions,
-                    search_bound=bound_used,
-                )
-            classes = [sum((D * c for c, D in zip(tau, dirs)), phi0) for tau in found]
+        entries = [abs(x) for row in phi0 for x in row]
+        bound_used = search_bound if search_bound is not None else 4 * max([1] + entries)
+        found = _effective_points(chain, bound_used)
+        if not found:
+            return LiftingReport(
+                verdict="undecided",
+                witness=None,
+                witness_classes=(),
+                induced_grading_hom=None,
+                uniqueness_note=(
+                    f"no integral solution within coefficient bound "
+                    f"{bound_used}; the rational relaxation is feasible"
+                ),
+                obstruction=None,
+                scope_note=SCOPE_NOTE,
+                conditions_checked=conditions,
+                search_bound=bound_used,
+            )
+        classes = [sum((D * c for c, D in zip(tau, dirs)), phi0) for tau in found]
     else:
         classes = [phi0]
 
@@ -443,7 +428,7 @@ def solve_geometric_pullback(
         obstruction=None,
         scope_note=SCOPE_NOTE,
         conditions_checked=conditions,
-        search_bound=bound_used,
+        search_bound=bound_used if dirs else None,
     )
 
 
@@ -584,84 +569,89 @@ class _ProjectedContainment:
         return t_part, list(t_dirs)
 
 
-def _first_negative(
-    phi: IntMatrix, gen_coeffs: list[Vec], gens: tuple[Vec, ...]
-) -> Optional[tuple[Vec, int]]:
-    for g, c in zip(gens, gen_coeffs):
-        val = phi.left_apply(c)
-        for idx, x in enumerate(val):
-            if x < 0:
-                return g, idx
-    return None
-
-
 def _effectivity_system(
     phi0: IntMatrix, dirs: list[IntMatrix], gen_coeffs: list[Vec], n_src: int
-) -> tuple[list[Vec], list[int]]:
-    """Inequalities sum_s tau_s * a[s] >= rhs, one per (generator, ray)."""
-    ineqs: list[Vec] = []
-    rhs: list[int] = []
+) -> list[tuple[Vec, int]]:
+    """Rows (a, b) of a . tau >= b, one per (generator, source ray) in that
+    order: the pullback of the generator is nonnegative at the ray."""
+    rows: list[tuple[Vec, int]] = []
     for c in gen_coeffs:
         base = phi0.left_apply(c)
         dir_vals = [D.left_apply(c) for D in dirs]
-        for r in range(n_src):
-            ineqs.append(tuple(dv[r] for dv in dir_vals))
-            rhs.append(-base[r])
-    return ineqs, rhs
+        rows.extend((tuple(dv[r] for dv in dir_vals), -base[r]) for r in range(n_src))
+    return rows
 
 
-def _rational_feasible(ineqs: list[Vec], rhs: list[int]) -> bool:
-    """Fourier-Motzkin over exact rationals: is {tau : a.tau >= b} nonempty?"""
-    system = [
-        ([Fraction(x) for x in a], Fraction(b)) for a, b in zip(ineqs, rhs)
-    ]
-    dim = len(ineqs[0]) if ineqs else 0
-    for var in range(dim):
-        lower, upper, rest = [], [], []
-        for a, b in system:
-            if a[var] > 0:
-                lower.append((a, b))
-            elif a[var] < 0:
-                upper.append((a, b))
-            else:
-                rest.append((a, b))
-        new_system = rest
+def _projections(rows: list[tuple[Vec, int]], dim: int) -> list[list[tuple[Vec, int]]]:
+    """Fourier-Motzkin chain of the system a . tau >= b over tau_0..tau_{dim-1}
+    (Schrijver, Theory of Linear and Integer Programming, 12.2), in integers.
+
+    Entry k holds the rows over tau_0..tau_{k-1} left once the later
+    coordinates are eliminated, so entry dim is the system itself and entry
+    0, over no coordinate, has a row with b > 0 iff the system is rationally
+    infeasible.  A combined row is divided by the gcd of its entries, which
+    keeps its solutions; duplicates are dropped.
+    """
+    chain = [rows]
+    for var in range(dim - 1, -1, -1):
+        kept = {(a[:var], b): None for a, b in chain[0] if not a[var]}
+        lower = [(a, b) for a, b in chain[0] if a[var] > 0]
+        upper = [(a, b) for a, b in chain[0] if a[var] < 0]
         for al, bl in lower:
             for au, bu in upper:
-                # eliminate: al scaled + au scaled
-                coef_l = -au[var]
-                coef_u = al[var]
-                a = [coef_l * x + coef_u * y for x, y in zip(al, au)]
-                b = coef_l * bl + coef_u * bu
-                new_system.append((a, b))
-        system = new_system
-    return all(b <= 0 for a, b in system)
+                # -au[var] * (row al) + al[var] * (row au) cancels tau_var
+                cl, cu = -au[var], al[var]
+                a = [cl * x + cu * y for x, y in zip(al[:var], au[:var])]
+                b = cl * bl + cu * bu
+                g = gcd(*a, b) or 1
+                kept[(tuple(x // g for x in a), b // g)] = None
+        chain.insert(0, list(kept))
+    return chain
 
 
-def _box_search(
-    ineqs: list[Vec], rhs: list[int], dim: int, bound: int
-) -> Optional[list[Vec]]:
-    """All integer points in [-bound, bound]^dim satisfying the system, in
-    lexicographic order; None when there are none (a bounded search, so the
-    caller reports 'undecided', not 'no').  A box too large to search raises
-    ResourceLimitError rather than reporting a search that never ran."""
-    total = (2 * bound + 1) ** dim
-    if total > MAX_SEARCH_POINTS:
-        raise ResourceLimitError(
-            f"effectivity search box of {total} points ((2 * {bound} + 1)^{dim}) exceeds "
-            f"guard MAX_SEARCH_POINTS = {MAX_SEARCH_POINTS}; lower --search-bound"
-        )
-    out = []
-    for tau in product(range(-bound, bound + 1), repeat=dim):
-        ok = all(
-            sum(a_i * t_i for a_i, t_i in zip(a, tau)) >= b
-            for a, b in zip(ineqs, rhs)
-        )
-        if ok:
-            out.append(tau)
-            if len(out) >= MAX_WITNESS_CLASSES:
-                break
-    return out or None
+def _effective_points(chain: list[list[tuple[Vec, int]]], bound: int) -> list[Vec]:
+    """Integer solutions in [-bound, bound]^dim of a rationally feasible
+    system, given by its ``_projections`` chain, in lexicographic order; at
+    most MAX_WITNESS_CLASSES of them, none when the bound holds no solution
+    (a bounded search, so the caller reports 'undecided', not 'no').
+
+    A depth-first search takes tau_k from the range its projection leaves
+    given tau_0..tau_{k-1}, so every prefix it visits extends to a rational
+    solution.  A search that visits more than MAX_SEARCH_POINTS nodes raises
+    ResourceLimitError rather than reporting a search that never finished.
+    """
+    dim = len(chain) - 1
+    found: list[Vec] = []
+    visited = 0
+
+    def extend(prefix: list[int]) -> None:
+        nonlocal visited
+        k = len(prefix)
+        if k == dim:
+            found.append(tuple(prefix))
+            return
+        lo, hi = -bound, bound
+        for a, b in chain[k + 1]:
+            if a[k]:
+                s = b - sum(x * t for x, t in zip(a, prefix))
+                if a[k] > 0:
+                    lo = max(lo, -(-s // a[k]))
+                else:
+                    hi = min(hi, s // a[k])
+        for t in range(lo, hi + 1):
+            visited += 1
+            if visited > MAX_SEARCH_POINTS:
+                raise ResourceLimitError(
+                    f"effectivity search visited {visited} nodes, over guard "
+                    f"{MAX_SEARCH_POINTS}: MAX_SEARCH_POINTS = {MAX_SEARCH_POINTS} in "
+                    f"toriclift.lifting, lower --search-bound"
+                )
+            extend(prefix + [t])
+            if len(found) == MAX_WITNESS_CLASSES:
+                return
+
+    extend([])
+    return found
 
 
 def induced_grading_hom(

@@ -172,7 +172,9 @@ def exceptional_collections(
                 if faces > MAX_COLLECTION_FACES:
                     raise ResourceLimitError(
                         f"exceptional-collection search passed {faces} faces, "
-                        f"over guard MAX_COLLECTION_FACES = {MAX_COLLECTION_FACES}"
+                        f"over guard {MAX_COLLECTION_FACES}: MAX_COLLECTION_FACES = "
+                        f"{MAX_COLLECTION_FACES} in toriclift.presentation, "
+                        f"no flag overrides it"
                     )
                 stack.append((
                     members + (useful[pos],),

@@ -370,3 +370,88 @@ def enough_divisors_per_cone(sub) -> tuple:
         else:
             witnesses.append(None)
     return tuple(witnesses)
+
+
+# -- lifting's effectivity stage: Fourier-Motzkin over rationals and a full box --
+
+
+def rational_feasible(ineqs: list[Vec], rhs: list[int]) -> bool:
+    """Fourier-Motzkin over exact rationals: is {tau : a.tau >= b} nonempty?"""
+    system = [
+        ([Fraction(x) for x in a], Fraction(b)) for a, b in zip(ineqs, rhs)
+    ]
+    dim = len(ineqs[0]) if ineqs else 0
+    for var in range(dim):
+        lower, upper, rest = [], [], []
+        for a, b in system:
+            if a[var] > 0:
+                lower.append((a, b))
+            elif a[var] < 0:
+                upper.append((a, b))
+            else:
+                rest.append((a, b))
+        new_system = rest
+        for al, bl in lower:
+            for au, bu in upper:
+                # eliminate: al scaled + au scaled
+                coef_l = -au[var]
+                coef_u = al[var]
+                a = [coef_l * x + coef_u * y for x, y in zip(al, au)]
+                b = coef_l * bl + coef_u * bu
+                new_system.append((a, b))
+        system = new_system
+    return all(b <= 0 for a, b in system)
+
+
+def box_search(
+    ineqs: list[Vec], rhs: list[int], dim: int, bound: int
+) -> list[Vec] | None:
+    """All integer points in [-bound, bound]^dim satisfying the system, in
+    lexicographic order; None when there are none (a bounded search, so the
+    caller reports 'undecided', not 'no').  A box too large to search raises
+    ResourceLimitError rather than reporting a search that never ran."""
+    from toriclift.lattice import ResourceLimitError
+    from toriclift.lifting import MAX_SEARCH_POINTS, MAX_WITNESS_CLASSES
+
+    total = (2 * bound + 1) ** dim
+    if total > MAX_SEARCH_POINTS:
+        raise ResourceLimitError(
+            f"effectivity search box of {total} points ((2 * {bound} + 1)^{dim}) exceeds "
+            f"guard MAX_SEARCH_POINTS = {MAX_SEARCH_POINTS}; lower --search-bound"
+        )
+    out = []
+    for tau in itertools.product(range(-bound, bound + 1), repeat=dim):
+        ok = all(
+            sum(a_i * t_i for a_i, t_i in zip(a, tau)) >= b
+            for a, b in zip(ineqs, rhs)
+        )
+        if ok:
+            out.append(tau)
+            if len(out) >= MAX_WITNESS_CLASSES:
+                break
+    return out or None
+
+
+# -- the adjugate by cofactors ---------------------------------------------------
+
+
+def adjugate_by_cofactors(m):
+    """Reference for ``isomorphism._adjugate``: the transpose of the matrix
+    of cofactors, one minor determinant per entry."""
+    from toriclift.lattice import IntMatrix, determinant
+
+    n = m.rows
+    if n == 0:
+        return IntMatrix((), cols=0)
+    cof = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [m[r, c] for c in range(n) if c != j]
+                for r in range(n)
+                if r != i
+            ]
+            sign = -1 if (i + j) % 2 else 1
+            cof[i][j] = sign * determinant(IntMatrix(minor, cols=n - 1))
+    # adjugate = transpose of the cofactor matrix
+    return IntMatrix(tuple(zip(*cof)), cols=n)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import fangen
+from toriclift import lifting
 from toriclift.cli import main
 
 QUADRIC = "fan 1\nrank 2\nray 1 0\nray 1 2\ncone 0 1\n"
@@ -189,18 +190,21 @@ class TestLift:
         )
         assert code == 2 and "exists: undecided" in out
 
-    def test_search_box_over_guard_is_a_resource_limit(self, files, capsys):
+    def test_widening_the_bound_never_loses_a_yes(self, files, capsys, monkeypatch):
         args = ("lift", files["plane"], files["diamond"], "--matrix", "0,0,0,0,2,2")
-        code, out, _ = run(capsys, *args, "--search-bound", "200")
-        assert code == 0 and "exists: true" in out
-        assert "uniqueness: 4 witness classes found within coefficient bound 200" in out
-        # (2 * 224 + 1)^2 points exceed MAX_SEARCH_POINTS: the box is not
-        # searched, so the answer is a guard, not "undecided"
-        code, out, err = run(capsys, *args, "--search-bound", "224")
+        classes = set()
+        for bound in (200, 224, 10**6, 10**9):
+            code, out, _ = run(capsys, *args, "--search-bound", str(bound))
+            assert code == 0 and "exists: true" in out
+            assert f"uniqueness: 4 witness classes found within coefficient bound {bound}" in out
+            classes.add(out.split("(pairwise non-equivalence")[1].split("scope:")[0])
+        assert len(classes) == 1
+        # the guard counts the nodes the search visits, not the box volume
+        monkeypatch.setattr(lifting, "MAX_SEARCH_POINTS", 3)
+        code, out, err = run(capsys, *args, "--search-bound", "200")
         assert code == 2 and out == ""
         assert "resource limit" in err and "undecided" not in err
-        assert "201601 points" in err
-        assert "MAX_SEARCH_POINTS" in err and "--search-bound" in err
+        assert "MAX_SEARCH_POINTS = 3 in toriclift.lifting, lower --search-bound" in err
 
     def test_default_bound_decides(self, files, capsys):
         code, out, _ = run(

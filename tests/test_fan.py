@@ -14,9 +14,12 @@ from toriclift.fan import (
     validate_fan,
 )
 from toriclift import fan as fan_module
-from toriclift import isomorphism, lattice, polyhedra
+from toriclift import isomorphism, lattice, lifting, polyhedra, presentation
+from toriclift.divisors import cox_subgroup
 from toriclift.isomorphism import fan_isomorphic
 from toriclift.lattice import IntMatrix, ResourceLimitError, determinant, hilbert_basis
+from toriclift.lifting import solve_geometric_pullback, validate_toric_morphism
+from toriclift.presentation import exceptional_collections
 
 
 def projective_plane():
@@ -287,6 +290,18 @@ def _p2_self_iso():
     return fan_isomorphic(projective_plane(), projective_plane())
 
 
+def _line_into_square_cone():
+    # a non-simplicial target: the effectivity search runs over one direction
+    line = validate_fan(1, [(1,)], [(0,)])
+    target = cone_over_square()
+    f = validate_toric_morphism(line, target, IntMatrix([(1,), (0,), (3,)]))
+    return solve_geometric_pullback(f, cox_subgroup(target), cox_subgroup(line))
+
+
+def _p2_collections():
+    return exceptional_collections(projective_plane(), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
 @pytest.mark.parametrize(
     "module, constant, trip, override",
     [
@@ -296,6 +311,8 @@ def _p2_self_iso():
         (lattice, "MAX_HILBERT_POINTS", _index_two_hilbert, "no flag overrides it"),
         (lattice, "MAX_HILBERT_BOX", _index_two_hilbert, "no flag overrides it"),
         (isomorphism, "MAX_ISO_ASSIGNMENTS", _p2_self_iso, "no flag overrides it"),
+        (lifting, "MAX_SEARCH_POINTS", _line_into_square_cone, "lower --search-bound"),
+        (presentation, "MAX_COLLECTION_FACES", _p2_collections, "no flag overrides it"),
     ],
 )
 def test_guard_messages_name_constant_and_override(

@@ -5,9 +5,11 @@ from random import Random
 import pytest
 
 import fangen
+import oracles
 from toriclift.fan import validate_fan
 from toriclift.isomorphism import (
     FanIso,
+    _adjugate,
     IsoReport,
     fan_isomorphic,
     toric_isomorphism,
@@ -42,6 +44,19 @@ def quadric():
 @pytest.fixture
 def plane():
     return mk(2, [(0, 1), (1, 0)], [(0, 1)])
+
+
+def test_adjugate_matches_cofactors():
+    rng = Random(2000)
+    sizes = []
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        m = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)], cols=n)
+        det = determinant(m)
+        if det:
+            assert _adjugate(m, det) == oracles.adjugate_by_cofactors(m), m
+            sizes.append(n)
+    assert len(sizes) >= 900 and set(sizes) == set(range(1, 7))
 
 
 class TestFanIsomorphic:

@@ -10,6 +10,7 @@ import random
 import pytest
 
 import oracles
+from toriclift import lifting
 from toriclift.divisors import (
     cartier_data,
     cartier_subgroup_basis,
@@ -21,17 +22,19 @@ from toriclift.lattice import (
     CokernelData,
     FgAbGroup,
     IntMatrix,
+    ResourceLimitError,
     hermite_coefficients,
     hermite_row_basis,
 )
 from toriclift.lifting import (
+    MAX_WITNESS_CLASSES,
     ContainmentFailureCertificate,
     EffectivityFailureCertificate,
     ExtensionObstructionCertificate,
     MorphismValidationError,
     _ProjectedContainment,
-    _box_search,
-    _rational_feasible,
+    _effective_points,
+    _projections,
     classify_liftings,
     pullback_cartier,
     solve_geometric_pullback,
@@ -374,28 +377,84 @@ class TestUndecided:
             )
 
 
-# -- feasibility helpers ----------------------------------------------------------
+# -- the effectivity chain against rational elimination and the full box -------
+
+
+# (ineqs, rhs, dim, bound) of a . tau >= b over tau in [-bound, bound]^dim
+FIXED_SYSTEMS = [
+    # t >= 1 and -t >= 0 cannot both hold
+    ([(1,), (-1,)], [1, 0], 1, 5),
+    # 2t >= 1 and -2t >= -1 force t = 1/2: no integer point
+    ([(2,), (-2,)], [1, -1], 1, 5),
+    # s + t >= 2, -s >= -1, -t >= -1 force s = t = 1
+    ([(1, 1), (-1, 0), (0, -1)], [2, -1, -1], 2, 3),
+    # over no coordinate, the empty system holds at the empty point
+    ([], [], 0, 0),
+]
+
+
+def _chain_answer(ineqs, rhs, dim, bound):
+    """The string "infeasible" when the chain certifies rational
+    infeasibility, else the integer points the search lists."""
+    chain = _projections(list(zip(ineqs, rhs)), dim)
+    if any(b > 0 for _, b in chain[0]):
+        return "infeasible"
+    return _effective_points(chain, bound)
 
 
 class TestFeasibilityHelpers:
+    # each case is also a fixed input of the property test below
+
     def test_rational_infeasible(self):
-        # t >= 1 and -t >= 0 cannot both hold
-        assert not _rational_feasible([(1,), (-1,)], [1, 0])
+        assert _chain_answer(*FIXED_SYSTEMS[0]) == "infeasible"
 
     def test_rational_feasible_fractional_only(self):
-        # 2t >= 1 and -2t >= -1 force t = 1/2
-        assert _rational_feasible([(2,), (-2,)], [1, -1])
-        assert _box_search([(2,), (-2,)], [1, -1], 1, 5) is None
+        assert _chain_answer(*FIXED_SYSTEMS[1]) == []
 
     def test_two_variable_elimination(self):
-        # s + t >= 2, -s >= -1, -t >= -1 forces s = t = 1
-        assert _rational_feasible([(1, 1), (-1, 0), (0, -1)], [2, -1, -1])
-        assert _box_search(
-            [(1, 1), (-1, 0), (0, -1)], [2, -1, -1], 2, 3
-        ) == [(1, 1)]
+        assert _chain_answer(*FIXED_SYSTEMS[2]) == [(1, 1)]
 
     def test_empty_system_is_feasible(self):
-        assert _rational_feasible([], [])
+        assert _chain_answer(*FIXED_SYSTEMS[3]) == [()]
+
+
+def _random_system(rng):
+    dim = rng.randint(0, 3)
+    n_rows = rng.randint(0, 6)
+    ineqs = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n_rows)]
+    rhs = [rng.randint(-4, 4) for _ in range(n_rows)]
+    return ineqs, rhs, dim, rng.randint(0, 6)
+
+
+def test_chain_matches_rational_elimination_and_box_search():
+    rng = random.Random(20261018)
+    systems = FIXED_SYSTEMS + [_random_system(rng) for _ in range(1000)]
+    seen = {"infeasible": 0, "no point": 0, "points": 0, "truncated": 0}
+    for ineqs, rhs, dim, bound in systems:
+        chain = _projections(list(zip(ineqs, rhs)), dim)
+        assert [len(a) for entry in chain for a, _ in entry] == [
+            k for k, entry in enumerate(chain) for _ in entry
+        ]
+        answer = _chain_answer(ineqs, rhs, dim, bound)
+        assert (answer == "infeasible") == (not oracles.rational_feasible(ineqs, rhs))
+        if answer == "infeasible":
+            seen["infeasible"] += 1
+            continue
+        assert answer == (oracles.box_search(ineqs, rhs, dim, bound) or []), (ineqs, rhs)
+        seen["points" if answer else "no point"] += 1
+        seen["truncated"] += len(answer) == MAX_WITNESS_CLASSES
+    assert min(seen.values()) >= 20, seen
+
+
+def test_search_counts_nodes_not_box_volume(monkeypatch):
+    # 0 <= s <= 1 and 0 <= t <= 1 at bound 10**9: the projections leave
+    # two values of s and two of t for each, six nodes in all
+    chain = _projections(list(zip([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -1, 0, -1])), 2)
+    monkeypatch.setattr(lifting, "MAX_SEARCH_POINTS", 6)
+    assert _effective_points(chain, 10**9) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    monkeypatch.setattr(lifting, "MAX_SEARCH_POINTS", 5)
+    with pytest.raises(ResourceLimitError, match="visited 6 nodes, over guard 5"):
+        _effective_points(chain, 10**9)
 
 
 # -- containment stage against the dense reference -------------------------------

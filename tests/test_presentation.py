@@ -268,8 +268,8 @@ def test_collection_guard_counts_faces(monkeypatch):
     with pytest.raises(ResourceLimitError) as e:
         exceptional_collections(fan, coords)
     assert str(e.value) == (
-        "exceptional-collection search passed 24 faces, "
-        "over guard MAX_COLLECTION_FACES = 23"
+        "exceptional-collection search passed 24 faces, over guard 23: "
+        "MAX_COLLECTION_FACES = 23 in toriclift.presentation, no flag overrides it"
     )
 
 

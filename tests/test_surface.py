@@ -8,15 +8,22 @@ own definition.  A function only the tests call belongs in the tests.
 
 References are matched by name, so a method whose name another definition
 shares counts as used when either is.
+
+Every size guard, a ``MAX_*`` constant named in a ``raise
+ResourceLimitError(...)``, has a row in the README guard table and a case in
+the parametrized guard-message test.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import toriclift
 
 PACKAGE = Path(toriclift.__file__).parent
+README = PACKAGE.parents[1] / "README.md"
+GUARD_TEST = Path(__file__).with_name("test_fan.py")
 
 
 def _names(node):
@@ -67,3 +74,43 @@ def test_every_public_method_is_used():
         and _unused(node, uses)
     ]
     assert unused == []
+
+
+def _guards():
+    """Every MAX_* constant a ``raise ResourceLimitError(...)`` names, as a
+    name or in its message."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and _names(node.exc.func)["ResourceLimitError"]
+            ):
+                continue
+            for n in ast.walk(node.exc):
+                if isinstance(n, ast.Name):
+                    found.update(re.findall(r"^MAX_\w+$", n.id))
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    found.update(re.findall(r"\bMAX_\w+", n.value))
+    return found
+
+
+def _tripped_guards():
+    """The constants of the cases of the parametrized guard-message test."""
+    tree = ast.parse(GUARD_TEST.read_text(encoding="utf-8"))
+    test = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "test_guard_messages_name_constant_and_override"
+    )
+    (cases,) = [d.args[1] for d in test.decorator_list if isinstance(d, ast.Call)]
+    return {case.elts[1].value for case in cases.elts}
+
+
+def test_every_guard_is_documented_and_tripped():
+    guards = _guards()
+    assert {"MAX_RANK", "MAX_HILBERT_POINTS"} <= guards
+    rows = [line for line in README.read_text(encoding="utf-8").splitlines() if line.startswith("|")]
+    assert sorted(g for g in guards if not any(f"`{g}`" in row for row in rows)) == []
+    assert sorted(guards - _tripped_guards()) == []
