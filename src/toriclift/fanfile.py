@@ -210,11 +210,15 @@ def read_fan_json(path, text: str) -> RawFanDocument:
         fail("top level must be an object")
     if data.get("format") != "fan":
         fail("missing or wrong 'format' key (expected \"fan\")")
+
+    def is_int(x) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool)
+
     version = data.get("version")
-    if version != FORMAT_VERSION:
+    if not is_int(version) or version != FORMAT_VERSION:
         fail(f"unsupported format version {version!r} (expected {FORMAT_VERSION})")
     rank = data.get("rank")
-    if not isinstance(rank, int) or rank < 0:
+    if not is_int(rank) or rank < 0:
         fail("'rank' must be a nonnegative integer")
 
     def int_rows(value, what: str, width: Optional[int]) -> list[Vec]:
@@ -222,9 +226,7 @@ def read_fan_json(path, text: str) -> RawFanDocument:
             fail(f"'{what}' must be a list of integer lists")
         rows = []
         for row in value:
-            if not isinstance(row, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in row
-            ):
+            if not isinstance(row, list) or not all(is_int(x) for x in row):
                 fail(f"'{what}' must be a list of integer lists")
             if width is not None and len(row) != width:
                 fail(f"'{what}' row has {len(row)} entries, expected {width}")
@@ -233,11 +235,18 @@ def read_fan_json(path, text: str) -> RawFanDocument:
 
     rays = int_rows(data.get("rays", []), "rays", rank)
     cones = [tuple(c) for c in int_rows(data.get("max_cones", []), "max_cones", None)]
+
+    def labelled(key: str) -> list:
+        value = data.get(key, {})
+        if not isinstance(value, dict):
+            fail(f"'{key}' must be an object mapping labels to entries")
+        return sorted(value.items())
+
     subgroups = {}
-    for label, rows in sorted(dict(data.get("subgroups", {})).items()):
+    for label, rows in labelled("subgroups"):
         subgroups[label] = tuple(int_rows(rows, f"subgroups.{label}", None))
     morphisms = {}
-    for label, decl in sorted(dict(data.get("morphisms", {})).items()):
+    for label, decl in labelled("morphisms"):
         if not isinstance(decl, dict) or "target" not in decl or "matrix" not in decl:
             fail(f"morphism '{label}' needs 'target' and 'matrix'")
         morphisms[label] = MorphismDecl(

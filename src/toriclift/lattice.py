@@ -20,7 +20,7 @@ modules appear in two shapes and each call site says which: ``A @ x = b``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -567,9 +567,6 @@ class AbHom:
                     f"whose {k}-multiple is nonzero"
                 )
 
-    def apply(self, coords: Sequence[int]) -> Vec:
-        return self.codomain.reduce(self.matrix.left_apply(self.domain.reduce(coords)))
-
     def compose(self, then: "AbHom") -> "AbHom":
         """Returns x -> then(self(x)); codomain must equal then.domain."""
         if self.codomain != then.domain:
@@ -788,62 +785,7 @@ def extend_homomorphism(
 # Hilbert basis of (row lattice) intersect nonnegative orthant
 # ---------------------------------------------------------------------------
 
-MAX_HILBERT_AMBIENT = 16
 MAX_HILBERT_POINTS = 500_000
-MAX_HILBERT_BOX = 10**6
-
-
-def _lattice_points_in_box(h: Sequence[Vec], bounds: Sequence[int]) -> list[Vec]:
-    """All lattice points x with 0 <= x <= bounds, by DFS over the Hermite
-    basis ``h``; at most ``MAX_HILBERT_POINTS`` are visited."""
-    n = len(bounds)
-    limit = MAX_HILBERT_POINTS
-    pivots = []
-    for row in h:
-        lead = next(c for c in range(n) if row[c] != 0)
-        pivots.append(lead)
-    out: list[Vec] = []
-    current = [0] * n
-    visited = [0]
-
-    def dfs(depth: int):
-        if depth == len(h):
-            visited[0] += 1
-            if visited[0] > limit:
-                raise ResourceLimitError(
-                    f"lattice point enumeration exceeded {limit} points: "
-                    f"MAX_HILBERT_POINTS = {limit} in toriclift.lattice, "
-                    f"no flag overrides it"
-                )
-            if all(0 <= current[j] <= bounds[j] for j in range(n)):
-                out.append(tuple(current))
-            return
-        row = h[depth]
-        p = pivots[depth]
-        # columns left of this pivot receive no further contributions
-        for j in range(p):
-            if not 0 <= current[j] <= bounds[j]:
-                return
-        pv = row[p]
-        base = current[p]
-        # c must satisfy 0 <= base + c*pv <= bounds[p], with pv > 0
-        lo = _ceil_div(-base, pv)
-        hi = (bounds[p] - base) // pv
-        for c in range(lo, hi + 1):
-            if c:
-                for j in range(p, n):
-                    current[j] += c * row[j]
-            dfs(depth + 1)
-            if c:
-                for j in range(p, n):
-                    current[j] -= c * row[j]
-
-    dfs(0)
-    return out
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def effective_cone_rays(h: Sequence[Vec]) -> tuple[Vec, ...]:
@@ -868,6 +810,29 @@ def effective_cone_rays(h: Sequence[Vec]) -> tuple[Vec, ...]:
     return rays
 
 
+def _pulling_triangulation(
+    rays: Sequence[Vec], images: Sequence[Vec], cone: tuple[int, ...], dim: int
+) -> Iterator[tuple[int, ...]]:
+    """Simplices, as index tuples into ``rays``, covering the ``dim``-dimensional
+    cone spanned by the rays ``cone``: the cone itself when it has ``dim`` rays,
+    else its first ray joined to the triangulation of each facet not through
+    that ray.  Such a facet is the set of rays whose images vanish on an
+    ambient coordinate positive on the first ray, when that set has rank
+    ``dim - 1``."""
+    if len(cone) == dim:
+        yield cone
+        return
+    apex, seen = cone[0], set()
+    for j, x in enumerate(images[apex]):
+        if x == 0:
+            continue
+        facet = tuple(i for i in cone if images[i][j] == 0)
+        if facet not in seen and matrix_rank(IntMatrix([rays[i] for i in facet])) == dim - 1:
+            seen.add(facet)
+            for simplex in _pulling_triangulation(rays, images, facet, dim - 1):
+                yield (apex,) + simplex
+
+
 def hilbert_basis(
     subgroup_basis: Sequence[Sequence[int]], ambient_rank: int
 ) -> tuple[Vec, ...]:
@@ -875,9 +840,12 @@ def hilbert_basis(
 
     The semigroup of nonnegative lattice vectors is finitely generated; this
     returns its unique minimal generators sorted by (coordinate sum, lex).
-    The images of the effective cone's rays bound a box enumeration, then a
-    reducibility sieve.  The full lattice is answered directly; otherwise
-    guarded: ambient_rank <= 16 and bounded enumeration.
+    Each is the image of an effective-cone ray or a lattice point of the
+    half-open fundamental parallelepiped of a simplex of a triangulation of
+    that cone (Bruns-Gubeladze, *Polytopes, Rings, and K-Theory*, 2.C); a
+    sieve keeps the irreducible ones.  The full lattice is answered directly;
+    otherwise the parallelepiped points are counted, and guarded, before any
+    is listed.
     """
     rows = [_as_vec(r) for r in subgroup_basis]
     for r in rows:
@@ -889,41 +857,44 @@ def hilbert_basis(
     # Fast path: the full integer lattice — generators are the unit vectors.
     if _is_identity_basis(h, ambient_rank):
         return tuple(sorted(h))
-    if ambient_rank > MAX_HILBERT_AMBIENT:
-        raise ResourceLimitError(
-            f"ambient rank {ambient_rank} exceeds Hilbert basis guard {MAX_HILBERT_AMBIENT}: "
-            f"MAX_HILBERT_AMBIENT = {MAX_HILBERT_AMBIENT} in toriclift.lattice, "
-            f"no flag overrides it"
-        )
-    basis = IntMatrix(h)
-    gens = [basis.left_apply(c) for c in effective_cone_rays(h)]
-    if not gens:
+    rays = effective_cone_rays(h)
+    if not rays:
         return ()
-    bounds = tuple(sum(g[j] for g in gens) for j in range(ambient_rank))
-    if any(b > MAX_HILBERT_BOX for b in bounds):
-        raise ResourceLimitError(
-            f"Hilbert basis enumeration box {bounds} exceeds guard {MAX_HILBERT_BOX}: "
-            f"MAX_HILBERT_BOX = {MAX_HILBERT_BOX} in toriclift.lattice, "
-            f"no flag overrides it"
-        )
-    pts = [
-        p
-        for p in _lattice_points_in_box(h, bounds)
-        if not vec_is_zero(p) and all(x >= 0 for x in p)
-    ]
-    pts.sort(key=lambda p: (sum(p), p))
-    members = set(pts)
-    basis_out = []
-    for p in pts:
-        reducible = False
-        for q in pts:
-            if sum(q) >= sum(p):  # a proper summand has strictly smaller sum
-                break
-            if all(a <= b for a, b in zip(q, p)):
-                rem = vec_sub(p, q)
-                if not vec_is_zero(rem) and rem in members:
-                    reducible = True
-                    break
-        if not reducible:
+    basis = IntMatrix(h)
+    images = [basis.left_apply(c) for c in rays]
+    limit = MAX_HILBERT_POINTS
+    total = 0
+    simplices = []
+    dim = matrix_rank(IntMatrix(rays))
+    for simplex in _pulling_triangulation(rays, images, tuple(range(len(rays))), dim):
+        # U @ G @ V = S: lambda @ G is integral for lambda = (t / s) @ U, t_i in [0, s_i)
+        snf = smith_normal_form(IntMatrix([rays[i] for i in simplex]))
+        s = snf.invariant_factors
+        total += prod(s)
+        if total > limit:
+            raise ResourceLimitError(
+                f"Hilbert basis parallelepiped points reached {total}, past guard {limit}: "
+                f"MAX_HILBERT_POINTS = {limit} in toriclift.lattice, "
+                f"no flag overrides it"
+            )
+        simplices.append((tuple(zip(*(images[i] for i in simplex))), snf.U, s))
+    candidates = set(images)
+    for columns, U, s in simplices:
+        # lambda scaled by the common denominator d = s_last, reduced mod d
+        d = s[-1]
+        lams = [(0,) * len(s)]
+        for i, si in enumerate(s):
+            step = [d // si * u for u in U.row(i)]
+            lams = [
+                tuple((a + t * b) % d for a, b in zip(lam, step))
+                for lam in lams
+                for t in range(si)
+            ]
+        candidates.update(tuple(vec_dot(lam, col) // d for col in columns) for lam in lams)
+    candidates.discard((0,) * ambient_rank)
+    basis_out: list[Vec] = []
+    for p in sorted(candidates, key=lambda p: (sum(p), p)):
+        # p - q is a nonnegative lattice vector, nonzero as q comes first
+        if not any(all(a <= b for a, b in zip(q, p)) for q in basis_out):
             basis_out.append(p)
     return tuple(basis_out)

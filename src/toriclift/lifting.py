@@ -79,9 +79,6 @@ class ToricMorphism:
     matrix: IntMatrix
     cone_targets: tuple[Location, ...]
 
-    def apply(self, v: Sequence[int]) -> Vec:
-        return self.matrix.apply(v)
-
     def ray_image(self, ray_index: int) -> Vec:
         return self.matrix.apply(self.source.rays[ray_index])
 

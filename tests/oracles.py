@@ -455,3 +455,140 @@ def adjugate_by_cofactors(m):
             cof[i][j] = sign * determinant(IntMatrix(minor, cols=n - 1))
     # adjugate = transpose of the cofactor matrix
     return IntMatrix(tuple(zip(*cof)), cols=n)
+
+
+# -- Hilbert bases by the enumeration box of the effective-cone ray images --------
+
+
+MAX_HILBERT_AMBIENT = 16
+MAX_HILBERT_POINTS = 500_000
+MAX_HILBERT_BOX = 10**6
+
+
+def _lattice_points_in_box(h: Sequence[Vec], bounds: Sequence[int]) -> list[Vec]:
+    """All lattice points x with 0 <= x <= bounds, by DFS over the Hermite
+    basis ``h``; at most ``MAX_HILBERT_POINTS`` are visited."""
+    from toriclift.lattice import ResourceLimitError
+
+    n = len(bounds)
+    limit = MAX_HILBERT_POINTS
+    pivots = []
+    for row in h:
+        lead = next(c for c in range(n) if row[c] != 0)
+        pivots.append(lead)
+    out: list[Vec] = []
+    current = [0] * n
+    visited = [0]
+
+    def dfs(depth: int):
+        if depth == len(h):
+            visited[0] += 1
+            if visited[0] > limit:
+                raise ResourceLimitError(
+                    f"lattice point enumeration exceeded {limit} points: "
+                    f"MAX_HILBERT_POINTS = {limit} in oracles, "
+                    f"no flag overrides it"
+                )
+            if all(0 <= current[j] <= bounds[j] for j in range(n)):
+                out.append(tuple(current))
+            return
+        row = h[depth]
+        p = pivots[depth]
+        # columns left of this pivot receive no further contributions
+        for j in range(p):
+            if not 0 <= current[j] <= bounds[j]:
+                return
+        pv = row[p]
+        base = current[p]
+        # c must satisfy 0 <= base + c*pv <= bounds[p], with pv > 0
+        lo = _ceil_div(-base, pv)
+        hi = (bounds[p] - base) // pv
+        for c in range(lo, hi + 1):
+            if c:
+                for j in range(p, n):
+                    current[j] += c * row[j]
+            dfs(depth + 1)
+            if c:
+                for j in range(p, n):
+                    current[j] -= c * row[j]
+
+    dfs(0)
+    return out
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def hilbert_basis_by_box(
+    subgroup_basis: Sequence[Sequence[int]], ambient_rank: int
+) -> tuple[Vec, ...]:
+    """Reference for ``lattice.hilbert_basis``: the box search it replaced.
+
+    Minimal generating set of (lattice) intersect (nonnegative orthant).
+
+    The semigroup of nonnegative lattice vectors is finitely generated; this
+    returns its unique minimal generators sorted by (coordinate sum, lex).
+    The images of the effective cone's rays bound a box enumeration, then a
+    reducibility sieve.  The full lattice is answered directly; otherwise
+    guarded: ambient_rank <= 16 and bounded enumeration.
+    """
+    from toriclift.lattice import (
+        IntMatrix,
+        ResourceLimitError,
+        _as_vec,
+        _is_identity_basis,
+        effective_cone_rays,
+        hermite_row_basis,
+        vec_is_zero,
+        vec_sub,
+    )
+
+    rows = [_as_vec(r) for r in subgroup_basis]
+    for r in rows:
+        if len(r) != ambient_rank:
+            raise ValueError("basis width mismatch")
+    h = hermite_row_basis(rows, width=ambient_rank)
+    if not h:
+        return ()
+    # Fast path: the full integer lattice — generators are the unit vectors.
+    if _is_identity_basis(h, ambient_rank):
+        return tuple(sorted(h))
+    if ambient_rank > MAX_HILBERT_AMBIENT:
+        raise ResourceLimitError(
+            f"ambient rank {ambient_rank} exceeds Hilbert basis guard {MAX_HILBERT_AMBIENT}: "
+            f"MAX_HILBERT_AMBIENT = {MAX_HILBERT_AMBIENT} in oracles, "
+            f"no flag overrides it"
+        )
+    basis = IntMatrix(h)
+    gens = [basis.left_apply(c) for c in effective_cone_rays(h)]
+    if not gens:
+        return ()
+    bounds = tuple(sum(g[j] for g in gens) for j in range(ambient_rank))
+    if any(b > MAX_HILBERT_BOX for b in bounds):
+        raise ResourceLimitError(
+            f"Hilbert basis enumeration box {bounds} exceeds guard {MAX_HILBERT_BOX}: "
+            f"MAX_HILBERT_BOX = {MAX_HILBERT_BOX} in oracles, "
+            f"no flag overrides it"
+        )
+    pts = [
+        p
+        for p in _lattice_points_in_box(h, bounds)
+        if not vec_is_zero(p) and all(x >= 0 for x in p)
+    ]
+    pts.sort(key=lambda p: (sum(p), p))
+    members = set(pts)
+    basis_out = []
+    for p in pts:
+        reducible = False
+        for q in pts:
+            if sum(q) >= sum(p):  # a proper summand has strictly smaller sum
+                break
+            if all(a <= b for a, b in zip(q, p)):
+                rem = vec_sub(p, q)
+                if not vec_is_zero(rem) and rem in members:
+                    reducible = True
+                    break
+        if not reducible:
+            basis_out.append(p)
+    return tuple(basis_out)

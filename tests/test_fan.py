@@ -307,9 +307,7 @@ def _p2_collections():
     [
         (fan_module, "MAX_RANK", _plane, "no flag overrides it"),
         (fan_module, "MAX_RAYS", _plane, "override with --max-rays"),
-        (lattice, "MAX_HILBERT_AMBIENT", _index_two_hilbert, "no flag overrides it"),
         (lattice, "MAX_HILBERT_POINTS", _index_two_hilbert, "no flag overrides it"),
-        (lattice, "MAX_HILBERT_BOX", _index_two_hilbert, "no flag overrides it"),
         (isomorphism, "MAX_ISO_ASSIGNMENTS", _p2_self_iso, "no flag overrides it"),
         (lifting, "MAX_SEARCH_POINTS", _line_into_square_cone, "lower --search-bound"),
         (presentation, "MAX_COLLECTION_FACES", _p2_collections, "no flag overrides it"),

@@ -185,6 +185,10 @@ class TestJsonTwin:
             (lambda d: d.__setitem__("rays", [[1, True]]), "integer lists"),
             (lambda d: d.__setitem__("rays", [[1]]), "expected 2"),
             (lambda d: d.__setitem__("morphisms", {"m": {"target": "x"}}), "'matrix'"),
+            (lambda d: d.__setitem__("subgroups", [1]), "'subgroups' must be an object"),
+            (lambda d: d.__setitem__("subgroups", "ab"), "must be an object mapping labels"),
+            (lambda d: d.__setitem__("rank", True), "'rank' must be a nonnegative"),
+            (lambda d: d.__setitem__("version", True), "unsupported format version True"),
         ],
     )
     def test_structural_errors(self, tmp_path, mutate, needle):
@@ -193,6 +197,7 @@ class TestJsonTwin:
         with pytest.raises(FanFileError) as ei:
             read_fan_document(write(tmp_path, "bad.json", data))
         assert needle in str(ei.value)
+        assert str(ei.value).startswith(str(tmp_path / "bad.json"))
 
     def test_top_level_must_be_object(self, tmp_path):
         # a leading '[' is not sniffed as JSON, so wrap in an object-less doc

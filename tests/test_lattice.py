@@ -351,10 +351,9 @@ def test_abhom_checks_torsion():
     with pytest.raises(ValueError):
         AbHom(domain=z2, codomain=z, matrix=M([[1]]))  # 2*1 != 0 in Z
     h = AbHom(domain=z2, codomain=z2, matrix=M([[1]]))
-    assert h.apply((1,)) == (1,)
     square = h.compose(h)
     assert square.domain == square.codomain == z2
-    assert square.apply((1,)) == (1,)  # the identity on the one generator
+    assert square.matrix == M([[1]])  # the identity on the one generator
 
 
 # -- homomorphism extension ---------------------------------------------------
@@ -473,11 +472,34 @@ def test_hilbert_generates_semigroup():
     assert members <= reachable
 
 
+def test_hilbert_matches_box_search(monkeypatch):
+    # the box search it replaced, on 500 seeded lattices of rank 1-5; its
+    # point guard is lowered so that a costly box is refused quickly
+    monkeypatch.setattr(oracles, "MAX_HILBERT_POINTS", 20_000)
+    rng = random.Random(5)
+    compared = lower_rank = non_simplicial = 0
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        try:
+            want = oracles.hilbert_basis_by_box(rows, n)
+        except ResourceLimitError:
+            continue
+        assert hilbert_basis(rows, n) == want, rows
+        compared += 1
+        h = hermite_row_basis(rows, width=n)
+        rays = lattice.effective_cone_rays(h)
+        lower_rank += len(h) < n
+        non_simplicial += len(rays) > matrix_rank(IntMatrix(rays))
+    assert compared >= 450 and lower_rank >= 250 and non_simplicial >= 20
+
+
 def test_hilbert_guard():
-    # a rank-17 sublattice of index 2 in Z^17: no fast path, the guard trips
-    basis = [tuple((2 if i == 0 else 1) if j == i else 0 for j in range(17)) for i in range(17)]
-    with pytest.raises(ResourceLimitError):
-        hilbert_basis(basis, 17)
+    # {x in Z^4 : sum(x) = 0 mod 100}: the orthant's simplex holds
+    # 100^4 / 100 = 10^6 parallelepiped points, counted before any is listed
+    basis = [(1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1), (0, 0, 0, 100)]
+    with pytest.raises(ResourceLimitError, match="reached 1000000"):
+        hilbert_basis(basis, 4)
 
 
 def test_hilbert_full_lattice_skips_guard():

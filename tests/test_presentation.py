@@ -89,6 +89,25 @@ def test_kajiwara_quadric():
     assert pres.enough.ok
 
 
+def singular_polygon(n):
+    """A complete polygon fan with n rays and two singular cones: a smooth
+    polygon with n + 2 rays, less two rays."""
+    cycle = fangen.smooth_polygon_rays(n + 2)
+    rays = [r for i, r in enumerate(cycle) if i not in (1, len(cycle) // 2)]
+    return validate_fan(2, rays, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("n, n_coordinates", [(18, 22), (62, 64)])
+def test_kajiwara_singular_polygon_past_16_rays(n, n_coordinates):
+    pres = build_presentation(singular_polygon(n), mode="kajiwara")
+    coords = pres.coordinates
+    assert len(coords) == n_coordinates
+    assert pres.grading_group == FgAbGroup(n - 2)
+    assert all(pres.subgroup.contains(c) and min(c) >= 0 for c in coords)
+    # no coordinate lies below another, which would make it a sum of two
+    assert not any(p != q and all(a <= b for a, b in zip(p, q)) for p in coords for q in coords)
+
+
 def test_kajiwara_smooth_equals_cox():
     fan = projective_plane()
     a = build_presentation(fan, mode="cox")
