@@ -194,7 +194,7 @@ def _cmd_present(args) -> tuple[int, list[str], dict]:
 
 def _parse_matrix_flag(text: str, rows: int, cols: int) -> IntMatrix:
     try:
-        entries = [int(x) for x in text.split(",")]
+        entries = [int(x) for x in text.split(",")] if text else []
     except ValueError:
         raise _InputError(f"--matrix entries must be integers: got '{text}'")
     if len(entries) != rows * cols:

@@ -15,10 +15,13 @@ lemma, Cox-Little-Schenck, *Toric Varieties*, 1.2.13).  Validation first
 tries the functional summed from one cone's facet normals through the shared
 rays, in either order; that needs no new double description and certifies
 every pair of most fans.  A max cone with linearly independent rays is
-simplicial, so it is strongly convex with every ray extreme, and its
-extreme-ray check is skipped.  Every pair the cheap functional does not
-certify, and so every failure, takes the exact test by double description,
-and the problems it reports are the same, in the same order.
+simplicial, so it is strongly convex with every ray extreme.  Any other max
+cone is strongly convex iff its facet normals and equations have full rank,
+and then a ray is extreme iff the facets through it and the equations have
+rank one less (Schrijver, *Theory of Linear and Integer Programming*, ch. 8).
+Every pair the cheap functional does not certify, and so every failure,
+takes the exact test by double description, and the problems it reports are
+the same, in the same order.
 
 Degenerate fans (rays not spanning the ambient lattice) are legal; they
 describe varieties with a torus factor, split off by ``split_torus_factor``.
@@ -200,11 +203,6 @@ class Fan:
             return Location(face_rays=face, max_cone=ci)
         return None
 
-    def max_cones_containing(self, v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            ci for ci in range(len(self.max_cones)) if self.cone_hrep(ci).contains(v)
-        )
-
     # -- invariants ---------------------------------------------------------
 
     @property
@@ -379,11 +377,11 @@ def validate_fan(
     pairwise intersection of maximal cones is a common face of both.
 
     Each max cone costs one double description (its facet description, kept
-    on the fan), plus one for its extreme rays unless its rays are linearly
-    independent.  A pair of max cones costs none when the sum of one cone's
-    facet normals through their shared rays separates them (the separation
-    lemma; see :func:`_separates`); otherwise, and so for every pair that
-    fails, it takes the double-description test of
+    on the fan); its extreme rays are read off that description by rank.  A
+    pair of max cones costs none when the sum of one cone's facet normals
+    through their shared rays separates them (the separation lemma; see
+    :func:`_separates`); otherwise, and so for every pair that fails, it
+    takes the double-description test of
     :func:`_meet_in_common_face`.
     """
     if rank < 0:
@@ -465,15 +463,16 @@ def validate_fan(
     for cone, gens, h in zip(canon_cones, gens_of, hreps):
         if len(cone) + len(h.equations) == rank:
             continue  # independent rays: simplicial, so pointed, all extreme
-        lines, extreme = polyhedra.extreme_rays(h, rank)
-        if lines:
+        # pointed iff the dual cone is full-dimensional; a ray is extreme iff
+        # the facets through it cut out a face of dimension one
+        if matrix_rank(IntMatrix(h.inequalities + h.equations, cols=rank)) < rank:
             problems.append(
                 f"max cone {list(cone)} is not strongly convex (contains a line)"
             )
             continue
-        extreme_set = set(extreme)
         for i, g in zip(cone, gens):
-            if g not in extreme_set:
+            tight = [u for u in h.inequalities if vec_dot(u, g) == 0]
+            if matrix_rank(IntMatrix(tight + list(h.equations), cols=rank)) != rank - 1:
                 problems.append(
                     f"ray {i} = {list(g)} is not an extreme ray of max cone {list(cone)}"
                 )

@@ -249,8 +249,10 @@ def read_fan_json(path, text: str) -> RawFanDocument:
     for label, decl in labelled("morphisms"):
         if not isinstance(decl, dict) or "target" not in decl or "matrix" not in decl:
             fail(f"morphism '{label}' needs 'target' and 'matrix'")
+        if not isinstance(decl["target"], str):
+            fail(f"morphism '{label}' target must be a path string, got {decl['target']!r}")
         morphisms[label] = MorphismDecl(
-            target_path=str(decl["target"]),
+            target_path=decl["target"],
             matrix_rows=tuple(int_rows(decl["matrix"], f"morphisms.{label}", None)),
         )
     return RawFanDocument(

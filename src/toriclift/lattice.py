@@ -70,8 +70,8 @@ def primitive_vector(a: Sequence[int]) -> Vec:
 class IntMatrix:
     """Immutable integer matrix.
 
-    Thin wrapper over a tuple of row tuples; supports ``@``, ``+``, ``-``,
-    scalar ``*``, transpose and hashing, which is all the engine needs.
+    Thin wrapper over a tuple of row tuples; supports ``@``, ``+``, scalar
+    ``*``, transpose and hashing, which is all the engine needs.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -146,16 +146,8 @@ class IntMatrix:
             cols=self.cols,
         )
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in r) for r in self._data), cols=self.cols)
-
     def __mul__(self, k: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(k * x for x in r) for r in self._data), cols=self.cols)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -178,15 +170,14 @@ class IntMatrix:
 class SNFDecomposition:
     """U @ A @ V = S with U, V unimodular and S in Smith normal form.
 
-    ``U_inv`` and ``V_inv`` are the exact inverses, tracked during the
-    reduction so callers never have to invert anything.
+    ``U_inv`` is the exact inverse of U, tracked during the reduction so
+    callers never have to invert anything.
     """
 
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
     U_inv: IntMatrix
-    V_inv: IntMatrix
 
     @property
     def diagonal(self) -> Vec:
@@ -219,7 +210,7 @@ def _find_pivot(data: list[list[int]], k: int, m: int, n: int) -> Optional[tuple
 
 
 def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
-    """Smith normal form with both transforms and their inverses.
+    """Smith normal form with both transforms and the inverse of U.
 
     Returns S with nonnegative diagonal entries satisfying the divisibility
     chain s1 | s2 | ... ; deterministic for a given input by the fixed pivot
@@ -230,7 +221,6 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Vi = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_swap(i, j):
         if i == j:
@@ -247,7 +237,6 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def row_add(dst, src, c):
         # row_dst += c * row_src
@@ -265,7 +254,6 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
             r[dst] += c * r[src]
         for r in V:
             r[dst] += c * r[src]
-        Vi[src] = [a - c * b for a, b in zip(Vi[src], Vi[dst])]
 
     def row_negate(i):
         data[i] = [-a for a in data[i]]
@@ -322,7 +310,6 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
         S=IntMatrix(data, cols=n),
         V=IntMatrix(V, cols=n),
         U_inv=IntMatrix(Ui, cols=m),
-        V_inv=IntMatrix(Vi, cols=n),
     )
 
 
@@ -770,9 +757,9 @@ def extend_homomorphism(
                 raise ValueError("prescribed values are inconsistent on a relation")
             continue
         if any(x % s for x in row):
-            # (U @ B) row i = s * (V_inv row i), so s times this element lies
-            # in the subgroup and its prescribed value is Wp row i.
-            element = snf.V_inv.row(i)
+            # U @ B = S @ V^-1: row i of U @ B, a subgroup member with
+            # prescribed value Wp row i, is s times a lattice element.
+            element = tuple(x // s for x in B.left_apply(snf.U.row(i)))
             return None, ExtensionObstruction(multiplier=s, element=element, required=row)
         Y[i] = [x // s for x in row]
     X = snf.V @ IntMatrix(Y, cols=k)

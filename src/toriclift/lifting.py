@@ -83,12 +83,22 @@ class ToricMorphism:
         return self.matrix.apply(self.source.rays[ray_index])
 
     @cached_property
+    def ray_faces(self) -> tuple[tuple[int, ...], ...]:
+        """Per source ray, the rays of the minimal target cone containing its
+        image; computed once per morphism."""
+        locs = [self.target.locate(self.ray_image(i)) for i in range(self.source.n_rays)]
+        assert None not in locs, "morphism invariant: every ray image lies in the target fan"
+        return tuple(loc.face_rays for loc in locs)
+
+    @cached_property
     def ray_image_cones(self) -> tuple[tuple[int, ...], ...]:
-        """Per source ray, the target max cones containing its image;
-        computed once per morphism."""
+        """Per source ray, the target max cones containing its image: those
+        with every ray of its minimal cone, since the image lies in that
+        cone's relative interior."""
+        cones = self.target.max_cones
         return tuple(
-            self.target.max_cones_containing(self.ray_image(i))
-            for i in range(self.source.n_rays)
+            tuple(ci for ci, cone in enumerate(cones) if set(face) <= set(cone))
+            for face in self.ray_faces
         )
 
 
@@ -136,7 +146,6 @@ def pullback_cartier(f: ToricMorphism, cd: CartierData) -> Vec:
     out = []
     for i, containing in enumerate(f.ray_image_cones):
         w = f.ray_image(i)
-        assert containing, "morphism invariant: every ray image lies in the target fan"
         values = {vec_dot(cd.character_for(ci), w) for ci in containing}
         assert len(values) == 1, "local characters must agree on the image"
         out.append(values.pop())
@@ -153,19 +162,15 @@ def strict_transform(f: ToricMorphism, coeffs: Sequence[int]) -> Optional[Vec]:
     if len(coeffs) != f.target.n_rays:
         raise ValueError("coefficient length mismatch")
     out = []
-    for i in range(f.source.n_rays):
-        w = f.ray_image(i)
-        loc = f.target.locate(w)
-        assert loc is not None, "morphism invariant: ray image lies in the support"
-        if not f.target.face_is_smooth(loc.face_rays):
+    for i, face in enumerate(f.ray_faces):
+        if not f.target.face_is_smooth(face):
             return None
-        rows = [f.target.rays[j] for j in loc.face_rays]
+        rows = [f.target.rays[j] for j in face]
         sol = solve_integer_linear(
-            IntMatrix(rows, cols=f.target.rank),
-            [coeffs[j] for j in loc.face_rays],
+            IntMatrix(rows, cols=f.target.rank), [coeffs[j] for j in face]
         )
         assert sol is not None, "smooth cone always has a local character"
-        out.append(vec_dot(sol.particular, w))
+        out.append(vec_dot(sol.particular, f.ray_image(i)))
     return tuple(out)
 
 
@@ -454,17 +459,12 @@ def _support_zero_cells(
     ray's image shares a ray with the generator's support.
     """
     cells = []
-    ray_faces = []
-    for i in range(f.source.n_rays):
-        loc = f.target.locate(f.ray_image(i))
-        assert loc is not None
-        ray_faces.append(set(loc.face_rays))
     for g in target_subgroup.effective_generators():
         coeffs = target_subgroup.coefficients(g)
         assert coeffs is not None
         support = {j for j, x in enumerate(g) if x > 0}
-        for i in range(f.source.n_rays):
-            if not support & ray_faces[i]:
+        for i, face in enumerate(f.ray_faces):
+            if support.isdisjoint(face):
                 cells.append((coeffs, i))
     return cells
 
@@ -729,13 +729,11 @@ def verify_pullback_witness(
                         f"pullback of effective generator {list(g)} is negative "
                         f"at source ray {i}"
                     )
-                if val[i] != 0:
-                    loc = f.target.locate(f.ray_image(i))
-                    if not support & set(loc.face_rays):
-                        problems.append(
-                            f"support condition fails for generator {list(g)} "
-                            f"at source ray {i}"
-                        )
+                if val[i] != 0 and support.isdisjoint(f.ray_faces[i]):
+                    problems.append(
+                        f"support condition fails for generator {list(g)} "
+                        f"at source ray {i}"
+                    )
     return problems
 
 

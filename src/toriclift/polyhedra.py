@@ -157,12 +157,3 @@ def facet_description(generators: Sequence[Sequence[int]], dim: int) -> HRep:
     lines, rays = dual_description(generators, dim)
     return HRep(equations=lines, inequalities=rays)
 
-
-def extreme_rays(h: HRep, dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """(lines, extreme rays) of the cone with H-description ``h``, canonical
-    and primitive."""
-    normals = list(h.inequalities)
-    for e in h.equations:
-        normals.append(e)
-        normals.append(vec_scale(-1, e))
-    return dual_description(normals, dim)

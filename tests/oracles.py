@@ -319,6 +319,24 @@ def common_face_by_double_description(fan, a: int, b: int) -> bool:
     return ok and set(ta) == set(tb)
 
 
+def extreme_rays(h, dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """(lines, extreme rays) of the cone with H-description ``h``, canonical
+    and primitive.
+
+    Reference for ``validate_fan``'s rank test of strong convexity and
+    extremality: the second double description each non-simplicial max cone
+    took before that test.
+    """
+    from toriclift.lattice import vec_scale
+    from toriclift.polyhedra import dual_description
+
+    normals = list(h.inequalities)
+    for e in h.equations:
+        normals.append(e)
+        normals.append(vec_scale(-1, e))
+    return dual_description(normals, dim)
+
+
 # -- enough effective divisors: one double description per max cone -----------
 
 

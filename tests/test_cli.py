@@ -245,6 +245,13 @@ class TestLift:
         code, _, err = run(capsys, "lift", files["blowup"], files["plane"], *extra)
         assert code == 1 and "error:" in err
 
+    def test_empty_matrix_for_a_rank_zero_target(self, files, tmp_path, capsys):
+        point = tmp_path / "point.fan"
+        point.write_text("fan 1\nrank 0\n")
+        code, out, err = run(capsys, "lift", files["plane"], str(point), "--matrix", "")
+        assert code == 0 and err == ""
+        assert "matrix: []" in out and "exists: true" in out
+
     def test_needs_matrix_or_morphism(self, files, capsys):
         code, _, err = run(capsys, "lift", files["blowup"], files["plane"])
         assert code == 1 and "--matrix" in err

@@ -203,6 +203,74 @@ def test_separator_agrees_with_double_description_oracle(monkeypatch):
     assert len(not_a_face) >= 40
 
 
+def _random_cones(rng):
+    """One or two random cones in rank 1-4 over rays with entries in [-2, 2];
+    a cone may also get a redundant generator (the sum of two of its rays) or
+    the opposite of one of its rays."""
+    rank = rng.randint(1, 4)
+    pool = [
+        v for v in itertools.product(range(-2, 3), repeat=rank) if gcd(*v, 0) == 1
+    ]
+    rays, cones = [], []
+    for _ in range(rng.randint(1, 2)):
+        gens = rng.sample(pool, rng.randint(1, min(len(pool), rank + 1)))
+        extra = rng.random()
+        if extra < 0.3 and len(gens) > 1:
+            u, v = rng.sample(gens, 2)
+            if any(x + y for x, y in zip(u, v)):
+                gens.append(lattice.primitive_vector([x + y for x, y in zip(u, v)]))
+        elif extra < 0.5:
+            gens.append(tuple(-x for x in rng.choice(gens)))
+        cone = set()
+        for g in gens:
+            if g not in rays:
+                rays.append(g)
+            cone.add(rays.index(g))
+        cones.append(sorted(cone))
+    return rank, rays, cones
+
+
+def _convexity_problems_by_oracle(rank, rays, cones):
+    """The strong-convexity and extreme-ray problems of ``validate_fan``,
+    predicted from a second double description of every max cone."""
+    order = sorted(range(len(rays)), key=lambda i: rays[i])
+    position = {old: new for new, old in enumerate(order)}
+    canon_rays = [rays[i] for i in order]
+    problems = []
+    for cone in sorted({tuple(sorted(position[i] for i in c)) for c in cones}):
+        gens = [canon_rays[i] for i in cone]
+        h = polyhedra.facet_description(gens, rank)
+        lines, extreme = oracles.extreme_rays(h, rank)
+        if lines:
+            problems.append(
+                f"max cone {list(cone)} is not strongly convex (contains a line)"
+            )
+            continue
+        problems += [
+            f"ray {i} = {list(canon_rays[i])} is not an extreme ray of max cone {list(cone)}"
+            for i in cone
+            if canon_rays[i] not in extreme
+        ]
+    return problems
+
+
+def test_convexity_and_extremality_match_double_description_oracle():
+    rng = random.Random(6)
+    with_line = not_extreme = 0
+    for _ in range(2000):
+        rank, rays, cones = _random_cones(rng)
+        outcome = _outcome(rank, rays, cones)
+        got = [
+            p for p in (outcome if isinstance(outcome, list) else [])
+            if "not strongly convex" in p or "not an extreme ray" in p
+        ]
+        want = _convexity_problems_by_oracle(rank, rays, cones)
+        assert got == want, (rank, rays, cones)
+        with_line += any("not strongly convex" in p for p in want)
+        not_extreme += any("not an extreme ray" in p for p in want)
+    assert with_line >= 700 and not_extreme >= 400, (with_line, not_extreme)
+
+
 def _product(*fans):
     """Rank, rays and max cones of a product of fans given the same way."""
     rank = sum(f[0] for f in fans)
@@ -241,14 +309,15 @@ CUBE = (
         (_product(*[_projective_space(1)] * 5), 32),
         (_product(_projective_space(2), _projective_space(2)), 9),
         (_product(F2, _projective_space(1)), 8),
-        # six facet descriptions and six extreme-ray checks
-        (CUBE, 12),
+        # six facet descriptions; extremality is read off them by rank
+        (CUBE, 6),
     ],
     ids=["P6", "(P1)^5", "P2xP2", "F2xP1", "cube"],
 )
 def test_validation_double_descriptions(monkeypatch, shape, calls):
-    """Each max cone gets one facet description; only non-simplicial cones
-    get an extreme-ray check, and every pair is certified by a separator."""
+    """One double description per max cone, its facet description, from
+    which strong convexity and extremality are read; every pair is certified
+    by a separator."""
     count = [0]
     dual_description = polyhedra.dual_description
 
@@ -355,10 +424,36 @@ def test_locate_torus_fan():
     assert fan.locate((1, 0)) is None
 
 
-def test_max_cones_containing():
-    fan = projective_plane()
-    assert fan.max_cones_containing((1, 1)) == (fan.max_cones.index((1, 2)),)
-    assert len(fan.max_cones_containing((0, 0))) == 3
+def test_ray_image_cones_match_containment_oracle():
+    """The max cones with the rays of a ray image's minimal cone are exactly
+    the max cones whose facet description holds the image."""
+    rng = random.Random(1212)
+    morphisms = shared = zero = 0
+    for _ in range(1500):
+        source = fangen.random_fan(rng)
+        if rng.random() < 0.2:
+            # a change of basis: every ray image is a target ray
+            matrix = fangen.random_unimodular(source.rank, rng)
+            target = fangen.conjugate_fan(source, matrix)
+        else:
+            target = fangen.random_fan(rng, torus_rank=rng.randint(0, 1))
+            matrix = IntMatrix(
+                [[rng.randint(-2, 2) for _ in range(source.rank)] for _ in range(target.rank)],
+                cols=source.rank,
+            )
+        try:
+            f = validate_toric_morphism(source, target, matrix)
+        except lifting.MorphismValidationError:
+            continue
+        morphisms += 1
+        for i, cones in enumerate(f.ray_image_cones):
+            w = f.ray_image(i)
+            assert cones == tuple(
+                ci for ci in range(len(target.max_cones)) if target.cone_hrep(ci).contains(w)
+            ), (source, target, matrix, i)
+            shared += len(cones) > 1
+            zero += not any(w)
+    assert morphisms >= 300 and shared >= 200 and zero >= 40, (morphisms, shared, zero)
 
 
 # -- smoothness -------------------------------------------------------------------

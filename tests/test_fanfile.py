@@ -189,6 +189,14 @@ class TestJsonTwin:
             (lambda d: d.__setitem__("subgroups", "ab"), "must be an object mapping labels"),
             (lambda d: d.__setitem__("rank", True), "'rank' must be a nonnegative"),
             (lambda d: d.__setitem__("version", True), "unsupported format version True"),
+            (
+                lambda d: d["morphisms"]["collapse"].__setitem__("target", None),
+                "target must be a path string, got None",
+            ),
+            (
+                lambda d: d["morphisms"]["collapse"].__setitem__("target", 5),
+                "target must be a path string, got 5",
+            ),
         ],
     )
     def test_structural_errors(self, tmp_path, mutate, needle):

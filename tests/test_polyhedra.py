@@ -3,11 +3,11 @@ import random
 
 from toriclift.polyhedra import (
     dual_description,
-    extreme_rays,
     facet_description,
 )
 
 import oracles
+from oracles import extreme_rays
 
 
 def v_description(gens, dim):
