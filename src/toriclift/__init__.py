@@ -26,7 +26,6 @@ from .fan import (
     DegenerateFanError,
     Fan,
     FanValidationError,
-    Location,
     SmoothnessProfile,
     TorusFactorSplit,
     split_torus_factor,
@@ -87,7 +86,6 @@ __all__ = [
     "IntMatrix",
     "IsoReport",
     "LiftingReport",
-    "Location",
     "MorphismValidationError",
     "Presentation",
     "ResourceLimitError",

@@ -147,6 +147,8 @@ def _cmd_invariants(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_present(args) -> tuple[int, list[str], dict]:
+    if args.subgroup is not None and args.mode != "subgroup":
+        raise _InputError("--subgroup NAME applies only with --mode subgroup")
     doc = parse_fan_file(args.file, max_rays=args.max_rays)
     if args.mode == "subgroup":
         if not args.subgroup:

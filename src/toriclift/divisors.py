@@ -10,7 +10,8 @@ its effective members together with the principal divisors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .fan import Fan
@@ -63,17 +64,14 @@ class CartierData:
 
     characters: tuple[Vec, ...]
 
-    def character_for(self, cone_index: int) -> Vec:
-        return self.characters[cone_index]
-
 
 def cartier_data(fan: Fan, coeffs: Sequence[int]) -> Optional[CartierData]:
     """Local characters witnessing that the divisor is Cartier, or None."""
     if len(coeffs) != fan.n_rays:
         raise ValueError("coefficient length mismatch")
     chars = []
-    for ci, cone in enumerate(fan.max_cones):
-        sol = solve_with_snf(fan.cone_snf(ci), [coeffs[i] for i in cone])
+    for snf, cone in zip(fan.cone_snfs, fan.max_cones):
+        sol = solve_with_snf(snf, [coeffs[i] for i in cone])
         if sol is None:
             return None
         chars.append(sol.particular)
@@ -85,16 +83,8 @@ def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
 
     A divisor is Cartier iff its restriction to each max cone's rays lies in
     the image of the character pairing on that cone; each such condition cuts
-    out a sublattice and the Cartier lattice is their intersection.  Computed
-    once per fan.
+    out a sublattice and the Cartier lattice is their intersection.
     """
-    key = "cartier_lattice"
-    if key not in fan._dict:
-        fan._dict[key] = _cartier_lattice(fan)
-    return fan._dict[key]
-
-
-def _cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
     n = fan.n_rays
     units = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     current = units
@@ -158,13 +148,12 @@ class DivisorSubgroup:
 
     ``basis`` is the canonical Hermite basis, so equal subgroups compare
     equal regardless of the generators they were built from.  Derived data
-    (effective generators, Cartier members, grading cokernel) is computed
-    once per instance.
+    (the effective cone, effective generators, Cartier members, grading
+    cokernel) is computed once per instance, as cached properties.
     """
 
     fan: Fan
     basis: tuple[Vec, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def contains(self, coeffs: Sequence[int]) -> bool:
         return self.coefficients(coeffs) is not None
@@ -175,22 +164,28 @@ class DivisorSubgroup:
             raise ValueError("coefficient length mismatch")
         return hermite_coefficients(self.basis, coeffs)
 
+    @cached_property
+    def effective_cone_rays(self) -> tuple[Vec, ...]:
+        """Extreme rays of the effective cone {c : c @ basis >= 0}."""
+        return effective_cone_rays(self.basis)
+
+    @cached_property
     def effective_generators(self) -> tuple[Vec, ...]:
         """Minimal generators of the semigroup of effective members."""
-        key = "effective_generators"
-        if key not in self._cache:
-            self._cache[key] = hilbert_basis(self.basis, self.fan.n_rays)
-        return self._cache[key]
+        return hilbert_basis(self.basis, self.effective_cone_rays)
 
+    @cached_property
+    def cartier_members(self) -> tuple[Vec, ...]:
+        """Canonical basis of the Cartier members of the subgroup."""
+        return lattice_intersection(self.basis, cartier_lattice(self.fan), width=self.fan.n_rays)
+
+    @cached_property
     def grading_cokernel(self) -> CokernelData:
         """The grading group (subgroup) / (principal divisors), in coordinates
-        over ``basis``; computed once per instance."""
-        key = "grading_cokernel"
-        if key not in self._cache:
-            principal = [self.coefficients(p) for p in principal_basis(self.fan)]
-            assert None not in principal, "admissible subgroup must contain principal divisors"
-            self._cache[key] = CokernelData(IntMatrix(principal, cols=len(self.basis)).T)
-        return self._cache[key]
+        over ``basis``."""
+        principal = [self.coefficients(p) for p in principal_basis(self.fan)]
+        assert None not in principal, "admissible subgroup must contain principal divisors"
+        return CokernelData(IntMatrix(principal, cols=len(self.basis)).T)
 
 
 def divisor_subgroup(fan: Fan, rows: Sequence[Sequence[int]]) -> DivisorSubgroup:
@@ -227,16 +222,12 @@ def divisor_subgroup(fan: Fan, rows: Sequence[Sequence[int]]) -> DivisorSubgroup
     if problems:
         raise SubgroupValidationError(problems)
 
-    effective = hilbert_basis(basis, n)
-    if hermite_row_basis([*principal_basis(fan), *effective], width=n) != basis:
-        problems.append(
+    sub = DivisorSubgroup(fan=fan, basis=basis)
+    if hermite_row_basis([*principal_basis(fan), *sub.effective_generators], width=n) != basis:
+        raise SubgroupValidationError([
             "subgroup is not generated by its effective members together "
             "with the principal divisors"
-        )
-    if problems:
-        raise SubgroupValidationError(problems)
-    sub = DivisorSubgroup(fan=fan, basis=basis)
-    sub._cache["effective_generators"] = effective
+        ])
     return sub
 
 
@@ -250,20 +241,6 @@ def cox_subgroup(fan: Fan) -> DivisorSubgroup:
 def kajiwara_subgroup(fan: Fan) -> DivisorSubgroup:
     """The lattice of Cartier divisors (Kajiwara-style presentation data)."""
     return divisor_subgroup(fan, cartier_lattice(fan))
-
-
-def cartier_subgroup_basis(sub: DivisorSubgroup) -> tuple[Vec, ...]:
-    """Canonical basis of the Cartier members of the subgroup, computed once
-    per subgroup."""
-    key = "cartier_members"
-    if key not in sub._cache:
-        cart = cartier_lattice(sub.fan)
-        sub._cache[key] = (
-            lattice_intersection(sub.basis, cart, width=sub.fan.n_rays)
-            if sub.basis and cart
-            else ()
-        )
-    return sub._cache[key]
 
 
 # -- enough effective divisors ---------------------------------------------------
@@ -297,7 +274,7 @@ def enough_divisors(sub: DivisorSubgroup) -> EnoughDivisorsReport:
     multiple is the smallest member on its ray.
     """
     basis = IntMatrix(sub.basis, cols=sub.fan.n_rays)
-    rays = [(c, basis.left_apply(c)) for c in effective_cone_rays(sub.basis)]
+    rays = [(c, basis.left_apply(c)) for c in sub.effective_cone_rays]
     witnesses: list[Optional[Vec]] = []
     for cone in sub.fan.max_cones:
         total = [0] * len(sub.basis)

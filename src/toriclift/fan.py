@@ -30,6 +30,7 @@ describe varieties with a torus factor, split off by ``split_torus_factor``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import polyhedra
@@ -69,19 +70,6 @@ class DegenerateFanError(ValueError):
 
 
 @dataclass(frozen=True)
-class Location:
-    """Minimal cone of a fan containing given lattice points.
-
-    ``face_rays`` are the ray indices generating the face (empty for the
-    zero cone); ``max_cone`` is the index of one maximal cone containing it
-    (None only for the empty fan of the torus).
-    """
-
-    face_rays: tuple[int, ...]
-    max_cone: Optional[int]
-
-
-@dataclass(frozen=True)
 class ConeProfile:
     ray_count: int
     dim: int
@@ -97,35 +85,17 @@ class SmoothnessProfile:
     smooth: bool
 
 
+@dataclass(frozen=True)
 class Fan:
     """Validated fan.  Construct via :func:`validate_fan`.
 
     Immutable; per-cone data (facet descriptions, Smith forms) and fan
-    invariants are computed once, on demand, and cached in ``_dict``, which
-    is safe for concurrent readers.
+    invariants are computed once, on demand, as cached properties.
     """
 
-    __slots__ = ("rank", "rays", "max_cones", "_dict")
-
-    def __init__(self, rank: int, rays: tuple[Vec, ...], max_cones: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "max_cones", max_cones)
-        object.__setattr__(self, "_dict", {})
-
-    def __setattr__(self, *_):  # pragma: no cover - immutability guard
-        raise AttributeError("Fan is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Fan)
-            and self.rank == other.rank
-            and self.rays == other.rays
-            and self.max_cones == other.max_cones
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.rays, self.max_cones))
+    rank: int
+    rays: tuple[Vec, ...]
+    max_cones: tuple[tuple[int, ...], ...]
 
     def __repr__(self) -> str:
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
@@ -143,15 +113,9 @@ class Fan:
         """Rows are the ray generators (n_rays x rank)."""
         return IntMatrix(self.rays, cols=self.rank)
 
-    @property
+    @cached_property
     def span_rank(self) -> int:
-        key = "span_rank"
-        if key not in self._dict:
-            if self.n_rays == 0:
-                self._dict[key] = 0
-            else:
-                self._dict[key] = matrix_rank(self.ray_matrix())
-        return self._dict[key]
+        return matrix_rank(self.ray_matrix()) if self.rays else 0
 
     @property
     def is_degenerate(self) -> bool:
@@ -159,66 +123,52 @@ class Fan:
 
     # -- cone geometry ------------------------------------------------------
 
-    def cone_hrep(self, cone_index: int) -> polyhedra.HRep:
-        """Facet description of a max cone, computed once per fan."""
-        key = ("cone_hrep", cone_index)
-        if key not in self._dict:
-            gens = self.cone_rays(self.max_cones[cone_index])
-            self._dict[key] = polyhedra.facet_description(gens, self.rank)
-        return self._dict[key]
+    @cached_property
+    def cone_hreps(self) -> tuple[polyhedra.HRep, ...]:
+        """Facet description of each max cone."""
+        return tuple(
+            polyhedra.facet_description(self.cone_rays(cone), self.rank)
+            for cone in self.max_cones
+        )
 
-    def cone_snf(self, cone_index: int) -> SNFDecomposition:
-        """Smith decomposition of a max cone's ray matrix (rays as rows),
-        computed once per fan: local characters on the cone solve against it."""
-        key = ("cone_snf", cone_index)
-        if key not in self._dict:
-            rows = self.cone_rays(self.max_cones[cone_index])
-            self._dict[key] = smith_normal_form(IntMatrix(rows, cols=self.rank))
-        return self._dict[key]
+    @cached_property
+    def cone_snfs(self) -> tuple[SNFDecomposition, ...]:
+        """Smith decomposition of each max cone's ray matrix (rays as rows):
+        local characters on the cone solve against it."""
+        return tuple(
+            smith_normal_form(IntMatrix(self.cone_rays(cone), cols=self.rank))
+            for cone in self.max_cones
+        )
 
-    def locate(self, *points: Sequence[int]) -> Optional[Location]:
-        """Minimal cone of the fan containing all the points, or None if no
-        cone holds them all.
+    def locate(self, point: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """Rays of the minimal cone of the fan containing the point, or None
+        if no cone holds it.
 
-        That cone is the face of the first max cone holding every point cut
-        out by the facets tight on the points' sum.
+        That cone is the face of the first max cone holding the point cut out
+        by the facets tight on it.
         """
-        if any(len(v) != self.rank for v in points):
+        if len(point) != self.rank:
             raise ValueError("point of wrong rank")
-        if not self.max_cones:
-            if all(vec_is_zero(v) for v in points):
-                return Location(face_rays=(), max_cone=None)
-            return None
-        total = tuple(sum(v[j] for v in points) for j in range(self.rank))
-        for ci, cone in enumerate(self.max_cones):
-            h = self.cone_hrep(ci)
-            if not all(h.contains(v) for v in points):
-                continue
-            tight = [u for u in h.inequalities if vec_dot(u, total) == 0]
-            face = tuple(
-                i
-                for i in cone
-                if all(vec_dot(u, self.rays[i]) == 0 for u in tight)
-            )
-            return Location(face_rays=face, max_cone=ci)
-        return None
+        for cone, h in zip(self.max_cones, self.cone_hreps):
+            if h.contains(point):
+                tight = [u for u in h.inequalities if vec_dot(u, point) == 0]
+                return tuple(
+                    i for i in cone if all(vec_dot(u, self.rays[i]) == 0 for u in tight)
+                )
+        return () if vec_is_zero(point) else None
 
     # -- invariants ---------------------------------------------------------
 
-    @property
+    @cached_property
     def smoothness(self) -> SmoothnessProfile:
-        key = "smoothness"
-        if key not in self._dict:
-            profiles = [
-                _profile(self.cone_snf(ci), len(cone))
-                for ci, cone in enumerate(self.max_cones)
-            ]
-            self._dict[key] = SmoothnessProfile(
-                cones=tuple(profiles),
-                simplicial=all(p.simplicial for p in profiles),
-                smooth=all(p.smooth for p in profiles),
-            )
-        return self._dict[key]
+        profiles = [
+            _profile(snf, len(cone)) for snf, cone in zip(self.cone_snfs, self.max_cones)
+        ]
+        return SmoothnessProfile(
+            cones=tuple(profiles),
+            simplicial=all(p.simplicial for p in profiles),
+            smooth=all(p.smooth for p in profiles),
+        )
 
     def face_is_smooth(self, ray_indices: Sequence[int]) -> bool:
         if not ray_indices:
@@ -323,7 +273,7 @@ def _meet_in_common_face(fan: Fan, a: int, b: int) -> bool:
         return True
     ca, cb = fan.max_cones[a], fan.max_cones[b]
     ga, gb = fan.cone_rays(ca), fan.cone_rays(cb)
-    ha, hb = fan.cone_hrep(a), fan.cone_hrep(b)
+    ha, hb = fan.cone_hreps[a], fan.cone_hreps[b]
     normals = [g for g in ga] + [tuple(-x for x in g) for g in gb]
     _, qrays = polyhedra.dual_description(normals, fan.rank)
     u = tuple(sum(q[j] for q in qrays) for j in range(fan.rank))
@@ -349,7 +299,7 @@ def _separates(fan: Fan, a: int, b: int) -> bool:
     ca, cb = fan.max_cones[a], fan.max_cones[b]
     shared = set(ca).intersection(cb)
     u = [0] * fan.rank
-    for w in fan.cone_hrep(a).inequalities:
+    for w in fan.cone_hreps[a].inequalities:
         if all(vec_dot(w, fan.rays[i]) == 0 for i in shared):
             u = [x + y for x, y in zip(u, w)]
     # u >= 0 on a and u = 0 on F hold by construction
@@ -459,7 +409,7 @@ def validate_fan(
     # geometric checks, on the fan's own facet descriptions
     fan = Fan(rank=rank, rays=canon_rays, max_cones=tuple(canon_cones))
     gens_of = [fan.cone_rays(cone) for cone in canon_cones]
-    hreps = [fan.cone_hrep(ci) for ci in range(len(canon_cones))]
+    hreps = fan.cone_hreps
     for cone, gens, h in zip(canon_cones, gens_of, hreps):
         if len(cone) + len(h.equations) == rank:
             continue  # independent rays: simplicial, so pointed, all extreme

@@ -20,6 +20,7 @@ modules appear in two shapes and each call site says which: ``A @ x = b``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -168,16 +169,11 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFDecomposition:
-    """U @ A @ V = S with U, V unimodular and S in Smith normal form.
-
-    ``U_inv`` is the exact inverse of U, tracked during the reduction so
-    callers never have to invert anything.
-    """
+    """U @ A @ V = S with U, V unimodular and S in Smith normal form."""
 
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
-    U_inv: IntMatrix
 
     @property
     def diagonal(self) -> Vec:
@@ -210,7 +206,7 @@ def _find_pivot(data: list[list[int]], k: int, m: int, n: int) -> Optional[tuple
 
 
 def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
-    """Smith normal form with both transforms and the inverse of U.
+    """Smith normal form with both transforms.
 
     Returns S with nonnegative diagonal entries satisfying the divisibility
     chain s1 | s2 | ... ; deterministic for a given input by the fixed pivot
@@ -219,7 +215,6 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     m, n = A.rows, A.cols
     data = [list(r) for r in A.row_list()]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_swap(i, j):
@@ -227,8 +222,6 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
             return
         data[i], data[j] = data[j], data[i]
         U[i], U[j] = U[j], U[i]
-        for r in Ui:  # inverse gets the inverse op: column swap
-            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         if i == j:
@@ -244,8 +237,6 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
             return
         data[dst] = [a + c * b for a, b in zip(data[dst], data[src])]
         U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-        for r in Ui:  # inverse: col_src -= c * col_dst
-            r[src] -= c * r[dst]
 
     def col_add(dst, src, c):
         if c == 0:
@@ -258,8 +249,6 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     def row_negate(i):
         data[i] = [-a for a in data[i]]
         U[i] = [-a for a in U[i]]
-        for r in Ui:
-            r[i] = -r[i]
 
     for k in range(min(m, n)):
         while True:
@@ -309,7 +298,6 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
         U=IntMatrix(U, cols=m),
         S=IntMatrix(data, cols=n),
         V=IntMatrix(V, cols=n),
-        U_inv=IntMatrix(Ui, cols=m),
     )
 
 
@@ -511,11 +499,17 @@ class CokernelData:
         self.group = FgAbGroup(
             free_rank=len(free_idx), torsion=tuple(diag[i] for i in torsion_idx)
         )
-        lifts = []
-        for i in torsion_idx + free_idx:
-            s = signs.get(i, 1)
-            lifts.append(tuple(s * x for x in snf.U_inv.col(i)))
-        self.generator_lifts: tuple[Vec, ...] = tuple(lifts)
+
+    @cached_property
+    def generator_lifts(self) -> tuple[Vec, ...]:
+        """The columns of U^-1, signed like the coordinates: U^-1 = V' @ U'
+        for the Smith form U' @ U @ V' = I of the unimodular U."""
+        inv = smith_normal_form(self._snf.U)
+        U_inv = inv.V @ inv.U
+        return tuple(
+            tuple(self._signs.get(i, 1) * x for x in U_inv.col(i))
+            for i in self._torsion_idx + self._free_idx
+        )
 
     def project(self, v: Sequence[int]) -> Vec:
         if len(v) != self._m:
@@ -820,10 +814,10 @@ def _pulling_triangulation(
                 yield (apex,) + simplex
 
 
-def hilbert_basis(
-    subgroup_basis: Sequence[Sequence[int]], ambient_rank: int
-) -> tuple[Vec, ...]:
-    """Minimal generating set of (lattice) intersect (nonnegative orthant).
+def hilbert_basis(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Minimal generating set of (lattice) intersect (nonnegative orthant),
+    given the lattice's Hermite basis ``h`` and the rays of its effective
+    cone, ``effective_cone_rays(h)``.
 
     The semigroup of nonnegative lattice vectors is finitely generated; this
     returns its unique minimal generators sorted by (coordinate sum, lex).
@@ -834,17 +828,12 @@ def hilbert_basis(
     otherwise the parallelepiped points are counted, and guarded, before any
     is listed.
     """
-    rows = [_as_vec(r) for r in subgroup_basis]
-    for r in rows:
-        if len(r) != ambient_rank:
-            raise ValueError("basis width mismatch")
-    h = hermite_row_basis(rows, width=ambient_rank)
     if not h:
         return ()
+    width = len(h[0])
     # Fast path: the full integer lattice — generators are the unit vectors.
-    if _is_identity_basis(h, ambient_rank):
+    if _is_identity_basis(h, width):
         return tuple(sorted(h))
-    rays = effective_cone_rays(h)
     if not rays:
         return ()
     basis = IntMatrix(h)
@@ -878,7 +867,7 @@ def hilbert_basis(
                 for t in range(si)
             ]
         candidates.update(tuple(vec_dot(lam, col) // d for col in columns) for lam in lams)
-    candidates.discard((0,) * ambient_rank)
+    candidates.discard((0,) * width)
     basis_out: list[Vec] = []
     for p in sorted(candidates, key=lambda p: (sum(p), p)):
         # p - q is a nonnegative lattice vector, nonzero as q comes first

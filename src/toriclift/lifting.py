@@ -30,10 +30,9 @@ from .divisors import (
     CartierData,
     DivisorSubgroup,
     cartier_data,
-    cartier_subgroup_basis,
     principal_basis,
 )
-from .fan import Fan, Location
+from .fan import Fan
 from .lattice import (
     AbHom,
     CokernelData,
@@ -67,28 +66,20 @@ class MorphismValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ToricMorphism:
-    """Lattice map between fans, with per-cone image locations.
+    """Lattice map between fans, with per-ray image locations.
 
     ``matrix`` is target_rank x source_rank and acts on column vectors;
-    ``cone_targets[i]`` locates the image of source max cone i inside the
-    target fan (the minimal target cone containing it).
+    ``ray_faces[i]`` holds the rays of the minimal target cone containing
+    the image of source ray i.
     """
 
     source: Fan
     target: Fan
     matrix: IntMatrix
-    cone_targets: tuple[Location, ...]
+    ray_faces: tuple[tuple[int, ...], ...]
 
     def ray_image(self, ray_index: int) -> Vec:
         return self.matrix.apply(self.source.rays[ray_index])
-
-    @cached_property
-    def ray_faces(self) -> tuple[tuple[int, ...], ...]:
-        """Per source ray, the rays of the minimal target cone containing its
-        image; computed once per morphism."""
-        locs = [self.target.locate(self.ray_image(i)) for i in range(self.source.n_rays)]
-        assert None not in locs, "morphism invariant: every ray image lies in the target fan"
-        return tuple(loc.face_rays for loc in locs)
 
     @cached_property
     def ray_image_cones(self) -> tuple[tuple[int, ...], ...]:
@@ -106,7 +97,13 @@ def validate_toric_morphism(
     source: Fan, target: Fan, matrix: IntMatrix
 ) -> ToricMorphism:
     """Check fan compatibility: every source max cone must map into some
-    target cone.  All incompatible cones are reported together."""
+    target cone.  All incompatible cones are reported together.
+
+    Each ray image is located once.  A fan cone holds a point iff it holds
+    that point's minimal cone, so a source cone maps into a target max cone
+    iff the faces of its rays' images all lie in it: their union is empty
+    or inside one target max cone's rays.
+    """
     if matrix.rows != target.rank or matrix.cols != source.rank:
         raise MorphismValidationError(
             [
@@ -114,22 +111,23 @@ def validate_toric_morphism(
                 f"{target.rank}x{source.rank} (target rank x source rank)"
             ]
         )
+    faces = [target.locate(matrix.apply(ray)) for ray in source.rays]
     problems: list[str] = []
-    locations: list[Location] = []
     for cone in source.max_cones:
-        images = [matrix.apply(source.rays[i]) for i in cone]
-        loc = target.locate(*images)
-        if loc is None:
+        if any(faces[i] is None for i in cone):
+            fits = False
+        else:
+            union = set().union(*(faces[i] for i in cone))
+            fits = not union or any(union <= set(c) for c in target.max_cones)
+        if not fits:
             problems.append(
                 f"image of source max cone {list(cone)} (rays "
                 f"{[list(source.rays[i]) for i in cone]}) lies in no target cone"
             )
-        else:
-            locations.append(loc)
     if problems:
         raise MorphismValidationError(problems)
     return ToricMorphism(
-        source=source, target=target, matrix=matrix, cone_targets=tuple(locations)
+        source=source, target=target, matrix=matrix, ray_faces=tuple(faces)
     )
 
 
@@ -146,7 +144,7 @@ def pullback_cartier(f: ToricMorphism, cd: CartierData) -> Vec:
     out = []
     for i, containing in enumerate(f.ray_image_cones):
         w = f.ray_image(i)
-        values = {vec_dot(cd.character_for(ci), w) for ci in containing}
+        values = {vec_dot(cd.characters[ci], w) for ci in containing}
         assert len(values) == 1, "local characters must agree on the image"
         out.append(values.pop())
     return tuple(out)
@@ -193,8 +191,9 @@ class ContainmentFailureCertificate:
     """Some extended value lies outside the source subgroup (so is no member
     plus principal divisor), for any choice of extension."""
 
-    basis_indices: tuple[int, ...]  # target-subgroup basis rows that fail alone
-    joint_only: bool  # True when rows fail only in combination
+    # the target-subgroup basis rows that fail alone; empty when the rows
+    # fail only in combination
+    basis_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,7 @@ def solve_geometric_pullback(
     conditions = force_conditions or not f.target.smoothness.simplicial
 
     # (a) forced values on the Cartier members
-    cart = cartier_subgroup_basis(target_subgroup)
+    cart = target_subgroup.cartier_members
     crows = []
     forced = []
     for c in cart:
@@ -322,25 +321,20 @@ def solve_geometric_pullback(
     containment = _ProjectedContainment(
         ext.particular, ext.kernel, source_subgroup.basis
     )
-    solved = containment.solve([])
+    solved = containment.solve(zero_cells)
     if solved is None:
-        failing = containment.failing_rows()
+        # feasible without the support equations: the support condition failed
+        if not zero_cells or containment.solve([]) is None:
+            return _no_report(
+                ContainmentFailureCertificate(basis_indices=containment.failing_rows()),
+                conditions,
+            )
         return _no_report(
-            ContainmentFailureCertificate(
-                basis_indices=failing, joint_only=not failing
+            EffectivityFailureCertificate(
+                generator=None, coefficient_index=None, rationally_infeasible=False
             ),
             conditions,
         )
-    if zero_cells:
-        solved_eq = containment.solve(zero_cells)
-        if solved_eq is None:
-            return _no_report(
-                EffectivityFailureCertificate(
-                    generator=None, coefficient_index=None, rationally_infeasible=False
-                ),
-                conditions,
-            )
-        solved = solved_eq
     t_particular, t_dirs = solved
     phi0 = ext.particular + containment.shift(t_particular)
     dirs = [containment.shift(t) for t in t_dirs]
@@ -349,7 +343,7 @@ def solve_geometric_pullback(
     # coordinates tau of phi0 + sum_s tau_s dirs[s]
     bound_used: Optional[int] = None
     if conditions:
-        gens = target_subgroup.effective_generators()
+        gens = target_subgroup.effective_generators
         gen_coeffs = [target_subgroup.coefficients(g) for g in gens]
         assert None not in gen_coeffs
         chain = _projections(_effectivity_system(phi0, dirs, gen_coeffs, n_src), len(dirs))
@@ -459,7 +453,7 @@ def _support_zero_cells(
     ray's image shares a ray with the generator's support.
     """
     cells = []
-    for g in target_subgroup.effective_generators():
+    for g in target_subgroup.effective_generators:
         coeffs = target_subgroup.coefficients(g)
         assert coeffs is not None
         support = {j for j, x in enumerate(g) if x > 0}
@@ -661,8 +655,8 @@ def induced_grading_hom(
     (principal) induced by the witness: the grading-level shadow of the
     lifting.  The witness rows lie in the source subgroup, so the image of
     each grading generator is read off in source subgroup coordinates."""
-    coker_t = target_subgroup.grading_cokernel()
-    coker_s = source_subgroup.grading_cokernel()
+    coker_t = target_subgroup.grading_cokernel
+    coker_s = source_subgroup.grading_cokernel
     rows = []
     for lift in coker_t.generator_lifts:
         c = source_subgroup.coefficients(witness.phi.left_apply(lift))
@@ -694,7 +688,7 @@ def verify_pullback_witness(
     phi = witness.phi
     n_src = f.source.n_rays
 
-    for c in cartier_subgroup_basis(target_subgroup):
+    for c in target_subgroup.cartier_members:
         coeffs = target_subgroup.coefficients(c)
         cd = cartier_data(f.target, c)
         assert coeffs is not None and cd is not None
@@ -719,7 +713,7 @@ def verify_pullback_witness(
             problems.append(f"decomposition of row {j} does not recompose")
 
     if conditions:
-        for g in target_subgroup.effective_generators():
+        for g in target_subgroup.effective_generators:
             coeffs = target_subgroup.coefficients(g)
             val = phi.left_apply(coeffs)
             support = {j for j, x in enumerate(g) if x > 0}

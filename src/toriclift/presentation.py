@@ -99,8 +99,8 @@ def build_presentation(
 def presentation_from_subgroup(
     fan: Fan, sub: DivisorSubgroup, mode: str = "custom"
 ) -> Presentation:
-    coords = sub.effective_generators()
-    coker = sub.grading_cokernel()
+    coords = sub.effective_generators
+    coker = sub.grading_cokernel
     grading = coker.group
     degrees = []
     for w in coords:
@@ -215,7 +215,7 @@ def grading_factorization(pres: Presentation) -> GradingFactorization:
     sub = pres.subgroup
     n = fan.n_rays
     cl = class_group(fan)
-    grading_coker = sub.grading_cokernel()
+    grading_coker = sub.grading_cokernel
     grading = pres.grading_group
 
     # residual: divisors modulo the subgroup

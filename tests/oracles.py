@@ -294,6 +294,29 @@ def exceptional_collections_bruteforce(
 # -- fan validation: the pairwise common-face test by double description -------
 
 
+def morphism_problems_by_containment(source, target, matrix) -> list[str]:
+    """Reference for ``lifting.validate_toric_morphism``'s problems: the
+    per-cone test it ran before it located each ray image once.
+
+    A source max cone is accepted iff the facet description of some target
+    max cone holds the images of all its rays, or, for the fan of the torus
+    with no max cone, iff every image is zero.
+    """
+    problems = []
+    for cone in source.max_cones:
+        images = [matrix.apply(source.rays[i]) for i in cone]
+        if target.max_cones:
+            fits = any(all(h.contains(w) for w in images) for h in target.cone_hreps)
+        else:
+            fits = not any(x for w in images for x in w)
+        if not fits:
+            problems.append(
+                f"image of source max cone {list(cone)} (rays "
+                f"{[list(source.rays[i]) for i in cone]}) lies in no target cone"
+            )
+    return problems
+
+
 def common_face_by_double_description(fan, a: int, b: int) -> bool:
     """Reference for ``fan._meet_in_common_face``: the test ``validate_fan``
     ran on every pair of max cones before the cheap separator.
@@ -307,7 +330,7 @@ def common_face_by_double_description(fan, a: int, b: int) -> bool:
     from toriclift.polyhedra import dual_description
 
     ca, cb = fan.max_cones[a], fan.max_cones[b]
-    ha, hb = fan.cone_hrep(a), fan.cone_hrep(b)
+    ha, hb = fan.cone_hreps[a], fan.cone_hreps[b]
     normals = [fan.rays[i] for i in ca] + [tuple(-x for x in fan.rays[i]) for i in cb]
     _, qrays = dual_description(normals, fan.rank)
     u = [sum(q[j] for q in qrays) for j in range(fan.rank)]

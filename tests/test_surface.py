@@ -10,6 +10,11 @@ References are matched by name, so a method whose name another class's
 method shares counts as used when either is; the set of such shared names is
 pinned, and a new one fails until its uses are checked by hand.
 
+A private attribute (``x._name``, not a dunder) is read or written only on
+``self``, or inside a class's own methods on a private attribute that class
+defines, as ``IntMatrix.__matmul__`` reads ``other._data``: derived data has
+one owner, and no module pokes at another object's state.
+
 Every size guard, a ``MAX_*`` constant named in a ``raise
 ResourceLimitError(...)``, has a row in the README guard table and a case in
 the parametrized guard-message test.
@@ -90,6 +95,49 @@ def test_shared_method_names_are_pinned():
     trees, _ = _trees()
     owners = Counter(node.name for _, _, node in _public_methods(trees))
     assert {name for name, k in owners.items() if k > 1} == {"contains"}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _own_attributes(cls):
+    """The private attributes a class defines: those it sets or reads on
+    ``self``, its ``__slots__``, fields and methods."""
+    own = {
+        n.attr for n in ast.walk(cls)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "self"
+    }
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            own |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            own.add(node.target.id)
+        elif isinstance(node, ast.FunctionDef):
+            own.add(node.name)
+    return own
+
+
+def test_private_attributes_stay_with_their_class():
+    trees, _ = _trees()
+    found = []
+    for module, tree in trees.items():
+        scopes = [(cls, _own_attributes(cls)) for cls in tree.body if isinstance(cls, ast.ClassDef)]
+        in_class = {id(n) for cls, _ in scopes for n in ast.walk(cls)}
+        scopes.append((tree, set()))
+        for scope, own in scopes:
+            found += [
+                f"{module}:{n.lineno} {ast.unparse(n)}"
+                for n in ast.walk(scope)
+                if isinstance(n, ast.Attribute)
+                and _private(n.attr)
+                and not (isinstance(n.value, ast.Name) and n.value.id == "self")
+                and n.attr not in own
+                and (scope is not tree or id(n) not in in_class)
+            ]
+    assert sorted(found) == []
 
 
 def _guards():
