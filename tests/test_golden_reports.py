@@ -13,10 +13,14 @@ Cox presentation of the 12-ray polygon (the 54 non-adjacent ray pairs) and
 the presentation of (P^1)^3 by the subgroup of divisors with even degree on
 each factor.
 
-The ``validate`` cases pin the problem lists of three invalid fans: two
+The ``validate`` cases pin the problem lists of six invalid fans: two
 cones that overlap in no common face, one max cone inside another, and a
-listed ray that is not extreme.  The first reaches the pairwise double
-description that decides "is not a common face".
+listed ray that is not extreme, all in rank 2; in rank 3, a cone holding a
+line beside a cone with a ray that is not extreme, and a nested cone beside
+a crossing pair; and in rank 4, a cone meeting another in a diagonal of its
+square facet.  The rank-3 cases pin the order of several problems, and the
+overlaps reach the pairwise double description that decides "is not a
+common face".
 
 The ``iso`` and ``split`` cases use the Hirzebruch surface F1 padded by one
 torus factor, and a unimodular conjugate of it that mixes the torus direction
@@ -72,6 +76,26 @@ F1_TORUS_CONJ = (
 OVERLAP = "fan 1\nrank 2\nray 1 0\nray 0 1\nray 1 1\nray -1 0\ncone 0 1\ncone 2 3\n"
 NESTED_CONES = "fan 1\nrank 2\nray 1 0\nray 0 1\nray 1 1\ncone 0 1\ncone 0 2\n"
 NOT_EXTREME = "fan 1\nrank 2\nray 1 0\nray 1 1\nray 1 2\ncone 0 1 2\n"
+# cone(e1, -e1, (1,1,0)) holds a line; (0,1,1) halves (0,0,1) + (0,2,1)
+LINE_AND_NOT_EXTREME = (
+    "fan 1\nrank 3\n"
+    "ray 0 0 1\nray 0 1 1\nray 0 2 1\nray 1 0 0\nray -1 0 0\nray 1 1 0\n"
+    "cone 3 4 5\ncone 0 1 2 3\n"
+)
+# cone(e1, (1,1,0)) lies in the octant; cone(-e1, (1,1,1), -e2) meets the
+# octant in no common face (it holds (1,1,1), inside the octant)
+NESTED_AND_CROSSING = (
+    "fan 1\nrank 3\n"
+    "ray 1 0 0\nray 0 1 0\nray 0 0 1\nray 1 1 0\nray -1 0 0\nray 1 1 1\nray 0 -1 0\n"
+    "cone 0 1 2\ncone 0 3\ncone 4 5 6\n"
+)
+# cone(a, c, f) meets cone(a, b, c, d, e) in the diagonal cone(a, c) of
+# its square facet cone(a, b, c, d), which is no face of it
+SQUARE_DIAGONAL = (
+    "fan 1\nrank 4\n"
+    "ray 1 0 1 0\nray 0 1 1 0\nray -1 0 1 0\nray 0 -1 1 0\nray 0 0 0 1\nray 0 0 0 -1\n"
+    "cone 0 1 2 3 4\ncone 0 2 5\n"
+)
 
 LIFT_CASES = {
     # Cox identity lift of the 12-ray polygon: a unique witness
@@ -102,6 +126,13 @@ VALIDATE_CASES = {
     "validate_overlap": ([("overlap", OVERLAP)], ["validate"]),
     "validate_nested_cones": ([("nested_cones", NESTED_CONES)], ["validate"]),
     "validate_not_extreme": ([("not_extreme", NOT_EXTREME)], ["validate"]),
+    "validate_line_and_not_extreme": (
+        [("line_and_not_extreme", LINE_AND_NOT_EXTREME)], ["validate"]
+    ),
+    "validate_nested_and_crossing": (
+        [("nested_and_crossing", NESTED_AND_CROSSING)], ["validate"]
+    ),
+    "validate_square_diagonal": ([("square_diagonal", SQUARE_DIAGONAL)], ["validate"]),
 }
 
 TORUS_CASES = {
