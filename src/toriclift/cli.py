@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .divisors import (
-    SubgroupValidationError,
     class_group,
     cox_subgroup,
     divisor_subgroup,
@@ -30,7 +29,6 @@ from .divisors import (
 from .fan import FanValidationError, split_torus_factor
 from .fanfile import (
     FanDocument,
-    FanFileError,
     morphism_matrix,
     parse_fan_file,
     read_fan_document,
@@ -38,7 +36,6 @@ from .fanfile import (
 )
 from .lattice import IntMatrix, ResourceLimitError
 from .lifting import (
-    MorphismValidationError,
     classify_liftings,
     solve_geometric_pullback,
     validate_toric_morphism,
@@ -443,14 +440,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if e.code in (0, None) else EXIT_INPUT
     try:
         code, lines, payload = args.handler(args)
-    except (
-        FanFileError,
-        FanValidationError,
-        SubgroupValidationError,
-        MorphismValidationError,
-        _InputError,
-        ValueError,
-    ) as e:
+    except (_InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as e:

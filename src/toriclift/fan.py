@@ -6,22 +6,19 @@ by ray index sets.  ``validate_fan`` checks the fan axioms exactly (over the
 integers/rationals, never floats) and produces a canonicalized fan: rays are
 sorted lexicographically and cone index sets follow that order, so equal
 fans have equal representations.  The facet description of each max cone
-computed by the checks stays on the returned fan, and every caller reads
-cone geometry from there.
+and its ray-facet incidences, computed by the checks, stay on the returned
+fan, and every caller reads cone geometry from there.
 
-Two max cones meet in a common face iff some linear functional is >= 0 on
-one, <= 0 on the other, and cuts both in the same face (the separation
-lemma, Cox-Little-Schenck, *Toric Varieties*, 1.2.13).  Validation first
-tries the functional summed from one cone's facet normals through the shared
-rays, in either order; that needs no new double description and certifies
-every pair of most fans.  A max cone with linearly independent rays is
-simplicial, so it is strongly convex with every ray extreme.  Any other max
-cone is strongly convex iff its facet normals and equations have full rank,
-and then a ray is extreme iff the facets through it and the equations have
-rank one less (Schrijver, *Theory of Linear and Integer Programming*, ch. 8).
-Every pair the cheap functional does not certify, and so every failure,
-takes the exact test by double description, and the problems it reports are
-the same, in the same order.
+Every geometric check reads one table per max cone, its ray-facet
+incidences (``Fan.cone_incidences``), which determine its face lattice
+(Kaibel-Pfetsch, 2002): the smallest face holding some rays holds the rays
+on every facet through them.  So a max cone lies in another iff its rays
+are inside it, is strongly convex iff no listed ray lies on every facet
+(the facets meet in its lineality space), and has a ray extreme iff the
+facets through it hold no other listed ray.  Two max cones meet in a common
+face iff a functional >= 0 on one and <= 0 on the other cuts both in the
+same face (Cox-Little-Schenck, 1.2.13); a sum of one cone's facet normals
+certifies most pairs, the rest take the exact test by double description.
 
 Degenerate fans (rays not spanning the ambient lattice) are legal; they
 describe varieties with a torus factor, split off by ``split_torus_factor``.
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
 from .lattice import (
@@ -89,8 +86,8 @@ class SmoothnessProfile:
 class Fan:
     """Validated fan.  Construct via :func:`validate_fan`.
 
-    Immutable; per-cone data (facet descriptions, Smith forms) and fan
-    invariants are computed once, on demand, as cached properties.
+    Immutable; per-cone data (facet descriptions, incidences, Smith forms)
+    and fan invariants are computed once, on demand, as cached properties.
     """
 
     rank: int
@@ -140,6 +137,17 @@ class Fan:
             for cone in self.max_cones
         )
 
+    @cached_property
+    def cone_incidences(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per max cone, bitmasks over the fan's rays (bit i for ray i): the
+        rays inside the cone, and per facet inequality those on that facet."""
+        incidences = []
+        for h in self.cone_hreps:
+            inside = [i for i, ray in enumerate(self.rays) if h.contains(ray)]
+            on = [_mask(i for i in inside if vec_dot(u, self.rays[i]) == 0) for u in h.inequalities]
+            incidences.append((_mask(inside), tuple(on)))
+        return tuple(incidences)
+
     def locate(self, point: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Rays of the minimal cone of the fan containing the point, or None
         if no cone holds it.
@@ -149,12 +157,13 @@ class Fan:
         """
         if len(point) != self.rank:
             raise ValueError("point of wrong rank")
-        for cone, h in zip(self.max_cones, self.cone_hreps):
+        for ci, h in enumerate(self.cone_hreps):
             if h.contains(point):
-                tight = [u for u in h.inequalities if vec_dot(u, point) == 0]
-                return tuple(
-                    i for i in cone if all(vec_dot(u, self.rays[i]) == 0 for u in tight)
-                )
+                face, facets = self.cone_incidences[ci]
+                for u, f in zip(h.inequalities, facets):
+                    if vec_dot(u, point) == 0:
+                        face &= f
+                return tuple(i for i in self.max_cones[ci] if face >> i & 1)
         return () if vec_is_zero(point) else None
 
     # -- invariants ---------------------------------------------------------
@@ -259,6 +268,20 @@ def _canonical_order(
     return tuple(rays[i] for i in order), tuple(canon_cones), tuple(position)
 
 
+def _mask(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _smallest_face(incidence: tuple[int, tuple[int, ...]], rays: int) -> int:
+    """Rays of the smallest face of a max cone holding the rays in mask
+    ``rays``, all inside it: those on every facet through them."""
+    face, facets = incidence
+    for f in facets:
+        if rays & ~f == 0:
+            face &= f
+    return face
+
+
 def _meet_in_common_face(fan: Fan, a: int, b: int) -> bool:
     """Whether max cones ``a`` and ``b`` of ``fan``, strongly convex and
     neither inside the other, meet in a face of both.
@@ -267,22 +290,17 @@ def _meet_in_common_face(fan: Fan, a: int, b: int) -> bool:
     neither certifies the pair, the exact test: u, the sum of the extreme
     rays of {u : u >= 0 on a, u <= 0 on b}, lies in the relative interior of
     the separating functionals, and the pair meets in a common face iff the
-    rays of a and of b on u's hyperplane are the same and lie in both cones.
+    rays of a and of b on u's hyperplane are the same, so in both cones.
     """
     if _separates(fan, a, b) or _separates(fan, b, a):
         return True
     ca, cb = fan.max_cones[a], fan.max_cones[b]
-    ga, gb = fan.cone_rays(ca), fan.cone_rays(cb)
-    ha, hb = fan.cone_hreps[a], fan.cone_hreps[b]
-    normals = [g for g in ga] + [tuple(-x for x in g) for g in gb]
+    normals = [fan.rays[i] for i in ca] + [tuple(-x for x in fan.rays[i]) for i in cb]
     _, qrays = polyhedra.dual_description(normals, fan.rank)
     u = tuple(sum(q[j] for q in qrays) for j in range(fan.rank))
-    ta = [i for i, g in zip(ca, ga) if vec_dot(u, g) == 0]
-    tb = [i for i, g in zip(cb, gb) if vec_dot(u, g) == 0]
-    ok = all(hb.contains(fan.rays[i]) for i in ta) and all(
-        ha.contains(fan.rays[i]) for i in tb
-    )
-    return ok and set(ta) == set(tb)
+    ta = {i for i in ca if vec_dot(u, fan.rays[i]) == 0}
+    tb = {i for i in cb if vec_dot(u, fan.rays[i]) == 0}
+    return ta == tb
 
 
 def _separates(fan: Fan, a: int, b: int) -> bool:
@@ -290,22 +308,20 @@ def _separates(fan: Fan, a: int, b: int) -> bool:
     with a functional read off the facets of max cone ``a``.
 
     Let F be the rays shared with max cone ``b``, and u the sum of a's facet
-    normals vanishing on F.  If u vanishes on a's rays exactly at F, then a
-    meets u's hyperplane in cone(F); if also u <= 0 on b's rays, vanishing
-    exactly at F, then b meets it in cone(F) too, and a and b meet in
-    cone(F), a face of both.  False says only that this u does not certify
-    the pair.
+    normals vanishing on F.  If u vanishes on a's rays exactly at F (the
+    smallest face of a holding F holds no other), a meets u's hyperplane in
+    cone(F); if also u <= 0 on b's rays, vanishing exactly at F, then b
+    meets it in cone(F) too, and a and b meet in cone(F), a face of both.
+    False says only that this u does not certify the pair.
     """
     ca, cb = fan.max_cones[a], fan.max_cones[b]
-    shared = set(ca).intersection(cb)
-    u = [0] * fan.rank
-    for w in fan.cone_hreps[a].inequalities:
-        if all(vec_dot(w, fan.rays[i]) == 0 for i in shared):
-            u = [x + y for x, y in zip(u, w)]
-    # u >= 0 on a and u = 0 on F hold by construction
-    return all(
-        vec_dot(u, fan.rays[i]) != 0 for i in ca if i not in shared
-    ) and all(vec_dot(u, fan.rays[i]) < 0 for i in cb if i not in shared)
+    shared = _mask(ca) & _mask(cb)
+    if _smallest_face(fan.cone_incidences[a], shared) & _mask(ca) != shared:
+        return False
+    _, facets = fan.cone_incidences[a]
+    through = [w for w, f in zip(fan.cone_hreps[a].inequalities, facets) if shared & ~f == 0]
+    u = [sum(w[j] for w in through) for j in range(fan.rank)]
+    return all(vec_dot(u, fan.rays[i]) < 0 for i in cb if not shared >> i & 1)
 
 
 def validate_fan(
@@ -326,13 +342,10 @@ def validate_fan(
     every listed ray extreme; no maximal cone contained in another; every
     pairwise intersection of maximal cones is a common face of both.
 
-    Each max cone costs one double description (its facet description, kept
-    on the fan); its extreme rays are read off that description by rank.  A
-    pair of max cones costs none when the sum of one cone's facet normals
-    through their shared rays separates them (the separation lemma; see
-    :func:`_separates`); otherwise, and so for every pair that fails, it
-    takes the double-description test of
-    :func:`_meet_in_common_face`.
+    Each max cone costs one double description, its facet description, from
+    which every check reads the cone's ray-facet incidences; a pair of max
+    cones costs another only when the separator of :func:`_separates` does
+    not certify it (:func:`_meet_in_common_face`).
     """
     if rank < 0:
         raise FanValidationError(["rank must be nonnegative"])
@@ -406,25 +419,18 @@ def validate_fan(
         if i not in covered:
             problems.append(f"ray {i} = {list(canon_rays[i])} lies in no max cone")
 
-    # geometric checks, on the fan's own facet descriptions
+    # geometric checks, on the fan's own ray-facet incidences
     fan = Fan(rank=rank, rays=canon_rays, max_cones=tuple(canon_cones))
-    gens_of = [fan.cone_rays(cone) for cone in canon_cones]
-    hreps = fan.cone_hreps
-    for cone, gens, h in zip(canon_cones, gens_of, hreps):
-        if len(cone) + len(h.equations) == rank:
-            continue  # independent rays: simplicial, so pointed, all extreme
-        # pointed iff the dual cone is full-dimensional; a ray is extreme iff
-        # the facets through it cut out a face of dimension one
-        if matrix_rank(IntMatrix(h.inequalities + h.equations, cols=rank)) < rank:
-            problems.append(
-                f"max cone {list(cone)} is not strongly convex (contains a line)"
-            )
+    masks = [_mask(cone) for cone in canon_cones]
+    table = fan.cone_incidences
+    for cone, mask, incidence in zip(canon_cones, masks, table):
+        if _smallest_face(incidence, 0) & mask:
+            problems.append(f"max cone {list(cone)} is not strongly convex (contains a line)")
             continue
-        for i, g in zip(cone, gens):
-            tight = [u for u in h.inequalities if vec_dot(u, g) == 0]
-            if matrix_rank(IntMatrix(tight + list(h.equations), cols=rank)) != rank - 1:
+        for i in cone:
+            if _smallest_face(incidence, 1 << i) & mask != 1 << i:
                 problems.append(
-                    f"ray {i} = {list(g)} is not an extreme ray of max cone {list(cone)}"
+                    f"ray {i} = {list(canon_rays[i])} is not an extreme ray of max cone {list(cone)}"
                 )
 
     if problems:
@@ -432,20 +438,14 @@ def validate_fan(
 
     for a in range(len(canon_cones)):
         for b in range(a + 1, len(canon_cones)):
-            ca, cb = canon_cones[a], canon_cones[b]
-            ga, gb = gens_of[a], gens_of[b]
-            ha, hb = hreps[a], hreps[b]
-            a_in_b = all(hb.contains(g) for g in ga)
-            b_in_a = all(ha.contains(g) for g in gb)
-            if a_in_b:
-                problems.append(f"max cone {list(ca)} is contained in max cone {list(cb)}")
-            if b_in_a:
-                problems.append(f"max cone {list(cb)} is contained in max cone {list(ca)}")
-            if a_in_b or b_in_a:
-                continue
-            if not _meet_in_common_face(fan, a, b):
+            nested = [(x, y) for x, y in ((a, b), (b, a)) if masks[x] & ~table[y][0] == 0]
+            for x, y in nested:
                 problems.append(
-                    f"intersection of max cones {list(ca)} and {list(cb)} "
+                    f"max cone {list(canon_cones[x])} is contained in max cone {list(canon_cones[y])}"
+                )
+            if not nested and not _meet_in_common_face(fan, a, b):
+                problems.append(
+                    f"intersection of max cones {list(canon_cones[a])} and {list(canon_cones[b])} "
                     f"is not a common face"
                 )
 

@@ -342,13 +342,32 @@ def common_face_by_double_description(fan, a: int, b: int) -> bool:
     return ok and set(ta) == set(tb)
 
 
+def locate_by_facets(fan, point) -> tuple[int, ...] | None:
+    """Reference for ``Fan.locate``: the per-facet dot loop it ran before it
+    read the fan's ray-facet incidences.
+
+    The minimal cone holding the point is the face of the first max cone
+    holding it cut out by the facets tight on it: the rays of that max cone
+    on every tight facet.  Only the zero vector lies in the cone of no ray.
+    """
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    for cone, h in zip(fan.max_cones, fan.cone_hreps):
+        if h.contains(point):
+            tight = [u for u in h.inequalities if dot(u, point) == 0]
+            return tuple(i for i in cone if all(dot(u, fan.rays[i]) == 0 for u in tight))
+    return None if any(point) else ()
+
+
 def extreme_rays(h, dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """(lines, extreme rays) of the cone with H-description ``h``, canonical
     and primitive.
 
-    Reference for ``validate_fan``'s rank test of strong convexity and
-    extremality: the second double description each non-simplicial max cone
-    took before that test.
+    Reference for ``validate_fan``'s tests of strong convexity and
+    extremality on the ray-facet incidences: the second double description
+    each non-simplicial max cone took before they were read off its facet
+    description.
     """
     from toriclift.lattice import vec_scale
     from toriclift.polyhedra import dual_description

@@ -314,32 +314,46 @@ CUBE = (
         (_product(*[_projective_space(1)] * 5), 32),
         (_product(_projective_space(2), _projective_space(2)), 9),
         (_product(F2, _projective_space(1)), 8),
-        # six facet descriptions; extremality is read off them by rank
+        # six facet descriptions; extremality is read off their incidences
         (CUBE, 6),
     ],
     ids=["P6", "(P1)^5", "P2xP2", "F2xP1", "cube"],
 )
 def test_validation_double_descriptions(monkeypatch, shape, calls):
     """One double description per max cone, its facet description, from
-    which strong convexity and extremality are read; every pair is certified
-    by a separator."""
-    count = [0]
-    dual_description = polyhedra.dual_description
+    whose ray-facet incidences strong convexity and extremality are read
+    with no rank computed; every pair is certified by a separator."""
+    count = {"dual_description": 0, "matrix_rank": 0}
 
-    def counted(*args):
-        count[0] += 1
-        return dual_description(*args)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(polyhedra, "dual_description", counted)
+        def call(*args):
+            count[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(polyhedra, "dual_description")
+    counted(fan_module, "matrix_rank")
     fan = validate_fan(*shape)
     assert len(fan.max_cones) == len(shape[2])
-    assert count[0] == calls
+    # the cube took 30 rank computations before the incidence table
+    assert count == {"dual_description": calls, "matrix_rank": 0}
 
 
 def test_rejects_overlap_in_no_face_of_one_cone():
     probs = bad(*SQUARE_DIAGONAL)
     assert probs == [
         "intersection of max cones [0, 1, 3, 4, 5] and [0, 2, 5] is not a common face"
+    ]
+    # the same overlap with the simplicial cone first in canonical order: its
+    # rays on the hyperplane of the double description are a proper subset
+    # of the square cone's, and the test must still reject the pair
+    rank, rays, cones = SQUARE_DIAGONAL
+    probs = bad(rank, rays[:5] + [(-1, 0, 0, -1)], cones)
+    assert probs == [
+        "intersection of max cones [0, 1, 5] and [1, 2, 3, 4, 5] is not a common face"
     ]
 
 
@@ -423,6 +437,31 @@ def test_locate_torus_fan():
     fan = validate_fan(2, [], [])
     assert fan.locate((0, 0)) == ()
     assert fan.locate((1, 0)) is None
+
+
+def test_locate_matches_per_facet_oracle():
+    """The minimal cone read off the ray-facet incidences is the one the
+    per-facet dot loop finds, at ray images, random points, zero and points
+    outside the support."""
+    rng = random.Random(1414)
+    outside = zero = lower = 0
+    for _ in range(400):
+        fan = fangen.random_fan(rng, torus_rank=rng.randint(0, 2))
+        n = fan.rank
+        matrix = IntMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)], cols=n)
+        points = [matrix.apply(ray) for ray in fan.rays]
+        points += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)]
+        points.append((0,) * n)
+        # the opposite of a max cone's ray sum lies outside a fan that is not complete
+        points += [tuple(-sum(x) for x in zip(*fan.cone_rays(cone))) for cone in fan.max_cones]
+        for p in points:
+            got = fan.locate(p)
+            assert got == oracles.locate_by_facets(fan, p), (fan, p)
+            outside += got is None
+            zero += got == ()
+            lower += bool(got) and got not in fan.max_cones
+    # 2,520 outside, 485 at zero and 187 in lower-dimensional faces at this seed
+    assert outside >= 2000 and zero >= 400 and lower >= 150, (outside, zero, lower)
 
 
 def test_ray_image_cones_match_containment_oracle():

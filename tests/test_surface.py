@@ -1,10 +1,13 @@
-"""The engine keeps no public function or method that nothing uses.
+"""The engine keeps no function or method that nothing uses.
 
 Every public module-level function in ``src/toriclift`` must be referenced
 somewhere in the package outside its own definition, or be exported in
 ``toriclift.__all__``.  Every public method of a module-level class (dunders
 and properties aside) must be referenced somewhere in the package outside its
-own definition.  A function only the tests call belongs in the tests.
+own definition.  A function only the tests call belongs in the tests.  A
+private module-level function or method (``_name``, not a dunder) must be
+referenced in the package outside its own definition too, so that a helper
+whose callers are gone goes with them.
 
 References are matched by name, so a method whose name another class's
 method shares counts as used when either is; the set of such shared names is
@@ -62,6 +65,17 @@ def test_every_public_function_is_used_or_exported():
         and not node.name.startswith("_")
         and node.name not in toriclift.__all__
         and _unused(node, uses)
+    ]
+    assert unused == []
+
+
+def test_every_private_helper_is_used():
+    trees, uses = _trees()
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body + [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+        if isinstance(node, ast.FunctionDef) and _private(node.name) and _unused(node, uses)
     ]
     assert unused == []
 
