@@ -3,11 +3,13 @@
 Two fans present isomorphic toric varieties exactly when a unimodular lattice
 map carries one fan onto the other, matching rays to rays and max cones to
 max cones.  The search fixes a maximal independent subset of the first fan's
-rays, tries every injective assignment of those rays into the second fan's
-rays (lexicographic order, first hit wins), solves for the lattice map over
-the rationals, and keeps integral unimodular solutions that induce full ray
-and cone bijections.  Cheap invariants (ray/cone counts, class group,
-smoothness data) run first, but only ever to reject.
+rays, the base, and maps it into the second fan's rays one ray at a time, in
+increasing ray index, so the first hit is that of lexicographic order.  A
+partial map is dropped once a ray it fixes misses landing, integrally, on a ray
+of its own; a complete one gives the lattice map over the rationals, kept when
+it is integral, unimodular and induces full ray and cone bijections.  Cheap
+invariants (ray/cone counts, class group, smoothness data) run first, but only
+ever to reject.
 
 Degenerate fans are never compared directly: both sides are split into a
 torus factor and a non-degenerate core, and the cores are compared only when
@@ -17,8 +19,6 @@ the torus ranks agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from math import factorial
 from typing import Optional, Sequence
 
 from .divisors import class_group
@@ -119,8 +119,11 @@ def _adjugate(m: IntMatrix, det: int) -> IntMatrix:
 def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
     """Search for a fan isomorphism; None when provably none exists.
 
-    Both fans must be non-degenerate (their rays span); degenerate inputs
-    belong to ``toric_isomorphism``, which cancels torus factors first.
+    Depth first over the base images; only subtrees holding no isomorphism are
+    pruned, so the first hit is that of lexicographic order.  Partial
+    assignments tried count against ``MAX_ISO_ASSIGNMENTS``.  Both fans must be
+    non-degenerate (their rays span); degenerate inputs belong to
+    ``toric_isomorphism``, which cancels torus factors first.
     """
     if a.is_degenerate or b.is_degenerate:
         raise ValueError(
@@ -143,31 +146,63 @@ def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
     det_r = determinant(r_mat)
     assert det_r != 0
     adj_r = _adjugate(r_mat, det_r)
+    # ray = R c / det(R) with c = adj(R) ray: its image is fixed once base rays
+    # 0..k have images, k the last nonzero position of c
+    fixed_at: list[list[Vec]] = [[] for _ in base]
+    for ray in (a.rays[i] for i in range(a.n_rays) if i not in base):
+        c = adj_r.apply(ray)
+        fixed_at[max(t for t, x in enumerate(c) if x)].append(c)
+    # det(R) times each ray of b: sum c_t w_t is a key exactly when its image is
+    scaled = {tuple(det_r * x for x in ray): j for j, ray in enumerate(b.rays)}
+    images: list[Vec] = []  # of base rays 0..depth-1
+    used: set[int] = set()  # indices of the rays of b that are images so far
+    tried = 0
 
-    n_assign = factorial(b.n_rays) // factorial(b.n_rays - a.rank)
-    if n_assign > MAX_ISO_ASSIGNMENTS:
-        raise ResourceLimitError(
-            f"isomorphism search would try {n_assign} ray assignments "
-            f"(limit {MAX_ISO_ASSIGNMENTS}): MAX_ISO_ASSIGNMENTS = "
-            f"{MAX_ISO_ASSIGNMENTS} in toriclift.isomorphism, no flag overrides it"
-        )
+    def extend(depth: int) -> Optional[FanIso]:
+        nonlocal tried
+        for j in range(b.n_rays):
+            if j in used:
+                continue
+            tried += 1
+            if tried > MAX_ISO_ASSIGNMENTS:
+                raise ResourceLimitError(
+                    f"isomorphism search tried {tried} ray assignments "
+                    f"(limit {MAX_ISO_ASSIGNMENTS}): MAX_ISO_ASSIGNMENTS = "
+                    f"{MAX_ISO_ASSIGNMENTS} in toriclift.isomorphism, no flag overrides it"
+                )
+            images.append(b.rays[j])
+            placed = [j]
+            # an isomorphism maps each ray now fixed to its own ray of b
+            for c in fixed_at[depth]:
+                num = (sum(ct * w[x] for ct, w in zip(c, images)) for x in range(b.rank))
+                k = scaled.get(tuple(num))
+                if k is None or k in used or k in placed:
+                    break
+                placed.append(k)
+            else:
+                used.update(placed)
+                if depth + 1 < a.rank:
+                    iso = extend(depth + 1)
+                else:
+                    iso = _full_assignment(a, b, images, adj_r, det_r)
+                if iso is not None:
+                    return iso
+                used.difference_update(placed)
+            images.pop()
+        return None
 
-    for assign in permutations(range(b.n_rays), a.rank):
-        w_mat = IntMatrix(tuple(b.rays[j] for j in assign), cols=b.rank).T
-        # L = W R^{-1} = W adj(R) / det(R); keep only integral candidates
-        num = w_mat @ adj_r
-        if any(x % det_r for row in num for x in row):
-            continue
-        L = IntMatrix(
-            tuple(tuple(x // det_r for x in row) for row in num), cols=a.rank
-        )
-        if abs(determinant(L)) != 1:
-            continue
-        iso = _complete_bijections(a, b, L)
-        if iso is not None:
-            assert not verify_fan_iso(a, b, iso)
-            return iso
-    return None
+    iso = extend(0)
+    assert iso is None or not verify_fan_iso(a, b, iso)
+    return iso
+
+
+def _full_assignment(a: Fan, b: Fan, images: list[Vec], adj_r: IntMatrix, det_r: int):
+    # L = W R^{-1} = W adj(R) / det(R); keep only integral unimodular candidates
+    num = IntMatrix(images, cols=b.rank).T @ adj_r
+    if any(x % det_r for row in num for x in row):
+        return None
+    L = IntMatrix(tuple(tuple(x // det_r for x in row) for row in num), cols=a.rank)
+    return _complete_bijections(a, b, L) if abs(determinant(L)) == 1 else None
 
 
 def _complete_bijections(a: Fan, b: Fan, L: IntMatrix) -> Optional[FanIso]:

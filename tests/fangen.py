@@ -6,6 +6,7 @@ output passes full validation, and all randomness flows through an explicit
 ``random.Random`` so failures replay exactly.
 """
 
+from itertools import product
 from random import Random
 
 from toriclift.fan import Fan, validate_fan
@@ -116,6 +117,19 @@ def random_fan(rng: Random, max_rank: int = 3, torus_rank: int = 0) -> Fan:
         padded = [r + (0,) * torus_rank for r in fan.rays]
         fan = validate_fan(total, padded, fan.max_cones)
     return conjugate_fan(fan, random_unimodular(total, rng))
+
+
+def product_fan(*fans: Fan) -> Fan:
+    """The product of fans: each factor's rays in its own block of
+    coordinates, one max cone per choice of a max cone of every factor."""
+    rank = sum(f.rank for f in fans)
+    rays, parts, offset = [], [], 0
+    for f in fans:
+        first = len(rays)
+        rays += [(0,) * offset + r + (0,) * (rank - offset - f.rank) for r in f.rays]
+        parts.append([tuple(first + i for i in c) for c in f.max_cones])
+        offset += f.rank
+    return validate_fan(rank, rays, [sum(c, ()) for c in product(*parts)])
 
 
 def smooth_polygon_rays(n: int) -> list[tuple[int, int]]:

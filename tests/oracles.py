@@ -652,3 +652,77 @@ def hilbert_basis_by_box(
         if not reducible:
             basis_out.append(p)
     return tuple(basis_out)
+
+
+# -- fan isomorphism by every ordered assignment of the base rays ----------------
+
+
+MAX_ISO_ASSIGNMENTS = 2_000_000
+
+
+def fan_isomorphic_by_permutations(a, b):
+    """Reference for ``isomorphism.fan_isomorphic``: the search it replaced.
+
+    Tries every injective assignment of the base rays into ``b``'s rays in
+    ``itertools.permutations`` order, builds the full candidate matrix for
+    each and only then checks the other rays; first hit wins.  Refuses up
+    front when there are more than ``MAX_ISO_ASSIGNMENTS`` assignments.
+    """
+    from math import factorial
+
+    from toriclift.isomorphism import (
+        FanIso,
+        _adjugate,
+        _complete_bijections,
+        _independent_ray_subset,
+        _prefilter_reject,
+        verify_fan_iso,
+    )
+    from toriclift.lattice import IntMatrix, ResourceLimitError, determinant
+
+    if a.is_degenerate or b.is_degenerate:
+        raise ValueError(
+            "fan_isomorphic requires non-degenerate fans; "
+            "use toric_isomorphism for torus-factor cancellation"
+        )
+    if _prefilter_reject(a, b) is not None:
+        return None
+    if a.rank == 0:
+        iso = FanIso(
+            matrix=IntMatrix((), cols=0),
+            ray_bijection=(),
+            cone_bijection=tuple(range(len(a.max_cones))),
+        )
+        return iso if not verify_fan_iso(a, b, iso) else None
+
+    base = _independent_ray_subset(a)
+    assert len(base) == a.rank
+    r_mat = IntMatrix(tuple(a.rays[i] for i in base), cols=a.rank).T
+    det_r = determinant(r_mat)
+    assert det_r != 0
+    adj_r = _adjugate(r_mat, det_r)
+
+    n_assign = factorial(b.n_rays) // factorial(b.n_rays - a.rank)
+    if n_assign > MAX_ISO_ASSIGNMENTS:
+        raise ResourceLimitError(
+            f"isomorphism search would try {n_assign} ray assignments "
+            f"(limit {MAX_ISO_ASSIGNMENTS}): MAX_ISO_ASSIGNMENTS = "
+            f"{MAX_ISO_ASSIGNMENTS} in oracles, no flag overrides it"
+        )
+
+    for assign in itertools.permutations(range(b.n_rays), a.rank):
+        w_mat = IntMatrix(tuple(b.rays[j] for j in assign), cols=b.rank).T
+        # L = W R^{-1} = W adj(R) / det(R); keep only integral candidates
+        num = w_mat @ adj_r
+        if any(x % det_r for row in num for x in row):
+            continue
+        L = IntMatrix(
+            tuple(tuple(x // det_r for x in row) for row in num), cols=a.rank
+        )
+        if abs(determinant(L)) != 1:
+            continue
+        iso = _complete_bijections(a, b, L)
+        if iso is not None:
+            assert not verify_fan_iso(a, b, iso)
+            return iso
+    return None

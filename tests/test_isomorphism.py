@@ -1,15 +1,19 @@
 """Tests for fan isomorphism and torus-factor cancellation."""
 
+from collections import defaultdict
+from math import perm
 from random import Random
 
 import pytest
 
 import fangen
 import oracles
+from toriclift import isomorphism
 from toriclift.fan import validate_fan
 from toriclift.isomorphism import (
     FanIso,
     _adjugate,
+    _prefilter_reject,
     IsoReport,
     fan_isomorphic,
     toric_isomorphism,
@@ -48,6 +52,24 @@ def plane():
     return mk(2, [(0, 1), (1, 0)], [(0, 1)])
 
 
+def _hirzebruch_times_lines(a, k):
+    """The Hirzebruch surface F_a times k projective lines."""
+    surface = mk(2, [(1, 0), (0, 1), (-1, a), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+    line = mk(1, [(1,), (-1,)], [(0,), (1,)])
+    return fangen.product_fan(surface, *[line] * k)
+
+
+def _random_product(rng):
+    """A product of random fans of total rank 1 to 5, conjugated."""
+    rank = rng.randint(1, 5)
+    factors = []
+    while rank:
+        factors.append(fangen.random_fan(rng, max_rank=min(rank, 3)))
+        rank -= factors[-1].rank
+    fan = fangen.product_fan(*factors)
+    return fangen.conjugate_fan(fan, fangen.random_unimodular(fan.rank, rng))
+
+
 def test_adjugate_matches_cofactors():
     rng = Random(2000)
     sizes = []
@@ -81,8 +103,6 @@ class TestFanIsomorphic:
         # map preserves opposite pairs
         a = mk(2, [(-1, -1), (0, 1), (1, 0)], [(0,), (1,), (2,)])
         b = mk(2, [(-1, 0), (0, 1), (1, 0)], [(0,), (1,), (2,)])
-        from toriclift.isomorphism import _prefilter_reject
-
         assert _prefilter_reject(a, b) is None
         assert fan_isomorphic(a, b) is None
 
@@ -120,6 +140,8 @@ class TestFanIsomorphic:
         assert images == set(p2.rays)
 
     def test_resource_guard(self):
+        # 14 rays in rank 6: 14!/8! ordered base assignments, but the ray
+        # images prune all but the identity path
         rays = []
         for i in range(6):
             e = [0] * 6
@@ -129,8 +151,50 @@ class TestFanIsomorphic:
         rays.append((1, 1, 1, 1, 1, 1))
         rays.append((1, 2, 3, 4, 5, 6))
         fan = mk(6, rays, [(i,) for i in range(14)])
-        with pytest.raises(ResourceLimitError):
-            fan_isomorphic(fan, fan)
+        iso = fan_isomorphic(fan, fan)
+        assert iso.matrix == IntMatrix.identity(6)
+        assert iso.ray_bijection == tuple(range(14))
+
+    def test_guard_counts_assignments_tried(self, monkeypatch):
+        # F2 x (P^1)^3 against F4 x (P^1)^3: 30,240 ordered base assignments,
+        # of which the search tries 100 before answering no
+        a, b = (_hirzebruch_times_lines(h, 3) for h in (2, 4))
+        monkeypatch.setattr(isomorphism, "MAX_ISO_ASSIGNMENTS", 50)
+        with pytest.raises(ResourceLimitError, match="tried 51 ray assignments"):
+            fan_isomorphic(a, b)
+        monkeypatch.setattr(isomorphism, "MAX_ISO_ASSIGNMENTS", 200)
+        assert fan_isomorphic(a, b) is None
+
+
+def test_search_matches_the_permutation_oracle():
+    """The depth-first search returns the same FanIso, or None, as trying
+    every ordered base assignment: on conjugate pairs, on pairs of fans with
+    the same rank, ray count and max-cone count, and on Hirzebruch products
+    that pass every prefilter without being isomorphic.  The oracle tries up
+    to n!/(n - rank)! assignments, so fans above the 1,680 of an 8-ray
+    rank-4 fan are left out."""
+    rng = Random(1505)
+    fans = []
+    while len(fans) < 720:
+        fan = _random_product(rng)
+        if not fan.is_degenerate and perm(fan.n_rays, fan.rank) <= 1680:
+            fans.append(fan)
+    pairs = [(f, fangen.conjugate_fan(f, fangen.random_unimodular(f.rank, rng))) for f in fans]
+    alike = defaultdict(list)
+    for f in fans:
+        alike[f.rank, f.n_rays, len(f.max_cones)].append(f)
+    alike_pairs = [p for g in alike.values() for p in zip(g, g[1:])]
+    alike_pairs += [p for g in alike.values() for p in zip(g, g[2:])]
+    for k in (1, 2):
+        a, b = (_hirzebruch_times_lines(h, k) for h in (2, 4))
+        alike_pairs += [(a, b), (b, a)]
+    searched_no = 0
+    for a, b in pairs + alike_pairs:
+        iso = fan_isomorphic(a, b)
+        assert iso == oracles.fan_isomorphic_by_permutations(a, b), (a, b)
+        searched_no += iso is None and _prefilter_reject(a, b) is None
+    # 2,063 pairs; 190 are no-pairs that pass every prefilter
+    assert len(pairs) + len(alike_pairs) >= 2000 and searched_no >= 100, searched_no
 
 
 class TestToricIsomorphism:
@@ -221,10 +285,27 @@ def _grading_map_of_unique_lift(source, target, matrix, subgroup):
     return report.induced_grading_hom
 
 
+def _assert_lifts_uniquely(a, b, iso):
+    # U @ L @ V = 1, so L^-1 = V @ U
+    snf = smith_normal_form(iso.matrix)
+    assert snf.S == IntMatrix.identity(a.rank)
+    inverse = snf.V @ snf.U
+    for subgroup in (cox_subgroup, kajiwara_subgroup):
+        there = _grading_map_of_unique_lift(a, b, iso.matrix, subgroup)
+        back = _grading_map_of_unique_lift(b, a, inverse, subgroup)
+        round_trip = there.compose(back)
+        group = round_trip.domain
+        assert group == round_trip.codomain
+        for i in range(group.n_generators):
+            unit = tuple(int(i == j) for j in range(group.n_generators))
+            assert group.reduce(round_trip.matrix.row(i)) == unit, (a, b, subgroup.__name__)
+
+
 def test_isomorphisms_lift_to_the_presentations():
     """The paper's application: a fan isomorphism lifts, uniquely, to the Cox
     and to the Kajiwara presentations of both fans, and with the lift of its
-    inverse it composes to the identity on the grading group."""
+    inverse it composes to the identity on the grading group.  Fans with a
+    torus factor are compared through the reduced fans of their splits."""
     rng = Random(2002)
     fans = 0
     while fans < 40:
@@ -235,16 +316,11 @@ def test_isomorphisms_lift_to_the_presentations():
         b = fangen.conjugate_fan(a, fangen.random_unimodular(a.rank, rng))
         iso = fan_isomorphic(a, b)
         assert iso is not None, (a, b)
-        # U @ L @ V = 1, so L^-1 = V @ U
-        snf = smith_normal_form(iso.matrix)
-        assert snf.S == IntMatrix.identity(a.rank)
-        inverse = snf.V @ snf.U
-        for subgroup in (cox_subgroup, kajiwara_subgroup):
-            there = _grading_map_of_unique_lift(a, b, iso.matrix, subgroup)
-            back = _grading_map_of_unique_lift(b, a, inverse, subgroup)
-            round_trip = there.compose(back)
-            group = round_trip.domain
-            assert group == round_trip.codomain
-            for i in range(group.n_generators):
-                unit = tuple(int(i == j) for j in range(group.n_generators))
-                assert group.reduce(round_trip.matrix.row(i)) == unit, (a, b, subgroup.__name__)
+        _assert_lifts_uniquely(a, b, iso)
+    for trial in range(20):
+        a = fangen.random_fan(rng, max_rank=3, torus_rank=1 + trial % 2)
+        b = fangen.conjugate_fan(a, fangen.random_unimodular(a.rank, rng))
+        report = toric_isomorphism(a, b)
+        assert report.isomorphic and report.torus_ranks[0] >= 1 + trial % 2, (a, b)
+        ra, rb = (split.reduced_fan for split in report.splits)
+        _assert_lifts_uniquely(ra, rb, report.iso)
