@@ -269,7 +269,7 @@ def _canonical_order(
 
 
 def _mask(indices: Iterable[int]) -> int:
-    return sum(1 << i for i in indices)
+    return sum([1 << i for i in indices])
 
 
 def _smallest_face(incidence: tuple[int, tuple[int, ...]], rays: int) -> int:
@@ -365,7 +365,7 @@ def validate_fan(
     problems: list[str] = []
     clean_rays: list[Vec] = []
     for i, ray in enumerate(rays):
-        v = tuple(int(x) for x in ray)
+        v = tuple(map(int, ray))
         if len(v) != rank:
             problems.append(f"ray {i} has {len(v)} coordinates, expected {rank}")
             continue

@@ -8,8 +8,8 @@ increasing ray index, so the first hit is that of lexicographic order.  A
 partial map is dropped once a ray it fixes misses landing, integrally, on a ray
 of its own; a complete one gives the lattice map over the rationals, kept when
 it is integral, unimodular and induces full ray and cone bijections.  Cheap
-invariants (ray/cone counts, class group, smoothness data) run first, but only
-ever to reject.
+invariants (lattice rank, ray and max-cone counts, max-cone sizes) run first,
+but only ever to reject.
 
 Degenerate fans are never compared directly: both sides are split into a
 torus factor and a non-degenerate core, and the cores are compared only when
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .divisors import class_group
 from .fan import Fan, TorusFactorSplit, split_torus_factor
 from .lattice import (
     IntMatrix, ResourceLimitError, Vec, determinant, matrix_rank, smith_normal_form,
@@ -67,13 +66,6 @@ def verify_fan_iso(a: Fan, b: Fan, iso: FanIso) -> list[str]:
     return problems
 
 
-def _profile_multiset(fan: Fan):
-    return sorted(
-        (p.ray_count, p.dim, p.simplicial, p.smooth, p.index)
-        for p in fan.smoothness.cones
-    )
-
-
 def _prefilter_reject(a: Fan, b: Fan) -> Optional[str]:
     """Isomorphism-invariant data; mismatches prove non-isomorphism."""
     if a.rank != b.rank:
@@ -84,12 +76,6 @@ def _prefilter_reject(a: Fan, b: Fan) -> Optional[str]:
         return f"max-cone counts differ: {len(a.max_cones)} != {len(b.max_cones)}"
     if sorted(map(len, a.max_cones)) != sorted(map(len, b.max_cones)):
         return "max-cone size multisets differ"
-    pa, pb = _profile_multiset(a), _profile_multiset(b)
-    if pa != pb:
-        return "cone smoothness/multiplicity profiles differ"
-    ca, cb = str(class_group(a).group), str(class_group(b).group)
-    if ca != cb:
-        return f"class groups differ: {ca} != {cb}"
     return None
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
+from operator import mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -33,31 +34,31 @@ Vec = tuple[int, ...]
 
 
 def _as_vec(v: Iterable[int]) -> Vec:
-    t = tuple(int(x) for x in v)
-    return t
+    return tuple(map(int, v))
 
 
 def vec_sub(a: Sequence[int], b: Sequence[int]) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("length mismatch")
+    return tuple(map(sub, a, b))
 
 
 def vec_scale(k: int, a: Sequence[int]) -> Vec:
-    return tuple(k * x for x in a)
+    return tuple([k * x for x in a])
 
 
 def vec_dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("length mismatch")
+    return sum(map(mul, a, b))
 
 
 def vec_is_zero(a: Sequence[int]) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def vec_gcd(a: Sequence[int]) -> int:
-    g = 0
-    for x in a:
-        g = gcd(g, x)
-    return g
+    return gcd(*a)
 
 
 def primitive_vector(a: Sequence[int]) -> Vec:
@@ -65,7 +66,7 @@ def primitive_vector(a: Sequence[int]) -> Vec:
     g = vec_gcd(a)
     if g <= 1:
         return _as_vec(a)
-    return tuple(x // g for x in a)
+    return tuple([x // g for x in a])
 
 
 class IntMatrix:
@@ -78,7 +79,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(tuple(map(int, row)) for row in data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -121,7 +122,7 @@ class IntMatrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         bt = tuple(zip(*other._data)) if other._data else ((),) * other.cols
         return IntMatrix(
-            tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in bt) for r in self._data),
+            tuple(tuple(sum(map(mul, r, c)) for c in bt) for r in self._data),
             cols=other.cols,
         )
 
@@ -129,7 +130,7 @@ class IntMatrix:
         """Column action: self @ v for a coordinate column v."""
         if len(v) != self.cols:
             raise ValueError("length mismatch")
-        return tuple(vec_dot(r, v) for r in self._data)
+        return tuple(sum(map(mul, r, v)) for r in self._data)
 
     def left_apply(self, v: Sequence[int]) -> Vec:
         """Row action: v @ self for a coordinate row v."""

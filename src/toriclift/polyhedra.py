@@ -49,7 +49,7 @@ def dual_description(
     Lines form a lattice basis of the lineality space; rays are the extreme
     rays modulo lineality, primitive and lex-sorted.
     """
-    normals = [tuple(int(x) for x in a) for a in normals]
+    normals = [tuple(map(int, a)) for a in normals]
     for a in normals:
         if len(a) != dim:
             raise ValueError("normal of wrong dimension")

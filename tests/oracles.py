@@ -665,8 +665,10 @@ def fan_isomorphic_by_permutations(a, b):
 
     Tries every injective assignment of the base rays into ``b``'s rays in
     ``itertools.permutations`` order, builds the full candidate matrix for
-    each and only then checks the other rays; first hit wins.  Refuses up
-    front when there are more than ``MAX_ISO_ASSIGNMENTS`` assignments.
+    each and only then checks the other rays; first hit wins.  It rejects on
+    its own rank and count checks first, so the engine's prefilter never
+    decides for it.  Refuses up front when there are more than
+    ``MAX_ISO_ASSIGNMENTS`` assignments.
     """
     from math import factorial
 
@@ -675,7 +677,6 @@ def fan_isomorphic_by_permutations(a, b):
         _adjugate,
         _complete_bijections,
         _independent_ray_subset,
-        _prefilter_reject,
         verify_fan_iso,
     )
     from toriclift.lattice import IntMatrix, ResourceLimitError, determinant
@@ -685,7 +686,9 @@ def fan_isomorphic_by_permutations(a, b):
             "fan_isomorphic requires non-degenerate fans; "
             "use toric_isomorphism for torus-factor cancellation"
         )
-    if _prefilter_reject(a, b) is not None:
+    if (a.rank, a.n_rays, len(a.max_cones)) != (b.rank, b.n_rays, len(b.max_cones)):
+        return None
+    if sorted(map(len, a.max_cones)) != sorted(map(len, b.max_cones)):
         return None
     if a.rank == 0:
         iso = FanIso(

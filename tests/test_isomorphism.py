@@ -70,6 +70,15 @@ def _random_product(rng):
     return fangen.conjugate_fan(fan, fangen.random_unimodular(fan.rank, rng))
 
 
+def _same_count_pairs(fans):
+    """Pairs of the fans with equal rank, ray count and max-cone count: each
+    fan with the next and the one after among those alike."""
+    alike = defaultdict(list)
+    for f in fans:
+        alike[f.rank, f.n_rays, len(f.max_cones)].append(f)
+    return [p for g in alike.values() for step in (1, 2) for p in zip(g, g[step:])]
+
+
 def test_adjugate_matches_cofactors():
     rng = Random(2000)
     sizes = []
@@ -98,9 +107,9 @@ class TestFanIsomorphic:
         assert fan_isomorphic(quadric, plane) is None
 
     def test_search_decides_when_prefilters_pass(self):
-        # same counts, same class group (Z), same profiles; but one ray set
-        # contains an opposite pair and the other does not, and a unimodular
-        # map preserves opposite pairs
+        # same rank, ray count and max-cone sizes, so only the search can
+        # tell them apart: one ray set contains an opposite pair and the
+        # other does not, and a unimodular map preserves opposite pairs
         a = mk(2, [(-1, -1), (0, 1), (1, 0)], [(0,), (1,), (2,)])
         b = mk(2, [(-1, 0), (0, 1), (1, 0)], [(0,), (1,), (2,)])
         assert _prefilter_reject(a, b) is None
@@ -180,11 +189,7 @@ def test_search_matches_the_permutation_oracle():
         if not fan.is_degenerate and perm(fan.n_rays, fan.rank) <= 1680:
             fans.append(fan)
     pairs = [(f, fangen.conjugate_fan(f, fangen.random_unimodular(f.rank, rng))) for f in fans]
-    alike = defaultdict(list)
-    for f in fans:
-        alike[f.rank, f.n_rays, len(f.max_cones)].append(f)
-    alike_pairs = [p for g in alike.values() for p in zip(g, g[1:])]
-    alike_pairs += [p for g in alike.values() for p in zip(g, g[2:])]
+    alike_pairs = _same_count_pairs(fans)
     for k in (1, 2):
         a, b = (_hirzebruch_times_lines(h, k) for h in (2, 4))
         alike_pairs += [(a, b), (b, a)]
@@ -193,8 +198,26 @@ def test_search_matches_the_permutation_oracle():
         iso = fan_isomorphic(a, b)
         assert iso == oracles.fan_isomorphic_by_permutations(a, b), (a, b)
         searched_no += iso is None and _prefilter_reject(a, b) is None
-    # 2,063 pairs; 190 are no-pairs that pass every prefilter
+    # 2,063 pairs; 425 are no-pairs that pass every prefilter
     assert len(pairs) + len(alike_pairs) >= 2000 and searched_no >= 100, searched_no
+
+
+def test_search_cost_of_same_count_pairs(monkeypatch):
+    """The search settles every same-count pair of the oracle test's draw,
+    uncapped, far below ``MAX_ISO_ASSIGNMENTS``: at most 2,128 assignments
+    (a rank-5 fan with 8 rays) over 1,307 pairs, with no invariant beyond
+    the counts to reject them first."""
+    rng = Random(1505)
+    fans = []
+    while len(fans) < 720:
+        fan = _random_product(rng)
+        if not fan.is_degenerate:
+            fans.append(fan)
+    pairs = _same_count_pairs(fans)
+    assert len(pairs) == 1307
+    monkeypatch.setattr(isomorphism, "MAX_ISO_ASSIGNMENTS", 5000)
+    for a, b in pairs:
+        fan_isomorphic(a, b)
 
 
 class TestToricIsomorphism:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -73,6 +74,45 @@ def test_primitive_vector():
     assert primitive_vector((4, -6, 2)) == (2, -3, 1)
     assert primitive_vector((0, 0)) == (0, 0)
     assert primitive_vector((-3,)) == (-1,)
+
+
+def test_vector_kernels_match_comprehensions():
+    """The vector and matrix kernels agree with their plain comprehension
+    definitions on seeded vectors of length 0 to 8, with negative entries and
+    entries above 2**64."""
+    rng = random.Random(1717)
+
+    def entry():
+        return rng.randint(-9, 9) if rng.random() < 0.7 else rng.randint(-2**70, 2**70)
+
+    def vec(n):
+        return tuple(entry() for _ in range(n))
+
+    for _ in range(10_000):
+        n = rng.randint(0, 8)
+        a, b, k = vec(n), vec(n), entry()
+        assert lattice.vec_dot(a, b) == sum(x * y for x, y in zip(a, b))
+        assert lattice.vec_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+        assert lattice.vec_scale(k, a) == tuple(k * x for x in a)
+        assert lattice.vec_is_zero(a) == all(x == 0 for x in a)
+        g = 0
+        for x in a:
+            g = math.gcd(g, x)
+        assert lattice.vec_gcd(a) == g
+        assert primitive_vector(a) == (tuple(x // g for x in a) if g > 1 else a)
+        rows = [vec(n) for _ in range(rng.randint(0, 3))]
+        A = IntMatrix(rows, cols=n)
+        assert A.apply(b) == tuple(sum(x * y for x, y in zip(r, b)) for r in rows)
+        p = rng.randint(0, 3)
+        cols = [vec(n) for _ in range(p)]
+        B = IntMatrix([tuple(c[j] for c in cols) for j in range(n)], cols=p)
+        assert (A @ B).to_lists() == [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in rows]
+    for short, long in [((), (1,)), ((1, 2), (3,)), ((1,), (2, 3, 4))]:
+        for f in (lattice.vec_dot, lattice.vec_sub):
+            with pytest.raises(ValueError):
+                f(short, long)
+            with pytest.raises(ValueError):
+                f(long, short)
 
 
 # -- Smith normal form --------------------------------------------------------
