@@ -17,8 +17,12 @@ are inside it, is strongly convex iff no listed ray lies on every facet
 (the facets meet in its lineality space), and has a ray extreme iff the
 facets through it hold no other listed ray.  Two max cones meet in a common
 face iff a functional >= 0 on one and <= 0 on the other cuts both in the
-same face (Cox-Little-Schenck, 1.2.13); a sum of one cone's facet normals
-certifies most pairs, the rest take the exact test by double description.
+same face (Cox-Little-Schenck, 1.2.13).  Tried in turn: one facet of
+either cone through the shared rays with the other's remaining rays
+strictly below it, read from the table's sign masks (it cuts cone(shared)
+out of the other cone, a face of the first if its smallest face holding
+the shared rays holds no other); a sum of facet normals; the exact test by
+double description.
 
 Degenerate fans (rays not spanning the ambient lattice) are legal; they
 describe varieties with a torus factor, split off by ``split_torus_factor``.
@@ -138,14 +142,29 @@ class Fan:
         )
 
     @cached_property
-    def cone_incidences(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per max cone, bitmasks over the fan's rays (bit i for ray i): the
-        rays inside the cone, and per facet inequality those on that facet."""
+    def cone_masks(self) -> tuple[int, ...]:
+        """Bitmask of each max cone's rays (bit i for ray i)."""
+        return tuple(_mask(cone) for cone in self.max_cones)
+
+    @cached_property
+    def cone_incidences(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+        """Per max cone, bitmasks over the fan's rays (bit i for ray i), read
+        from one pass of facet values over the rays: the rays inside the
+        cone, and per facet inequality w those on w's hyperplane and those
+        strictly below it (w . ray < 0)."""
+        rays = self.ray_matrix()
+        every = (1 << len(self.rays)) - 1
         incidences = []
         for h in self.cone_hreps:
-            inside = [i for i, ray in enumerate(self.rays) if h.contains(ray)]
-            on = [_mask(i for i in inside if vec_dot(u, self.rays[i]) == 0) for u in h.inequalities]
-            incidences.append((_mask(inside), tuple(on)))
+            off, on, below = 0, [], []
+            for e in h.equations:
+                off |= _mask(i for i, v in enumerate(rays.apply(e)) if v)
+            for w in h.inequalities:
+                values = rays.apply(w)
+                on.append(_mask(i for i, v in enumerate(values) if v == 0))
+                below.append(_mask(i for i, v in enumerate(values) if v < 0))
+                off |= below[-1]
+            incidences.append((every & ~off, tuple(on), tuple(below)))
         return tuple(incidences)
 
     def locate(self, point: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -159,7 +178,7 @@ class Fan:
             raise ValueError("point of wrong rank")
         for ci, h in enumerate(self.cone_hreps):
             if h.contains(point):
-                face, facets = self.cone_incidences[ci]
+                face, facets, _ = self.cone_incidences[ci]
                 for u, f in zip(h.inequalities, facets):
                     if vec_dot(u, point) == 0:
                         face &= f
@@ -272,10 +291,10 @@ def _mask(indices: Iterable[int]) -> int:
     return sum([1 << i for i in indices])
 
 
-def _smallest_face(incidence: tuple[int, tuple[int, ...]], rays: int) -> int:
+def _smallest_face(incidence: tuple[int, tuple[int, ...], tuple[int, ...]], rays: int) -> int:
     """Rays of the smallest face of a max cone holding the rays in mask
     ``rays``, all inside it: those on every facet through them."""
-    face, facets = incidence
+    face, facets, _ = incidence
     for f in facets:
         if rays & ~f == 0:
             face &= f
@@ -286,13 +305,24 @@ def _meet_in_common_face(fan: Fan, a: int, b: int) -> bool:
     """Whether max cones ``a`` and ``b`` of ``fan``, strongly convex and
     neither inside the other, meet in a face of both.
 
-    First the cheap separator in either order (:func:`_separates`); only when
-    neither certifies the pair, the exact test: u, the sum of the extreme
-    rays of {u : u >= 0 on a, u <= 0 on b}, lies in the relative interior of
-    the separating functionals, and the pair meets in a common face iff the
+    With F the shared rays, the first two certificates read the facets of a,
+    then of b, where cone(F) is a face (the smallest face holding F holds no
+    other ray of that cone): one facet (:func:`_below_facet`), then a sum of
+    facet normals (:func:`_separates`).  Only when neither certifies the
+    pair, the exact test: u, the sum of the extreme rays of
+    {u : u >= 0 on a, u <= 0 on b}, lies in the relative interior of the
+    separating functionals, and the pair meets in a common face iff the
     rays of a and of b on u's hyperplane are the same, so in both cones.
     """
-    if _separates(fan, a, b) or _separates(fan, b, a):
+    masks = fan.cone_masks
+    shared = masks[a] & masks[b]
+    sides = [
+        (x, y) for x, y in ((a, b), (b, a))
+        if _smallest_face(fan.cone_incidences[x], shared) & masks[x] == shared
+    ]
+    if any(_below_facet(fan, x, y, shared) for x, y in sides) or any(
+        _separates(fan, x, y, shared) for x, y in sides
+    ):
         return True
     ca, cb = fan.max_cones[a], fan.max_cones[b]
     normals = [fan.rays[i] for i in ca] + [tuple(-x for x in fan.rays[i]) for i in cb]
@@ -303,25 +333,31 @@ def _meet_in_common_face(fan: Fan, a: int, b: int) -> bool:
     return ta == tb
 
 
-def _separates(fan: Fan, a: int, b: int) -> bool:
+def _below_facet(fan: Fan, a: int, b: int, shared: int) -> bool:
     """The separation lemma (Cox-Little-Schenck, *Toric Varieties*, 1.2.13)
-    with a functional read off the facets of max cone ``a``.
+    with one facet inequality w of max cone ``a``, where cone(F), F the rays
+    in mask ``shared``, is a face of a.  If w vanishes on F and is negative
+    on max cone b's other rays, w >= 0 on a gives a ∩ b ⊆ b ∩ w^⊥ = cone(F),
+    the face of b cut out by w.  False says only that no facet certifies it.
+    """
+    _, on, below = fan.cone_incidences[a]
+    rest = fan.cone_masks[b] & ~shared
+    return any(shared & ~f == 0 and rest & ~w == 0 for f, w in zip(on, below))
 
-    Let F be the rays shared with max cone ``b``, and u the sum of a's facet
-    normals vanishing on F.  If u vanishes on a's rays exactly at F (the
-    smallest face of a holding F holds no other), a meets u's hyperplane in
-    cone(F); if also u <= 0 on b's rays, vanishing exactly at F, then b
+
+def _separates(fan: Fan, a: int, b: int, shared: int) -> bool:
+    """The separation lemma with the sum of max cone ``a``'s facet normals
+    through F, the rays in mask ``shared``, where cone(F) is a face of a.
+
+    That sum u vanishes on a's rays exactly at F, the rays of that face, so
+    a meets u's hyperplane in cone(F); if also u < 0 on b's other rays, b
     meets it in cone(F) too, and a and b meet in cone(F), a face of both.
     False says only that this u does not certify the pair.
     """
-    ca, cb = fan.max_cones[a], fan.max_cones[b]
-    shared = _mask(ca) & _mask(cb)
-    if _smallest_face(fan.cone_incidences[a], shared) & _mask(ca) != shared:
-        return False
-    _, facets = fan.cone_incidences[a]
+    _, facets, _ = fan.cone_incidences[a]
     through = [w for w, f in zip(fan.cone_hreps[a].inequalities, facets) if shared & ~f == 0]
     u = [sum(w[j] for w in through) for j in range(fan.rank)]
-    return all(vec_dot(u, fan.rays[i]) < 0 for i in cb if not shared >> i & 1)
+    return all(vec_dot(u, fan.rays[i]) < 0 for i in fan.max_cones[b] if not shared >> i & 1)
 
 
 def validate_fan(
@@ -344,8 +380,8 @@ def validate_fan(
 
     Each max cone costs one double description, its facet description, from
     which every check reads the cone's ray-facet incidences; a pair of max
-    cones costs another only when the separator of :func:`_separates` does
-    not certify it (:func:`_meet_in_common_face`).
+    cones costs another only when neither one facet of either cone nor a sum
+    of its facet normals certifies it (:func:`_meet_in_common_face`).
     """
     if rank < 0:
         raise FanValidationError(["rank must be nonnegative"])
@@ -421,7 +457,7 @@ def validate_fan(
 
     # geometric checks, on the fan's own ray-facet incidences
     fan = Fan(rank=rank, rays=canon_rays, max_cones=tuple(canon_cones))
-    masks = [_mask(cone) for cone in canon_cones]
+    masks = fan.cone_masks
     table = fan.cone_incidences
     for cone, mask, incidence in zip(canon_cones, masks, table):
         if _smallest_face(incidence, 0) & mask:
