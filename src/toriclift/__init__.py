@@ -8,8 +8,6 @@ All arithmetic is exact integer arithmetic; no floating point anywhere.
 __version__ = "0.1.0"
 
 from .divisors import (
-    CartierData,
-    ClassGroupData,
     DivisorSubgroup,
     EnoughDivisorsReport,
     SubgroupValidationError,
@@ -26,7 +24,6 @@ from .fan import (
     DegenerateFanError,
     Fan,
     FanValidationError,
-    SmoothnessProfile,
     TorusFactorSplit,
     split_torus_factor,
     validate_fan,
@@ -72,8 +69,6 @@ from .presentation import (
 
 __all__ = [
     "__version__",
-    "CartierData",
-    "ClassGroupData",
     "DegenerateFanError",
     "DivisorSubgroup",
     "EnoughDivisorsReport",
@@ -89,7 +84,6 @@ __all__ = [
     "MorphismValidationError",
     "Presentation",
     "ResourceLimitError",
-    "SmoothnessProfile",
     "SubgroupValidationError",
     "ToricMorphism",
     "TorusFactorSplit",

@@ -36,6 +36,7 @@ from .fanfile import (
 )
 from .lattice import IntMatrix, ResourceLimitError
 from .lifting import (
+    SCOPE_NOTE,
     classify_liftings,
     solve_geometric_pullback,
     validate_toric_morphism,
@@ -118,25 +119,21 @@ def _cmd_validate(args) -> tuple[int, list[str], dict]:
 def _cmd_invariants(args) -> tuple[int, list[str], dict]:
     doc = parse_fan_file(args.file, max_rays=args.max_rays)
     fan = doc.fan
-    smooth = fan.smoothness
+    group = class_group(fan).group
     split = split_torus_factor(fan)
-    if fan.is_degenerate:
-        cl = class_group(split.reduced_fan)
-    else:
-        cl = class_group(fan)
     lines = _header(("input", doc)) + [
-        f"class group: {cl.group}",
-        f"simplicial: {'yes' if smooth.simplicial else 'no'}",
-        f"smooth: {'yes' if smooth.smooth else 'no'}",
+        f"class group: {group}",
+        f"simplicial: {'yes' if fan.is_simplicial else 'no'}",
+        f"smooth: {'yes' if fan.is_smooth else 'no'}",
         f"degenerate: {'yes' if fan.is_degenerate else 'no'}",
         f"torus factor rank: {split.torus_rank}",
     ]
     payload = {
         "tool": __version__,
         "input": {"path": doc.path, "sha256": doc.digest},
-        "class_group": str(cl.group),
-        "simplicial": smooth.simplicial,
-        "smooth": smooth.smooth,
+        "class_group": str(group),
+        "simplicial": fan.is_simplicial,
+        "smooth": fan.is_smooth,
         "degenerate": fan.is_degenerate,
         "torus_factor_rank": split.torus_rank,
     }
@@ -248,7 +245,7 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
         f"target subgroup: {args.dst_subgroup}",
         f"exists: {verdict}",
     ]
-    lines += classify_liftings(report).splitlines()
+    lines += classify_liftings(report, src.fan.rank).splitlines()
     payload = {
         "tool": __version__,
         "source": {"path": src.path, "sha256": src.digest},
@@ -259,14 +256,14 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
         "exists": report.exists,
         "verdict": report.verdict,
         "uniqueness": report.uniqueness_note,
-        "scope": report.scope_note,
+        "scope": SCOPE_NOTE,
     }
     if report.witness is not None:
+        phi = report.witness.phi.to_lists()
         payload["witness"] = {
-            "phi": report.witness.phi.to_lists(),
+            "phi": phi,
             "decomposition": [
-                {"member": list(m), "character": list(ch)}
-                for m, ch in report.witness.decomposition
+                {"member": row, "character": [0] * src.fan.rank} for row in phi
             ],
             "solution_lattice": [
                 d.to_lists() for d in report.witness.solution_lattice

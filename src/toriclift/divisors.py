@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from .fan import Fan
 from .lattice import (
     CokernelData,
-    FgAbGroup,
     IntMatrix,
     Vec,
     _is_identity_basis,
@@ -57,16 +56,10 @@ def principal_divisor(fan: Fan, character: Sequence[int]) -> Vec:
     return tuple(vec_dot(character, ray) for ray in fan.rays)
 
 
-@dataclass(frozen=True)
-class CartierData:
-    """Local trivializations of a Cartier divisor: one character per max
-    cone, pairing to the divisor coefficients on that cone's rays."""
-
-    characters: tuple[Vec, ...]
-
-
-def cartier_data(fan: Fan, coeffs: Sequence[int]) -> Optional[CartierData]:
-    """Local characters witnessing that the divisor is Cartier, or None."""
+def cartier_data(fan: Fan, coeffs: Sequence[int]) -> Optional[tuple[Vec, ...]]:
+    """Local trivializations witnessing that the divisor is Cartier: one
+    character per max cone, pairing to the divisor coefficients on that
+    cone's rays; None when some cone has none."""
     if len(coeffs) != fan.n_rays:
         raise ValueError("coefficient length mismatch")
     chars = []
@@ -75,7 +68,7 @@ def cartier_data(fan: Fan, coeffs: Sequence[int]) -> Optional[CartierData]:
         if sol is None:
             return None
         chars.append(sol.particular)
-    return CartierData(characters=tuple(chars))
+    return tuple(chars)
 
 
 def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
@@ -117,26 +110,12 @@ def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
 # -- class group ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassGroupData:
-    """Divisor class group Z^rays / (principal divisors), with coordinates."""
-
-    fan: Fan
-    group: FgAbGroup
-    _coker: CokernelData
-
-    def divisor_class(self, coeffs: Sequence[int]) -> Vec:
-        return self.group.reduce(self._coker.project(coeffs))
-
-    @property
-    def generator_divisors(self) -> tuple[Vec, ...]:
-        return self._coker.generator_lifts
-
-
-def class_group(fan: Fan) -> ClassGroupData:
-    A = fan.ray_matrix()  # n x rank; columns = principal divisors of e_j
-    coker = CokernelData(A)
-    return ClassGroupData(fan=fan, group=coker.group, _coker=coker)
+def class_group(fan: Fan) -> CokernelData:
+    """Divisor class group Z^rays / (principal divisors), with coordinates:
+    ``project`` gives the class of a divisor, ``generator_lifts`` a divisor
+    of each generator.  The image of the principal divisors, and so the
+    group, is the same for a degenerate fan and its reduced fan."""
+    return CokernelData(fan.ray_matrix())  # columns = principal divisors of e_j
 
 
 # -- admissible divisor subgroups ------------------------------------------------
@@ -255,8 +234,11 @@ class EnoughDivisorsReport:
     divisor for max cone i, or None, and ``ok`` says all cones have one.
     """
 
-    ok: bool
     witnesses: tuple[Optional[Vec], ...]
+
+    @property
+    def ok(self) -> bool:
+        return None not in self.witnesses
 
     @property
     def failing_cones(self) -> tuple[int, ...]:
@@ -283,5 +265,4 @@ def enough_divisors(sub: DivisorSubgroup) -> EnoughDivisorsReport:
                 total = [t + x for t, x in zip(total, c)]
         w = basis.left_apply(primitive_vector(total))
         witnesses.append(w if all(x > 0 for j, x in enumerate(w) if j not in cone) else None)
-    ok = all(w is not None for w in witnesses)
-    return EnoughDivisorsReport(ok=ok, witnesses=tuple(witnesses))
+    return EnoughDivisorsReport(witnesses=tuple(witnesses))

@@ -71,22 +71,6 @@ class DegenerateFanError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConeProfile:
-    ray_count: int
-    dim: int
-    simplicial: bool
-    smooth: bool
-    index: int  # index of the ray sublattice in the saturation of its span
-
-
-@dataclass(frozen=True)
-class SmoothnessProfile:
-    cones: tuple[ConeProfile, ...]
-    simplicial: bool
-    smooth: bool
-
-
-@dataclass(frozen=True)
 class Fan:
     """Validated fan.  Construct via :func:`validate_fan`.
 
@@ -188,43 +172,26 @@ class Fan:
     # -- invariants ---------------------------------------------------------
 
     @cached_property
-    def smoothness(self) -> SmoothnessProfile:
-        profiles = [
-            _profile(snf, len(cone)) for snf, cone in zip(self.cone_snfs, self.max_cones)
-        ]
-        return SmoothnessProfile(
-            cones=tuple(profiles),
-            simplicial=all(p.simplicial for p in profiles),
-            smooth=all(p.smooth for p in profiles),
+    def is_simplicial(self) -> bool:
+        """Every max cone's rays are linearly independent."""
+        return all(snf.rank == len(cone) for snf, cone in zip(self.cone_snfs, self.max_cones))
+
+    @cached_property
+    def is_smooth(self) -> bool:
+        """Every max cone's rays are part of a lattice basis."""
+        return all(
+            _is_basis_part(snf, len(cone)) for snf, cone in zip(self.cone_snfs, self.max_cones)
         )
 
     def face_is_smooth(self, ray_indices: Sequence[int]) -> bool:
-        if not ray_indices:
-            return True  # the zero cone
-        return cone_profile(self.cone_rays(ray_indices)).smooth
+        rays = IntMatrix(self.cone_rays(ray_indices), cols=self.rank)
+        return _is_basis_part(smith_normal_form(rays), len(ray_indices))
 
 
-def cone_profile(rays: Sequence[Vec]) -> ConeProfile:
-    """Simpliciality/smoothness/multiplicity of a single cone."""
-    if not rays:
-        return ConeProfile(ray_count=0, dim=0, simplicial=True, smooth=True, index=1)
-    return _profile(smith_normal_form(IntMatrix(rays)), len(rays))
-
-
-def _profile(snf: SNFDecomposition, ray_count: int) -> ConeProfile:
-    """Profile of a cone from the Smith form of its ray matrix."""
-    dim = snf.rank
-    simplicial = dim == ray_count
-    index = 1
-    for d in snf.invariant_factors:
-        index *= d
-    return ConeProfile(
-        ray_count=ray_count,
-        dim=dim,
-        simplicial=simplicial,
-        smooth=simplicial and index == 1,
-        index=index,
-    )
+def _is_basis_part(snf: SNFDecomposition, n_rays: int) -> bool:
+    """Whether the ``n_rays`` rows of the Smith-decomposed matrix are part of
+    a lattice basis: independent, with every invariant factor 1."""
+    return snf.invariant_factors == (1,) * n_rays
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,6 @@ class RawFanDocument:
     """
 
     path: str
-    version: int
     rank: int
     rays: list[Vec]
     max_cones: list[tuple[int, ...]]
@@ -91,7 +90,6 @@ class FanDocument:
     """
 
     path: str
-    version: int
     fan: Fan
     subgroups: dict[str, tuple[Vec, ...]]
     morphisms: dict[str, MorphismDecl]
@@ -193,7 +191,7 @@ def read_fan_text(path, text: str) -> RawFanDocument:
     if rank is None:
         raise FanFileError(path, None, "missing 'rank' line")
     return RawFanDocument(
-        path=str(path), version=version, rank=rank, rays=rays,
+        path=str(path), rank=rank, rays=rays,
         max_cones=cones, subgroups=subgroups, morphisms=morphisms,
     )
 
@@ -256,7 +254,7 @@ def read_fan_json(path, text: str) -> RawFanDocument:
             matrix_rows=tuple(int_rows(decl["matrix"], f"morphisms.{label}", None)),
         )
     return RawFanDocument(
-        path=str(path), version=version, rank=rank, rays=rays,
+        path=str(path), rank=rank, rays=rays,
         max_cones=cones, subgroups=subgroups, morphisms=morphisms,
     )
 
@@ -299,7 +297,7 @@ def validate_document(raw: RawFanDocument, *, max_rays: Optional[int] = None) ->
             fixed.append(tuple(out))
         subgroups[label] = tuple(fixed)
     return FanDocument(
-        path=raw.path, version=raw.version, fan=fan, subgroups=subgroups,
+        path=raw.path, fan=fan, subgroups=subgroups,
         morphisms=dict(raw.morphisms), digest=raw.digest,
     )
 

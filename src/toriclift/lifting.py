@@ -26,12 +26,7 @@ from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
-from .divisors import (
-    CartierData,
-    DivisorSubgroup,
-    cartier_data,
-    principal_basis,
-)
+from .divisors import DivisorSubgroup, cartier_data
 from .fan import Fan
 from .lattice import (
     AbHom,
@@ -134,9 +129,10 @@ def validate_toric_morphism(
 # -- pullback of Cartier divisors -------------------------------------------------
 
 
-def pullback_cartier(f: ToricMorphism, cd: CartierData) -> Vec:
-    """Pullback coefficients: at each source ray, pair the local character of
-    a target cone containing the ray's image with that image.
+def pullback_cartier(f: ToricMorphism, characters: Sequence[Vec]) -> Vec:
+    """Pullback coefficients of a Cartier divisor given by its local
+    characters (:func:`cartier_data`): at each source ray, pair the local
+    character of a target cone containing the ray's image with that image.
 
     The value is independent of the chosen cone: local characters of a
     Cartier divisor agree on overlaps, which is asserted here.
@@ -144,7 +140,7 @@ def pullback_cartier(f: ToricMorphism, cd: CartierData) -> Vec:
     out = []
     for i, containing in enumerate(f.ray_image_cones):
         w = f.ray_image(i)
-        values = {vec_dot(cd.characters[ci], w) for ci in containing}
+        values = {vec_dot(characters[ci], w) for ci in containing}
         assert len(values) == 1, "local characters must agree on the image"
         out.append(values.pop())
     return tuple(out)
@@ -209,18 +205,17 @@ class EffectivityFailureCertificate:
 
 @dataclass(frozen=True)
 class GeometricPullbackWitness:
-    """One lifting: images of the target-subgroup basis plus decompositions.
+    """One lifting: images of the target-subgroup basis.
 
-    ``phi`` row j is the pullback of basis divisor j as a source divisor;
-    ``decomposition[j] = (member, character)`` writes that row as a source
-    subgroup member plus the principal divisor of the character; the row
-    itself lies in the source subgroup, so the character is zero.
-    ``solution_lattice`` spans the remaining directions in which ``phi`` may
-    be shifted while preserving every constraint that was checked.
+    ``phi`` row j is the pullback of basis divisor j as a source divisor.
+    Each row lies in the source subgroup, so it is a member plus the
+    principal divisor of the zero character: an admissible subgroup holds
+    every principal divisor.  ``solution_lattice`` spans the remaining
+    directions in which ``phi`` may be shifted while preserving every
+    constraint that was checked.
     """
 
     phi: IntMatrix
-    decomposition: tuple[tuple[Vec, Vec], ...]
     solution_lattice: tuple[IntMatrix, ...]
 
 
@@ -230,8 +225,8 @@ class LiftingReport:
 
     ``verdict`` is "yes", "no", or "undecided" (search exhausted its bound
     without an answer).  ``witness_classes`` lists the distinct liftings
-    found (first entry belongs to ``witness``); ``scope_note`` states the
-    extent of the conditions actually checked.
+    found (first entry belongs to ``witness``).  The module's ``SCOPE_NOTE``
+    states the extent of the conditions checked.
     """
 
     verdict: str
@@ -240,7 +235,6 @@ class LiftingReport:
     induced_grading_hom: Optional[AbHom]
     uniqueness_note: str
     obstruction: Optional[object]
-    scope_note: str
     conditions_checked: bool
     search_bound: Optional[int]
 
@@ -284,7 +278,7 @@ def solve_geometric_pullback(
     basis = target_subgroup.basis
     k = len(basis)
 
-    conditions = force_conditions or not f.target.smoothness.simplicial
+    conditions = force_conditions or not f.target.is_simplicial
 
     # (a) forced values on the Cartier members
     cart = target_subgroup.cartier_members
@@ -294,9 +288,9 @@ def solve_geometric_pullback(
         coeffs = target_subgroup.coefficients(c)
         assert coeffs is not None, "Cartier members lie in the subgroup"
         crows.append(coeffs)
-        cd = cartier_data(f.target, c)
-        assert cd is not None, "Cartier lattice members admit local characters"
-        forced.append(pullback_cartier(f, cd))
+        characters = cartier_data(f.target, c)
+        assert characters is not None, "Cartier lattice members admit local characters"
+        forced.append(pullback_cartier(f, characters))
 
     # (b) extend from the Cartier members to the whole subgroup
     ext, obs = extend_homomorphism(
@@ -373,7 +367,6 @@ def solve_geometric_pullback(
                     f"{bound_used}; the rational relaxation is feasible"
                 ),
                 obstruction=None,
-                scope_note=SCOPE_NOTE,
                 conditions_checked=conditions,
                 search_bound=bound_used,
             )
@@ -383,12 +376,7 @@ def solve_geometric_pullback(
 
     phi = classes[0]
     residual = tuple(dirs) if not conditions else ()
-    no_character = (0,) * f.source.rank
-    witness = GeometricPullbackWitness(
-        phi=phi,
-        decomposition=tuple((phi.row(j), no_character) for j in range(k)),
-        solution_lattice=residual,
-    )
+    witness = GeometricPullbackWitness(phi=phi, solution_lattice=residual)
     problems = verify_pullback_witness(
         f, target_subgroup, source_subgroup, witness, conditions=conditions
     )
@@ -422,7 +410,6 @@ def solve_geometric_pullback(
         induced_grading_hom=hom,
         uniqueness_note=note,
         obstruction=None,
-        scope_note=SCOPE_NOTE,
         conditions_checked=conditions,
         search_bound=bound_used if dirs else None,
     )
@@ -436,7 +423,6 @@ def _no_report(certificate, conditions: bool) -> LiftingReport:
         induced_grading_hom=None,
         uniqueness_note="no lifting exists",
         obstruction=certificate,
-        scope_note=SCOPE_NOTE,
         conditions_checked=conditions,
         search_bound=None,
     )
@@ -679,20 +665,19 @@ def verify_pullback_witness(
 ) -> list[str]:
     """Independent re-check of a witness; returns the list of violations.
 
-    Checks: forced Cartier values, decomposition identities, effectivity and
-    support conditions on the effective generators (when ``conditions``).
+    Checks: forced Cartier values, containment of every row in the source
+    subgroup, effectivity and support conditions on the effective generators
+    (when ``conditions``).
     """
     problems: list[str] = []
-    basis = target_subgroup.basis
-    k = len(basis)
     phi = witness.phi
     n_src = f.source.n_rays
 
     for c in target_subgroup.cartier_members:
         coeffs = target_subgroup.coefficients(c)
-        cd = cartier_data(f.target, c)
-        assert coeffs is not None and cd is not None
-        want = pullback_cartier(f, cd)
+        characters = cartier_data(f.target, c)
+        assert coeffs is not None and characters is not None
+        want = pullback_cartier(f, characters)
         got = phi.left_apply(coeffs)
         if got != want:
             problems.append(
@@ -700,17 +685,9 @@ def verify_pullback_witness(
                 f"{list(got)} != {list(want)}"
             )
 
-    psrc = principal_basis(f.source)
-    for j in range(k):
-        member, character = witness.decomposition[j]
-        if not source_subgroup.contains(member):
-            problems.append(f"decomposition member {j} is not in the source subgroup")
-        principal_part = tuple(
-            vec_dot(character, tuple(p[r] for p in psrc)) for r in range(n_src)
-        )
-        rebuilt = tuple(m + p for m, p in zip(member, principal_part))
-        if rebuilt != phi.row(j):
-            problems.append(f"decomposition of row {j} does not recompose")
+    for j, row in enumerate(phi):
+        if not source_subgroup.contains(row):
+            problems.append(f"row {j} of phi is not in the source subgroup")
 
     if conditions:
         for g in target_subgroup.effective_generators:
@@ -731,8 +708,10 @@ def verify_pullback_witness(
     return problems
 
 
-def classify_liftings(report: LiftingReport) -> str:
-    """Human-readable classification of the lifting outcome."""
+def classify_liftings(report: LiftingReport, source_rank: int) -> str:
+    """Human-readable classification of the lifting outcome; each row of a
+    witness is printed as itself plus the principal divisor of the zero
+    character, of ``source_rank`` entries."""
     lines: list[str] = []
     if report.verdict == "no":
         lines.append("no lifting exists")
@@ -771,20 +750,20 @@ def classify_liftings(report: LiftingReport) -> str:
                     "obstruction: support conditions force an inconsistent "
                     "system of equations"
                 )
-        lines.append(f"scope: {report.scope_note}")
+        lines.append(f"scope: {SCOPE_NOTE}")
         return "\n".join(lines)
     if report.verdict == "undecided":
         lines.append("undecided: " + report.uniqueness_note)
-        lines.append(f"scope: {report.scope_note}")
+        lines.append(f"scope: {SCOPE_NOTE}")
         return "\n".join(lines)
 
     lines.append("lifting exists")
-    w = report.witness
-    for j, (member, character) in enumerate(w.decomposition):
+    character = [0] * source_rank
+    for j, row in enumerate(report.witness.phi):
         lines.append(
             f"basis divisor {j}: maps to monomial with divisor exponent "
-            f"{list(w.phi.row(j))} = member {list(member)} + principal of "
-            f"character {list(character)}"
+            f"{list(row)} = member {list(row)} + principal of "
+            f"character {character}"
         )
     lines.append(f"uniqueness: {report.uniqueness_note}")
     if len(report.witness_classes) > 1:
@@ -794,5 +773,5 @@ def classify_liftings(report: LiftingReport) -> str:
         )
         for m in report.witness_classes:
             lines.append("  " + str(m.to_lists()))
-    lines.append(f"scope: {report.scope_note}")
+    lines.append(f"scope: {SCOPE_NOTE}")
     return "\n".join(lines)

@@ -50,9 +50,7 @@ class Presentation:
     removed before taking the quotient.
     """
 
-    fan: Fan
     subgroup: DivisorSubgroup
-    mode: str
     coordinates: tuple[Vec, ...]
     grading_group: FgAbGroup
     degrees: tuple[Vec, ...]
@@ -93,27 +91,22 @@ def build_presentation(
         if subgroup_rows is None:
             raise ValueError("custom mode requires subgroup_rows")
         sub = divisor_subgroup(fan, subgroup_rows)
-    return presentation_from_subgroup(fan, sub, mode)
+    return presentation_from_subgroup(sub)
 
 
-def presentation_from_subgroup(
-    fan: Fan, sub: DivisorSubgroup, mode: str = "custom"
-) -> Presentation:
+def presentation_from_subgroup(sub: DivisorSubgroup) -> Presentation:
     coords = sub.effective_generators
     coker = sub.grading_cokernel
-    grading = coker.group
     degrees = []
     for w in coords:
         c = sub.coefficients(w)
         assert c is not None
-        degrees.append(grading.reduce(coker.project(c)))
-    collections = exceptional_collections(fan, coords)
+        degrees.append(coker.project(c))
+    collections = exceptional_collections(sub.fan, coords)
     return Presentation(
-        fan=fan,
         subgroup=sub,
-        mode=mode,
         coordinates=coords,
-        grading_group=grading,
+        grading_group=coker.group,
         degrees=tuple(degrees),
         exceptional_collections=collections,
         enough=enough_divisors(sub),
@@ -196,13 +189,11 @@ class GradingFactorization:
 
     ``into_class_group`` maps the presentation's grading group into the
     divisor class group; ``onto_residual`` maps the class group onto the
-    classes modulo the subgroup.  Diagnostics: the composite vanishes, free
-    ranks are additive, and group orders are multiplicative when finite.
+    classes modulo the subgroup; the three groups are their domains and
+    codomains.  Diagnostics: the composite vanishes, free ranks are
+    additive, and group orders are multiplicative when finite.
     """
 
-    grading_group: FgAbGroup
-    class_group: FgAbGroup
-    residual_group: FgAbGroup
     into_class_group: AbHom
     onto_residual: AbHom
     composite_is_zero: bool
@@ -211,10 +202,9 @@ class GradingFactorization:
 
 
 def grading_factorization(pres: Presentation) -> GradingFactorization:
-    fan = pres.fan
     sub = pres.subgroup
-    n = fan.n_rays
-    cl = class_group(fan)
+    n = sub.fan.n_rays
+    cl = class_group(sub.fan)
     grading_coker = sub.grading_cokernel
     grading = pres.grading_group
 
@@ -228,7 +218,7 @@ def grading_factorization(pres: Presentation) -> GradingFactorization:
         divisor = tuple(
             sum(c * row[j] for c, row in zip(lift, sub.basis)) for j in range(n)
         )
-        rows_in.append(cl.divisor_class(divisor))
+        rows_in.append(cl.project(divisor))
     into = AbHom(
         domain=grading,
         codomain=cl.group,
@@ -237,8 +227,8 @@ def grading_factorization(pres: Presentation) -> GradingFactorization:
 
     # class generator -> divisor -> residual class
     rows_onto = []
-    for divisor in cl.generator_divisors:
-        rows_onto.append(residual.reduce(residual_coker.project(divisor)))
+    for divisor in cl.generator_lifts:
+        rows_onto.append(residual_coker.project(divisor))
     onto = AbHom(
         domain=cl.group,
         codomain=residual,
@@ -255,9 +245,6 @@ def grading_factorization(pres: Presentation) -> GradingFactorization:
         orders_ok = None
 
     return GradingFactorization(
-        grading_group=grading,
-        class_group=cl.group,
-        residual_group=residual,
         into_class_group=into,
         onto_residual=onto,
         composite_is_zero=composite.is_zero(),

@@ -233,7 +233,7 @@ def test_criterion_7_functoriality_locks(corpus):
                 cd = cartier_data(fan, div)
                 assert cd is not None
                 for ci, cone in enumerate(fan.max_cones):
-                    char = cd.characters[ci]
+                    char = cd[ci]
                     for ri in cone:
                         ray = fan.rays[ri]
                         assert sum(c * x for c, x in zip(char, ray)) == div[ri]

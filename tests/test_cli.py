@@ -191,6 +191,21 @@ class TestLift:
         assert "exists: false" in out
         assert "obstruction: 2 * phi([0, 1]) = [0, 1, 2]" in out
 
+    def test_support_equations_refuse_a_face_point_off_its_lattice(self, tmp_path, capsys):
+        # (-1, 2, 1) is half the sum of the target rays 0 and 1
+        target = tmp_path / "t.fan"
+        target.write_text(
+            "fan 1\nrank 3\nray -2 2 1\nray 0 2 1\nray 2 -3 3\nray 3 1 2\ncone 0 1 2 3\n"
+        )
+        source = tmp_path / "s.fan"
+        source.write_text(LINE)
+        args = ("lift", str(source), str(target), "--matrix", "-1,2,1")
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and "exists: false" in out
+        assert "obstruction: support conditions force an inconsistent system of equations" in out
+        code, out, _ = run(capsys, *args, "--dst-subgroup", "kajiwara")
+        assert code == 0 and "exists: true" in out and "uniqueness: unique" in out
+
     def test_undecided_exits_2(self, files, capsys):
         code, out, _ = run(
             capsys, "lift", files["line"], files["diamond"],

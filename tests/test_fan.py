@@ -9,7 +9,6 @@ import fangen
 import oracles
 from toriclift.fan import (
     FanValidationError,
-    cone_profile,
     split_torus_factor,
     validate_fan,
 )
@@ -23,6 +22,7 @@ from toriclift.lattice import (
     determinant,
     effective_cone_rays,
     hilbert_basis,
+    smith_normal_form,
 )
 from toriclift.lifting import solve_geometric_pullback, validate_toric_morphism
 from toriclift.presentation import exceptional_collections
@@ -560,19 +560,16 @@ def test_morphism_problems_match_per_cone_containment_oracle():
 
 
 def test_smoothness_profiles():
-    assert projective_plane().smoothness.smooth
-    q = quadric_cone().smoothness
-    assert q.simplicial and not q.smooth
-    assert q.cones[0].index == 2
-    c = cone_over_square().smoothness
-    assert not c.simplicial and not c.smooth
-    assert c.cones[0].dim == 3 and c.cones[0].ray_count == 4
-    assert hirzebruch().smoothness.smooth
-
-
-def test_cone_profile_zero_cone():
-    p = cone_profile(())
-    assert p.smooth and p.simplicial and p.index == 1 and p.dim == 0
+    assert projective_plane().is_smooth
+    q = quadric_cone()
+    assert q.is_simplicial and not q.is_smooth
+    # multiplicity 2: the index of the ray lattice in its saturation
+    assert smith_normal_form(q.ray_matrix()).invariant_factors == (1, 2)
+    c = cone_over_square()
+    assert not c.is_simplicial and not c.is_smooth
+    # four rays spanning three dimensions
+    assert len(c.max_cones[0]) == 4 and smith_normal_form(c.ray_matrix()).rank == 3
+    assert hirzebruch().is_smooth
 
 
 def test_face_is_smooth():
@@ -617,7 +614,7 @@ def test_split_skew_plane():
     s = split_torus_factor(fan)
     assert s.torus_rank == 1
     assert s.reduced_fan.rank == 2
-    assert s.reduced_fan.smoothness.smooth
+    assert s.reduced_fan.is_smooth
     for i, ray in enumerate(fan.rays):
         img = s.change_of_basis.apply(ray)
         assert img[2] == 0
@@ -675,5 +672,5 @@ def test_unimodular_images_stay_valid():
         assert abs(determinant(u)) == 1
         rays = [u.apply(r) for r in base.rays]
         fan = validate_fan(2, rays, base.max_cones)
-        assert fan.smoothness.smooth
+        assert fan.is_smooth
         assert len(fan.max_cones) == 3

@@ -55,7 +55,6 @@ def write(tmp_path, name, content):
 class TestTextFormat:
     def test_round_trip(self, tmp_path):
         doc = parse_fan_file(write(tmp_path, "q.fan", QUADRIC_TEXT))
-        assert doc.version == 1
         assert doc.fan.rank == 2
         assert doc.fan.rays == ((1, 0), (1, 2))
         assert doc.fan.max_cones == ((0, 1),)

@@ -5,6 +5,7 @@ characters with ray images, and the small solve cases reduce to one-variable
 integer systems whose solution sets are written out in comments.
 """
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from toriclift.divisors import (
     cartier_data,
     cox_subgroup,
     divisor_subgroup,
+    kajiwara_subgroup,
 )
 from toriclift.fan import validate_fan
 from toriclift.lattice import (
@@ -30,6 +32,7 @@ from toriclift.lifting import (
     ContainmentFailureCertificate,
     EffectivityFailureCertificate,
     ExtensionObstructionCertificate,
+    GeometricPullbackWitness,
     MorphismValidationError,
     _ProjectedContainment,
     _effective_points,
@@ -179,7 +182,7 @@ class TestLiftingObstructions:
         assert ob.multiplier == 2
         assert ob.divisor == (0, 1)
         assert ob.required == (0, 1, 2)
-        text = classify_liftings(report)
+        text = classify_liftings(report, 2)
         assert "2 * phi([0, 1]) = [0, 1, 2]" in text
         assert "no integral solution" in text
 
@@ -195,7 +198,7 @@ class TestLiftingObstructions:
         ob = report.obstruction
         assert isinstance(ob, ContainmentFailureCertificate)
         assert ob.basis_indices == (0, 1)
-        assert "subgroup member + principal divisor" in classify_liftings(report)
+        assert "subgroup member + principal divisor" in classify_liftings(report, 2)
 
     def test_odd_height_image_obstructed_on_nonsimplicial_target(
         self, line, diamond
@@ -218,6 +221,43 @@ class TestLiftingObstructions:
         assert hermite_coefficients(cart, ob.divisor) is None
 
 
+class TestSupportFailure:
+    """The support branch of stage (c): a four-ray cone in rank 3 whose face
+    {v0, v1} holds (v0 + v1) / 2 = (-1, 2, 1), a point outside Z v0 + Z v1.
+    The support equations force phi_2 = phi_3 = 0, and then no integral
+    phi_0, phi_1 carry the image."""
+
+    @pytest.fixture
+    def f(self, line):
+        cone = mk(3, [(-2, 2, 1), (0, 2, 1), (2, -3, 3), (3, 1, 2)], [(0, 1, 2, 3)])
+        return validate_toric_morphism(line, cone, IntMatrix([(-1,), (2,), (1,)]))
+
+    def test_cox_target_fails_on_support_equations(self, f, line):
+        assert f.ray_faces == ((0, 1),)
+        target, source = cox_subgroup(f.target), cox_subgroup(line)
+        report = solve_geometric_pullback(f, target, source)
+        assert report.verdict == "no" and report.conditions_checked
+        assert report.obstruction == EffectivityFailureCertificate(
+            generator=None, coefficient_index=None, rationally_infeasible=False
+        )
+        assert (
+            "obstruction: support conditions force an inconsistent system of equations"
+            in classify_liftings(report, 1).splitlines()
+        )
+        for entries in itertools.product(range(-3, 4), repeat=4):
+            phi = IntMatrix([(x,) for x in entries], cols=1)
+            witness = GeometricPullbackWitness(phi=phi, solution_lattice=())
+            assert verify_pullback_witness(f, target, source, witness, conditions=True), entries
+
+    def test_kajiwara_target_lifts_uniquely(self, f, line):
+        report = solve_geometric_pullback(
+            f, kajiwara_subgroup(f.target), cox_subgroup(line)
+        )
+        assert report.verdict == "yes" and report.conditions_checked
+        assert report.uniqueness_note == "unique"
+        assert report.witness.phi.to_lists() == [[1], [1], [0]]
+
+
 # -- the lifting solver: existence ------------------------------------------------
 
 
@@ -233,16 +273,16 @@ class TestLiftingExists:
         w = report.witness
         assert w.phi.to_lists() == [[1, 0, 1], [0, 1, 1]]
         assert w.solution_lattice == ()
-        # full coordinate ring on the source: every row decomposes with a
-        # zero character
-        assert w.decomposition == (
-            ((1, 0, 1), (0, 0)),
-            ((0, 1, 1), (0, 0)),
-        )
+        # every row lies in the source subgroup: it is a member plus the
+        # principal divisor of the zero character
+        assert all(cox_subgroup(blowup_origin).contains(row) for row in w.phi)
         assert not report.conditions_checked  # smooth target: skipped
-        text = classify_liftings(report)
+        text = classify_liftings(report, 2)
         assert "lifting exists" in text
-        assert "[1, 0, 1]" in text
+        assert (
+            "basis divisor 0: maps to monomial with divisor exponent [1, 0, 1] = "
+            "member [1, 0, 1] + principal of character [0, 0]"
+        ) in text.splitlines()
 
     def test_agrees_with_strict_transform(self, blowup_origin, plane):
         f = validate_toric_morphism(blowup_origin, plane, IntMatrix.identity(2))
@@ -339,17 +379,27 @@ class TestLiftingExists:
             conditions=True,
         )
         assert ok == []
-        from toriclift.lifting import GeometricPullbackWitness
-
-        bad = GeometricPullbackWitness(
-            phi=report.witness.phi * 2,
-            decomposition=report.witness.decomposition,
-            solution_lattice=(),
-        )
+        bad = GeometricPullbackWitness(phi=report.witness.phi * 2, solution_lattice=())
         problems = verify_pullback_witness(
             f, cox_subgroup(diamond), cox_subgroup(line), bad, conditions=True
         )
         assert problems
+
+    def test_witness_reverification_checks_containment(self, quadric):
+        # the identity lifts to the Cox presentations, but its rows are not
+        # in the subgroup of principal divisors
+        f = validate_toric_morphism(quadric, quadric, IntMatrix.identity(2))
+        witness = solve_geometric_pullback(
+            f, cox_subgroup(quadric), cox_subgroup(quadric)
+        ).witness
+        principal_only = divisor_subgroup(quadric, [(1, 1), (0, 2)])
+        problems = verify_pullback_witness(
+            f, cox_subgroup(quadric), principal_only, witness, conditions=False
+        )
+        assert problems == [
+            "row 0 of phi is not in the source subgroup",
+            "row 1 of phi is not in the source subgroup",
+        ]
 
     def test_subgroup_fan_mismatch(self, quadric, plane):
         f = validate_toric_morphism(quadric, quadric, IntMatrix.identity(2))
@@ -371,7 +421,7 @@ class TestUndecided:
         assert report.verdict == "undecided"
         assert report.exists is None
         assert report.witness is None
-        assert "undecided" in classify_liftings(report)
+        assert "undecided" in classify_liftings(report, 1)
         assert report.search_bound == 0
 
     def test_default_bound_decides_the_same_instance(self, line, diamond):

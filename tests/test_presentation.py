@@ -321,9 +321,9 @@ def test_degree_of_member():
 def test_factorization_cox_quadric():
     pres = build_presentation(quadric_cone(), mode="cox")
     fac = grading_factorization(pres)
-    assert fac.grading_group == FgAbGroup(0, (2,))
-    assert fac.class_group == FgAbGroup(0, (2,))
-    assert fac.residual_group == FgAbGroup(0)
+    assert fac.into_class_group.domain == FgAbGroup(0, (2,))
+    assert fac.into_class_group.codomain == FgAbGroup(0, (2,))
+    assert fac.onto_residual.codomain == FgAbGroup(0)
     assert fac.composite_is_zero
     assert fac.ranks_additive
     assert fac.orders_multiplicative is True
@@ -332,16 +332,16 @@ def test_factorization_cox_quadric():
 def test_factorization_kajiwara_quadric():
     pres = build_presentation(quadric_cone(), mode="kajiwara")
     fac = grading_factorization(pres)
-    assert fac.grading_group == FgAbGroup(0)
-    assert fac.residual_group == FgAbGroup(0, (2,))
+    assert fac.into_class_group.domain == FgAbGroup(0)
+    assert fac.onto_residual.codomain == FgAbGroup(0, (2,))
     assert fac.orders_multiplicative is True
     assert fac.composite_is_zero and fac.ranks_additive
 
 
 def test_factorization_cox_p2():
     fac = grading_factorization(build_presentation(projective_plane(), "cox"))
-    assert fac.class_group == FgAbGroup(1, ())
-    assert fac.residual_group == FgAbGroup(0)
+    assert fac.into_class_group.codomain == FgAbGroup(1, ())
+    assert fac.onto_residual.codomain == FgAbGroup(0)
     assert fac.orders_multiplicative is None  # infinite groups
     assert fac.composite_is_zero and fac.ranks_additive
 
@@ -350,7 +350,7 @@ def test_factorization_custom_principal():
     fan = quadric_cone()
     pres = build_presentation(fan, mode="custom", subgroup_rows=principal_basis(fan))
     fac = grading_factorization(pres)
-    assert fac.grading_group == FgAbGroup(0)
-    assert fac.residual_group == FgAbGroup(0, (2,))
+    assert fac.into_class_group.domain == FgAbGroup(0)
+    assert fac.onto_residual.codomain == FgAbGroup(0, (2,))
     assert fac.composite_is_zero and fac.ranks_additive
     assert fac.orders_multiplicative is True

@@ -18,6 +18,10 @@ A private attribute (``x._name``, not a dunder) is read or written only on
 defines, as ``IntMatrix.__matmul__`` reads ``other._data``: derived data has
 one owner, and no module pokes at another object's state.
 
+Every name in ``toriclift.__all__`` resolves on the package, and every name
+the README's Python API block imports from ``toriclift`` is exported, so a
+deleted export cannot leave stale docs behind.
+
 Every size guard, a ``MAX_*`` constant named in a ``raise
 ResourceLimitError(...)``, has a row in the README guard table and a case in
 the parametrized guard-message test.
@@ -192,3 +196,19 @@ def test_every_guard_is_documented_and_tripped():
     rows = [line for line in README.read_text(encoding="utf-8").splitlines() if line.startswith("|")]
     assert sorted(g for g in guards if not any(f"`{g}`" in row for row in rows)) == []
     assert sorted(guards - _tripped_guards()) == []
+
+
+def test_exports_resolve_and_readme_imports_are_exported():
+    assert [name for name in toriclift.__all__ if not hasattr(toriclift, name)] == []
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks, "README has no Python API block"
+    imported = [
+        alias.name
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "toriclift"
+        for alias in node.names
+    ]
+    assert imported
+    assert sorted(set(imported) - set(toriclift.__all__)) == []
