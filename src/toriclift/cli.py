@@ -120,13 +120,13 @@ def _cmd_invariants(args) -> tuple[int, list[str], dict]:
     doc = parse_fan_file(args.file, max_rays=args.max_rays)
     fan = doc.fan
     group = class_group(fan).group
-    split = split_torus_factor(fan)
+    torus_rank = fan.rank - fan.span_rank
     lines = _header(("input", doc)) + [
         f"class group: {group}",
         f"simplicial: {'yes' if fan.is_simplicial else 'no'}",
         f"smooth: {'yes' if fan.is_smooth else 'no'}",
         f"degenerate: {'yes' if fan.is_degenerate else 'no'}",
-        f"torus factor rank: {split.torus_rank}",
+        f"torus factor rank: {torus_rank}",
     ]
     payload = {
         "tool": __version__,
@@ -135,7 +135,7 @@ def _cmd_invariants(args) -> tuple[int, list[str], dict]:
         "simplicial": fan.is_simplicial,
         "smooth": fan.is_smooth,
         "degenerate": fan.is_degenerate,
-        "torus_factor_rank": split.torus_rank,
+        "torus_factor_rank": torus_rank,
     }
     return EXIT_OK, lines, payload
 

@@ -183,10 +183,6 @@ class Fan:
             _is_basis_part(snf, len(cone)) for snf, cone in zip(self.cone_snfs, self.max_cones)
         )
 
-    def face_is_smooth(self, ray_indices: Sequence[int]) -> bool:
-        rays = IntMatrix(self.cone_rays(ray_indices), cols=self.rank)
-        return _is_basis_part(smith_normal_form(rays), len(ray_indices))
-
 
 def _is_basis_part(snf: SNFDecomposition, n_rays: int) -> bool:
     """Whether the ``n_rays`` rows of the Smith-decomposed matrix are part of

@@ -815,6 +815,51 @@ def _pulling_triangulation(
                 yield (apex,) + simplex
 
 
+def _parallelepiped_points(images: Sequence[int], U: IntMatrix, s: Vec) -> list[int]:
+    """Packed lattice points of the half-open parallelepiped of a simplex,
+    given its rays' packed ``images`` and the Smith form U @ G @ V = S of its
+    ray matrix G, with invariant factors ``s``.
+
+    The points are lambda @ images for lambda = (t / s) @ U mod 1 with t_i in
+    [0, s_i): the group Z^dim / (row lattice of G), walked in mixed radix over
+    the factors above 1.  A state is one int: the packed point above fields of
+    v bits holding d * lambda, d = s_last, each in [0, d).  A step adds one
+    factor's generator to both; each lambda field that reaches d wraps, which
+    takes d from it and that ray's image from the point, in one subtraction
+    per pattern of wrapped fields.  A lambda field holds less than
+    2 * d <= 2^v, so no step carries between lambda fields.  The point's
+    fields may carry midway through a step; its subtraction undoes that, as
+    packed sums are exact integer sums.
+    """
+    n = len(images)
+    d = s[-1]
+    v = d.bit_length() + 1
+    shift = n * v
+    half = 1 << (v - 1)  # at least d: a field reaches d iff adding half - d sets its top bit
+    offset = sum((half - d) << (j * v) for j in range(n))
+    tops = sum(half << (j * v) for j in range(n))
+    wraps: dict[int, int] = {}
+    states = [0]
+    for si, row in zip(s, U):
+        if si == 1:
+            continue
+        lam = [d // si * u % d for u in row]
+        step = sum(map(mul, lam, images)) // d << shift | sum(x << (j * v) for j, x in enumerate(lam))
+        walked = []
+        for state in states:
+            for _ in range(si):
+                walked.append(state)
+                state += step
+                wrapped = (state + offset) & tops
+                if wrapped:
+                    if wrapped not in wraps:
+                        js = [j for j in range(n) if wrapped >> (j * v) & half]
+                        wraps[wrapped] = sum(images[j] for j in js) << shift | sum(d << (j * v) for j in js)
+                    state -= wraps[wrapped]
+        states = walked
+    return [state >> shift for state in states]
+
+
 def hilbert_basis(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
     """Minimal generating set of (lattice) intersect (nonnegative orthant),
     given the lattice's Hermite basis ``h`` and the rays of its effective
@@ -828,6 +873,18 @@ def hilbert_basis(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
     sieve keeps the irreducible ones.  The full lattice is answered directly;
     otherwise the parallelepiped points are counted, and guarded, before any
     is listed.
+
+    Every candidate is one int: its coordinates in fields of w bits, the
+    first coordinate highest, under a top field holding the coordinate sum.
+    No candidate coordinate exceeds a column sum of one simplex's ray images,
+    and w leaves the top bit of every field clear for all of them.  So int
+    order is (sum, lex) order, and q <= p in every coordinate iff
+    ``((p | high) - q) & high == high``, ``high`` the fields' top bits: no
+    field borrows from the next.  A simplex's points are listed by walking
+    the group Z^dim / (simplex lattice) in mixed radix over its Smith
+    factors, as Normaliz does (Bruns-Ichim, *J. Algebra* 324, 2010), with
+    one addition per point and one subtraction per wrapped coordinate
+    pattern (``_parallelepiped_points``).
     """
     if not h:
         return ()
@@ -854,24 +911,31 @@ def hilbert_basis(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
                 f"MAX_HILBERT_POINTS = {limit} in toriclift.lattice, "
                 f"no flag overrides it"
             )
-        simplices.append((tuple(zip(*(images[i] for i in simplex))), snf.U, s))
-    candidates = set(images)
-    for columns, U, s in simplices:
-        # lambda scaled by the common denominator d = s_last, reduced mod d
-        d = s[-1]
-        lams = [(0,) * len(s)]
-        for i, si in enumerate(s):
-            step = [d // si * u for u in U.row(i)]
-            lams = [
-                tuple((a + t * b) % d for a, b in zip(lam, step))
-                for lam in lams
-                for t in range(si)
-            ]
-        candidates.update(tuple(vec_dot(lam, col) // d for col in columns) for lam in lams)
-    candidates.discard((0,) * width)
-    basis_out: list[Vec] = []
-    for p in sorted(candidates, key=lambda p: (sum(p), p)):
+        simplices.append((simplex, snf.U, s))
+    # every ray is a vertex of some simplex, so this bounds the images too
+    top = max(sum(col) for simplex, _, _ in simplices for col in zip(*(images[i] for i in simplex)))
+    w = top.bit_length() + 1
+
+    def pack(v: Vec) -> int:
+        p = sum(v)
+        for x in v:
+            p = p << w | x
+        return p
+
+    packed = [pack(v) for v in images]
+    candidates = set(packed)
+    for simplex, U, s in simplices:
+        candidates.update(_parallelepiped_points([packed[i] for i in simplex], U, s))
+    candidates.discard(0)
+    high = sum(1 << (c * w + w - 1) for c in range(width))
+    kept: list[int] = []
+    for p in sorted(candidates):
         # p - q is a nonnegative lattice vector, nonzero as q comes first
-        if not any(all(a <= b for a, b in zip(q, p)) for q in basis_out):
-            basis_out.append(p)
-    return tuple(basis_out)
+        p_high = p | high
+        for q in kept:
+            if (p_high - q) & high == high:
+                break
+        else:
+            kept.append(p)
+    mask = (1 << w) - 1
+    return tuple(tuple(p >> (c * w) & mask for c in reversed(range(width))) for p in kept)

@@ -27,7 +27,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .divisors import DivisorSubgroup, cartier_data
-from .fan import Fan
+from .fan import Fan, _is_basis_part
 from .lattice import (
     AbHom,
     CokernelData,
@@ -37,7 +37,9 @@ from .lattice import (
     _is_identity_basis,
     extend_homomorphism,
     hermite_row_basis,
+    smith_normal_form,
     solve_integer_linear,
+    solve_with_snf,
     vec_dot,
 )
 
@@ -157,12 +159,10 @@ def strict_transform(f: ToricMorphism, coeffs: Sequence[int]) -> Optional[Vec]:
         raise ValueError("coefficient length mismatch")
     out = []
     for i, face in enumerate(f.ray_faces):
-        if not f.target.face_is_smooth(face):
+        snf = smith_normal_form(IntMatrix(f.target.cone_rays(face), cols=f.target.rank))
+        if not _is_basis_part(snf, len(face)):
             return None
-        rows = [f.target.rays[j] for j in face]
-        sol = solve_integer_linear(
-            IntMatrix(rows, cols=f.target.rank), [coeffs[j] for j in face]
-        )
+        sol = solve_with_snf(snf, [coeffs[j] for j in face])
         assert sol is not None, "smooth cone always has a local character"
         out.append(vec_dot(sol.particular, f.ray_image(i)))
     return tuple(out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -650,6 +651,74 @@ def hilbert_basis_by_box(
                     reducible = True
                     break
         if not reducible:
+            basis_out.append(p)
+    return tuple(basis_out)
+
+
+# -- Hilbert bases from parallelepiped points listed as tuples -------------------
+
+
+def hilbert_basis_by_sieve(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Reference for ``lattice.hilbert_basis``: the tuple listing it replaced.
+
+    Each parallelepiped point's lambda is built as a tuple reduced mod d and
+    mapped by one dot product per ambient coordinate; the candidates are
+    sorted by a (sum, lex) key and sieved coordinate by coordinate.
+    """
+    from toriclift.lattice import (
+        IntMatrix,
+        ResourceLimitError,
+        _is_identity_basis,
+        _pulling_triangulation,
+        matrix_rank,
+        smith_normal_form,
+        vec_dot,
+    )
+
+    if not h:
+        return ()
+    width = len(h[0])
+    # Fast path: the full integer lattice — generators are the unit vectors.
+    if _is_identity_basis(h, width):
+        return tuple(sorted(h))
+    if not rays:
+        return ()
+    basis = IntMatrix(h)
+    images = [basis.left_apply(c) for c in rays]
+    limit = MAX_HILBERT_POINTS
+    total = 0
+    simplices = []
+    dim = matrix_rank(IntMatrix(rays))
+    for simplex in _pulling_triangulation(rays, images, tuple(range(len(rays))), dim):
+        # U @ G @ V = S: lambda @ G is integral for lambda = (t / s) @ U, t_i in [0, s_i)
+        snf = smith_normal_form(IntMatrix([rays[i] for i in simplex]))
+        s = snf.invariant_factors
+        total += prod(s)
+        if total > limit:
+            raise ResourceLimitError(
+                f"Hilbert basis parallelepiped points reached {total}, past guard {limit}: "
+                f"MAX_HILBERT_POINTS = {limit} in oracles, "
+                f"no flag overrides it"
+            )
+        simplices.append((tuple(zip(*(images[i] for i in simplex))), snf.U, s))
+    candidates = set(images)
+    for columns, U, s in simplices:
+        # lambda scaled by the common denominator d = s_last, reduced mod d
+        d = s[-1]
+        lams = [(0,) * len(s)]
+        for i, si in enumerate(s):
+            step = [d // si * u for u in U.row(i)]
+            lams = [
+                tuple((a + t * b) % d for a, b in zip(lam, step))
+                for lam in lams
+                for t in range(si)
+            ]
+        candidates.update(tuple(vec_dot(lam, col) // d for col in columns) for lam in lams)
+    candidates.discard((0,) * width)
+    basis_out: list[Vec] = []
+    for p in sorted(candidates, key=lambda p: (sum(p), p)):
+        # p - q is a nonnegative lattice vector, nonzero as q comes first
+        if not any(all(a <= b for a, b in zip(q, p)) for q in basis_out):
             basis_out.append(p)
     return tuple(basis_out)
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import fangen
-from toriclift import lifting
+from toriclift import cli, lifting
 from toriclift.cli import main
 
 QUADRIC = "fan 1\nrank 2\nray 1 0\nray 1 2\ncone 0 1\n"
@@ -109,6 +109,20 @@ class TestInvariants:
         assert "degenerate: yes" in out
         assert "torus factor rank: 1" in out
         assert "class group: 0" in out
+
+    def test_torus_factor_rank_without_a_split(self, tmp_path, capsys, monkeypatch):
+        # rank 3, rays spanning a plane: the rank is read off the ray span,
+        # and no torus factor is split off
+        p = tmp_path / "wedge.fan"
+        p.write_text("fan 1\nrank 3\nray 1 0 0\nray 1 2 0\ncone 0 1\n")
+        calls = []
+        monkeypatch.setattr(cli, "split_torus_factor", lambda fan: calls.append(fan))
+        report = tmp_path / "wedge.json"
+        code, out, _ = run(capsys, "invariants", str(p), "--out", str(report))
+        assert code == 0 and calls == []
+        assert "degenerate: yes" in out
+        assert "torus factor rank: 1" in out
+        assert json.loads(report.read_text())["torus_factor_rank"] == 1
 
 
 class TestPresent:

@@ -562,6 +562,49 @@ def test_hilbert_matches_box_search(monkeypatch):
     assert compared >= 450 and lower_rank >= 250 and non_simplicial >= 20
 
 
+def test_hilbert_matches_sieve_oracle(monkeypatch):
+    # the tuple listing and sieve it replaced, on 640 seeded lattices of
+    # rank 1-5; every third is of rank 3 or 4 in Z^5, whose effective cone is
+    # often not simplicial, and every third has one coordinate scaled past
+    # 2^64, which widens the packed fields.  The point guard is lowered so
+    # that a costly lattice is refused quickly
+    monkeypatch.setattr(lattice, "MAX_HILBERT_POINTS", 10_000)
+    rng = random.Random(20)
+    compared = lower_rank = several_simplices = past_64_bits = 0
+    for draw in range(640):
+        if draw % 3 == 1:
+            n, k = 5, rng.randint(3, 4)
+        else:
+            n = rng.randint(1, 5)
+            k = rng.randint(1, n)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
+        if draw % 3 == 2:
+            c, scale = rng.randrange(n), 2**64 + rng.randint(1, 2**32)
+            rows = [r[:c] + (r[c] * scale,) + r[c + 1 :] for r in rows]
+        h = hermite_row_basis(rows, width=n)
+        rays = lattice.effective_cone_rays(h)
+        try:
+            got = hilbert_basis(h, rays)
+        except ResourceLimitError:
+            continue
+        assert got == oracles.hilbert_basis_by_sieve(h, rays), rows
+        compared += 1
+        lower_rank += len(h) < n
+        several_simplices += len(rays) > matrix_rank(IntMatrix(rays))
+        past_64_bits += any(x > 2**64 for g in got for x in g)
+    assert compared >= 500
+    assert lower_rank >= 300 and several_simplices >= 50 and past_64_bits >= 100
+
+
+def test_hilbert_index_72_lattice():
+    # one simplex, whose Smith factors 1, 2, 36, 72, 72 give 373,248
+    # parallelepiped points, listed under the default guard
+    rows = [(1, -2, 0, -2, -1), (1, -3, 2, 3, 2), (-1, 2, -3, -3, 0), (-2, 3, 1, -3, -1), (-2, 3, 0, 2, 0)]
+    hb = _hilbert(rows, 5)
+    assert len(hb) == 217
+    assert hb[0] == (0, 0, 4, 0, 0) and hb[-1] == (72, 0, 0, 0, 0)
+
+
 def test_hilbert_guard():
     # {x in Z^4 : sum(x) = 0 mod 100}: the orthant's simplex holds
     # 100^4 / 100 = 10^6 parallelepiped points, counted before any is listed

@@ -11,7 +11,8 @@ import random
 import pytest
 
 import oracles
-from toriclift import lifting
+from toriclift import fan as fan_module
+from toriclift import lattice, lifting
 from toriclift.divisors import (
     cartier_data,
     cox_subgroup,
@@ -153,6 +154,22 @@ class TestStrictTransform:
         # divisor of the ray (1, 0): transform picks up the exceptional ray
         assert strict_transform(f, (0, 1)) == (0, 1, 1)
         assert strict_transform(f, (1, 0)) == (1, 0, 1)
+
+    def test_one_smith_form_per_source_ray(self, monkeypatch, blowup_origin, plane):
+        # the face's Smith form both tests smoothness and solves for the
+        # local character: 3 forms for 3 source rays
+        f = validate_toric_morphism(blowup_origin, plane, IntMatrix.identity(2))
+        assert len(f.ray_faces) == 3
+        snf, calls = lattice.smith_normal_form, []
+
+        def counted(A):
+            calls.append(A)
+            return snf(A)
+
+        for module in (lattice, fan_module, lifting):
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+        assert strict_transform(f, (0, 1)) == (0, 1, 1)
+        assert len(calls) == 3
 
     def test_undefined_when_target_cone_singular(self, line, quadric):
         f = validate_toric_morphism(line, quadric, IntMatrix([(1,), (1,)]))
