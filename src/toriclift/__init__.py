@@ -11,7 +11,6 @@ from .divisors import (
     DivisorSubgroup,
     EnoughDivisorsReport,
     SubgroupValidationError,
-    cartier_data,
     class_group,
     cox_subgroup,
     divisor_subgroup,
@@ -55,7 +54,6 @@ from .lifting import (
     MorphismValidationError,
     ToricMorphism,
     classify_liftings,
-    pullback_cartier,
     solve_geometric_pullback,
     strict_transform,
     validate_toric_morphism,
@@ -88,7 +86,6 @@ __all__ = [
     "ToricMorphism",
     "TorusFactorSplit",
     "build_presentation",
-    "cartier_data",
     "class_group",
     "classify_liftings",
     "cox_subgroup",
@@ -103,7 +100,6 @@ __all__ = [
     "presentation_from_subgroup",
     "principal_basis",
     "principal_divisor",
-    "pullback_cartier",
     "read_fan_document",
     "smith_normal_form",
     "solve_geometric_pullback",

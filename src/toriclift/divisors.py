@@ -26,7 +26,6 @@ from .lattice import (
     hilbert_basis,
     lattice_intersection,
     primitive_vector,
-    solve_with_snf,
     vec_dot,
 )
 
@@ -54,21 +53,6 @@ def principal_divisor(fan: Fan, character: Sequence[int]) -> Vec:
     if len(character) != fan.rank:
         raise ValueError("character of wrong rank")
     return tuple(vec_dot(character, ray) for ray in fan.rays)
-
-
-def cartier_data(fan: Fan, coeffs: Sequence[int]) -> Optional[tuple[Vec, ...]]:
-    """Local trivializations witnessing that the divisor is Cartier: one
-    character per max cone, pairing to the divisor coefficients on that
-    cone's rays; None when some cone has none."""
-    if len(coeffs) != fan.n_rays:
-        raise ValueError("coefficient length mismatch")
-    chars = []
-    for snf, cone in zip(fan.cone_snfs, fan.max_cones):
-        sol = solve_with_snf(snf, [coeffs[i] for i in cone])
-        if sol is None:
-            return None
-        chars.append(sol.particular)
-    return tuple(chars)
 
 
 def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:

@@ -222,9 +222,13 @@ class IsoReport:
 
     isomorphic: bool
     reason: str
-    torus_ranks: tuple[int, int]
     splits: tuple[TorusFactorSplit, TorusFactorSplit]
     iso: Optional[FanIso]  # between the reduced (non-degenerate) fans
+
+    @property
+    def torus_ranks(self) -> tuple[int, int]:
+        """The torus factor ranks of the two fans."""
+        return (self.splits[0].torus_rank, self.splits[1].torus_rank)
 
 
 def toric_isomorphism(a: Fan, b: Fan) -> IsoReport:
@@ -235,12 +239,10 @@ def toric_isomorphism(a: Fan, b: Fan) -> IsoReport:
     """
     sa = split_torus_factor(a)
     sb = split_torus_factor(b)
-    ranks = (sa.torus_rank, sb.torus_rank)
     if sa.torus_rank != sb.torus_rank:
         return IsoReport(
             isomorphic=False,
             reason=f"torus factor ranks differ: {sa.torus_rank} != {sb.torus_rank}",
-            torus_ranks=ranks,
             splits=(sa, sb),
             iso=None,
         )
@@ -249,14 +251,12 @@ def toric_isomorphism(a: Fan, b: Fan) -> IsoReport:
         return IsoReport(
             isomorphic=False,
             reason="reduced fans are not isomorphic",
-            torus_ranks=ranks,
             splits=(sa, sb),
             iso=None,
         )
     return IsoReport(
         isomorphic=True,
         reason="reduced fans are isomorphic and torus ranks agree",
-        torus_ranks=ranks,
         splits=(sa, sb),
         iso=iso,
     )

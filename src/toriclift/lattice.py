@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import gcd, prod
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -136,9 +137,11 @@ class IntMatrix:
         """Row action: v @ self for a coordinate row v."""
         if len(v) != self.rows:
             raise ValueError("length mismatch")
-        return tuple(
-            sum(v[i] * self._data[i][j] for i in range(self.rows)) for j in range(self.cols)
-        )
+        acc = [0] * self.cols
+        for x, row in zip(v, self._data):
+            if x:
+                acc = list(map(add, acc, map(mul, repeat(x), row)))
+        return tuple(acc)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

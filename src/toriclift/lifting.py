@@ -3,12 +3,14 @@
 Given a lattice map carrying the source fan into the target fan, this module
 decides whether the morphism lifts to chosen quotient presentations on both
 sides.  The decision runs in stages: Cartier members of the target subgroup
-have forced pullbacks; those values must extend to the whole subgroup; each
-extended value must lie in the source subgroup, which by admissibility holds
-every principal divisor; and finally the effectivity and support conditions
-are imposed on the effective generators — skipped for simplicial targets,
-where they hold automatically.  Failures carry machine-checkable certificates, and searches
-that exhaust their configured bound report "undecided" rather than guessing.
+have forced pullbacks, read off one matrix per morphism
+(``ToricMorphism.cartier_pullback``); those values must extend to the whole
+subgroup; each extended value must lie in the source subgroup, which by
+admissibility holds every principal divisor; and finally the effectivity
+and support conditions are imposed on the effective generators — skipped
+for simplicial targets, where they hold automatically.  Failures carry
+machine-checkable certificates, and searches that exhaust their configured
+bound report "undecided" rather than guessing.
 
 The extensions are X + N @ T over integer matrices T.  Containment is
 decided in the quotient group Z^n / (source subgroup), n the number of
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .divisors import DivisorSubgroup, cartier_data
+from .divisors import DivisorSubgroup
 from .fan import Fan, _is_basis_part
 from .lattice import (
     AbHom,
@@ -89,6 +91,57 @@ class ToricMorphism:
             for face in self.ray_faces
         )
 
+    @cached_property
+    def cartier_pullback(self) -> tuple[IntMatrix, Vec]:
+        """Pullback of Cartier divisors as one matrix: numerators P, one row
+        per source ray over the target rays, and denominators q, so that the
+        pullback of a Cartier divisor d has coefficient (P d)_i / q_i.
+
+        The pullback pairs the image w of source ray i with the local
+        character m of d on a target max cone sigma holding it.  Write w as a
+        rational combination a of sigma's rays u_j; since <m, u_j> = d_j,
+        <m, w> = sum_j a_j d_j (the support function of d: Cox-Little-Schenck,
+        Toric Varieties, 4.2).  a is read off sigma's cached Smith form
+        U R V = S, rays R as rows: a R = w iff z S = w V for z = a U^-1, so
+        z_k = (w V)_k / s_k up to the rank and 0 past it, and q_i is the lcm
+        of the s_k.  On a non-simplicial sigma any such a serves, because m
+        is one character on all of sigma.  A zero image, the only kind a
+        target with no max cone admits, gives a zero row over 1.
+        """
+        target = self.target
+        rows, denominators = [], []
+        for i, containing in enumerate(self.ray_image_cones):
+            if not self.ray_faces[i]:
+                rows.append([0] * target.n_rays)
+                denominators.append(1)
+                continue
+            ci = containing[0]
+            snf = target.cone_snfs[ci]
+            s = snf.invariant_factors
+            wv = snf.V.left_apply(self.ray_image(i))
+            assert not any(wv[len(s):]), "a ray image lies in the span of its cone"
+            q = lcm(*s)
+            z = [x * (q // d) for x, d in zip(wv, s)] + [0] * (snf.U.rows - len(s))
+            row = [0] * target.n_rays
+            for j, a in zip(target.max_cones[ci], snf.U.left_apply(z)):
+                row[j] = a
+            rows.append(row)
+            denominators.append(q)
+        return IntMatrix(rows, cols=target.n_rays), tuple(denominators)
+
+    def pull_back_cartier(self, divisor: Sequence[int]) -> Vec:
+        """Pullback coefficients of a Cartier divisor on the target, read off
+        ``cartier_pullback``.  A division with remainder shows the divisor
+        is not Cartier and raises ValueError; an exact one does not prove
+        that it is."""
+        numerators, denominators = self.cartier_pullback
+        out = []
+        for x, q in zip(numerators.apply(divisor), denominators):
+            if x % q:
+                raise ValueError(f"divisor {list(divisor)} is not Cartier")
+            out.append(x // q)
+        return tuple(out)
+
 
 def validate_toric_morphism(
     source: Fan, target: Fan, matrix: IntMatrix
@@ -128,24 +181,7 @@ def validate_toric_morphism(
     )
 
 
-# -- pullback of Cartier divisors -------------------------------------------------
-
-
-def pullback_cartier(f: ToricMorphism, characters: Sequence[Vec]) -> Vec:
-    """Pullback coefficients of a Cartier divisor given by its local
-    characters (:func:`cartier_data`): at each source ray, pair the local
-    character of a target cone containing the ray's image with that image.
-
-    The value is independent of the chosen cone: local characters of a
-    Cartier divisor agree on overlaps, which is asserted here.
-    """
-    out = []
-    for i, containing in enumerate(f.ray_image_cones):
-        w = f.ray_image(i)
-        values = {vec_dot(characters[ci], w) for ci in containing}
-        assert len(values) == 1, "local characters must agree on the image"
-        out.append(values.pop())
-    return tuple(out)
+# -- strict transform -------------------------------------------------------------
 
 
 def strict_transform(f: ToricMorphism, coeffs: Sequence[int]) -> Optional[Vec]:
@@ -260,13 +296,14 @@ def solve_geometric_pullback(
 ) -> LiftingReport:
     """Decide whether the morphism lifts to the chosen presentations.
 
-    Stages: forced Cartier pullbacks; additive extension to the whole target
-    subgroup; containment of each value in the source subgroup; effectivity
-    and support conditions on effective generators (skipped for simplicial
-    target fans unless ``force_conditions``).  ``search_bound``
-    caps the coefficient box searched when residual freedom survives the
-    linear stages; exhausting it yields verdict "undecided".  A negative
-    ``search_bound`` is a ValueError: it would search an empty box.
+    Stages: forced Cartier pullbacks, one product with the morphism's
+    ``cartier_pullback`` matrix per Cartier member; additive extension to
+    the whole target subgroup; containment of each value in the source
+    subgroup; effectivity and support conditions on effective generators
+    (skipped for simplicial target fans unless ``force_conditions``).
+    ``search_bound`` caps the coefficient box searched when residual freedom
+    survives the linear stages; exhausting it yields verdict "undecided".  A
+    negative ``search_bound`` is a ValueError: it would search an empty box.
     """
     if search_bound is not None and search_bound < 0:
         raise ValueError(f"search bound must be non-negative, got {search_bound}")
@@ -288,9 +325,7 @@ def solve_geometric_pullback(
         coeffs = target_subgroup.coefficients(c)
         assert coeffs is not None, "Cartier members lie in the subgroup"
         crows.append(coeffs)
-        characters = cartier_data(f.target, c)
-        assert characters is not None, "Cartier lattice members admit local characters"
-        forced.append(pullback_cartier(f, characters))
+        forced.append(f.pull_back_cartier(c))
 
     # (b) extend from the Cartier members to the whole subgroup
     ext, obs = extend_homomorphism(
@@ -665,7 +700,8 @@ def verify_pullback_witness(
 ) -> list[str]:
     """Independent re-check of a witness; returns the list of violations.
 
-    Checks: forced Cartier values, containment of every row in the source
+    Checks: forced Cartier values (against the morphism's
+    ``cartier_pullback``), containment of every row in the source
     subgroup, effectivity and support conditions on the effective generators
     (when ``conditions``).
     """
@@ -675,9 +711,8 @@ def verify_pullback_witness(
 
     for c in target_subgroup.cartier_members:
         coeffs = target_subgroup.coefficients(c)
-        characters = cartier_data(f.target, c)
-        assert coeffs is not None and characters is not None
-        want = pullback_cartier(f, characters)
+        assert coeffs is not None
+        want = f.pull_back_cartier(c)
         got = phi.left_apply(coeffs)
         if got != want:
             problems.append(

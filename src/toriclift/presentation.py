@@ -52,7 +52,6 @@ class Presentation:
 
     subgroup: DivisorSubgroup
     coordinates: tuple[Vec, ...]
-    grading_group: FgAbGroup
     degrees: tuple[Vec, ...]
     exceptional_collections: tuple[tuple[int, ...], ...]
     enough: EnoughDivisorsReport
@@ -60,6 +59,11 @@ class Presentation:
     @property
     def n_coordinates(self) -> int:
         return len(self.coordinates)
+
+    @property
+    def grading_group(self) -> FgAbGroup:
+        """The grading group (subgroup) / (principal divisors)."""
+        return self.subgroup.grading_cokernel.group
 
 
 def build_presentation(
@@ -106,7 +110,6 @@ def presentation_from_subgroup(sub: DivisorSubgroup) -> Presentation:
     return Presentation(
         subgroup=sub,
         coordinates=coords,
-        grading_group=coker.group,
         degrees=tuple(degrees),
         exceptional_collections=collections,
         enough=enough_divisors(sub),

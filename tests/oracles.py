@@ -798,3 +798,39 @@ def fan_isomorphic_by_permutations(a, b):
             assert not verify_fan_iso(a, b, iso)
             return iso
     return None
+
+
+# -- Cartier pullback through the local characters of every max cone ----------
+
+
+def cartier_data(fan, coeffs: Sequence[int]):
+    """Reference for ``ToricMorphism.cartier_pullback``: local
+    trivializations witnessing that the divisor is Cartier, one character
+    per max cone pairing to the divisor coefficients on that cone's rays;
+    None when some cone has none."""
+    from toriclift.lattice import solve_with_snf
+
+    if len(coeffs) != fan.n_rays:
+        raise ValueError("coefficient length mismatch")
+    chars = []
+    for snf, cone in zip(fan.cone_snfs, fan.max_cones):
+        sol = solve_with_snf(snf, [coeffs[i] for i in cone])
+        if sol is None:
+            return None
+        chars.append(sol.particular)
+    return tuple(chars)
+
+
+def pullback_cartier(f, characters: Sequence[Vec]) -> Vec:
+    """Reference for ``ToricMorphism.pull_back_cartier``: the pullback of a
+    Cartier divisor given by its local characters (:func:`cartier_data`).
+    At each source ray, the local character of every target max cone
+    holding the ray's image pairs with that image to the same value, which
+    is asserted, and that value is the coefficient."""
+    out = []
+    for i, containing in enumerate(f.ray_image_cones):
+        w = f.ray_image(i)
+        values = {sum(x * y for x, y in zip(characters[ci], w)) for ci in containing}
+        assert len(values) == 1, "local characters must agree on the image"
+        out.append(values.pop())
+    return tuple(out)

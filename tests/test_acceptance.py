@@ -14,7 +14,6 @@ import fangen
 import oracles
 from toriclift.divisors import (
     DivisorSubgroup,
-    cartier_data,
     class_group,
     cox_subgroup,
     divisor_subgroup,
@@ -28,7 +27,6 @@ from toriclift.isomorphism import FanIso, toric_isomorphism, verify_fan_iso
 from toriclift.lattice import FgAbGroup, IntMatrix, hermite_row_basis
 from toriclift.lifting import (
     ExtensionObstructionCertificate,
-    pullback_cartier,
     solve_geometric_pullback,
     strict_transform,
     validate_toric_morphism,
@@ -220,9 +218,10 @@ def test_criterion_7_functoriality_locks(corpus):
             f = validate_toric_morphism(src, twisted, w @ base)
             m = tuple(rng.randint(-9, 9) for _ in range(twisted.rank))
             div = principal_divisor(twisted, m)
-            cd = cartier_data(twisted, div)
+            cd = oracles.cartier_data(twisted, div)
             assert cd is not None  # principal divisors are always Cartier
-            pulled = pullback_cartier(f, cd)
+            pulled = f.pull_back_cartier(div)
+            assert pulled == oracles.pullback_cartier(f, cd), trial
             assert pulled == principal_divisor(src, f.matrix.left_apply(m)), trial
 
         # round trip: principal -> local characters -> same coefficients
@@ -230,7 +229,7 @@ def test_criterion_7_functoriality_locks(corpus):
             for _ in range(3):
                 m = tuple(rng.randint(-5, 5) for _ in range(fan.rank))
                 div = principal_divisor(fan, m)
-                cd = cartier_data(fan, div)
+                cd = oracles.cartier_data(fan, div)
                 assert cd is not None
                 for ci, cone in enumerate(fan.max_cones):
                     char = cd[ci]

@@ -79,7 +79,7 @@ def test_primitive_vector():
 def test_vector_kernels_match_comprehensions():
     """The vector and matrix kernels agree with their plain comprehension
     definitions on seeded vectors of length 0 to 8, with negative entries and
-    entries above 2**64."""
+    entries above 2**64; ``left_apply`` also on all-zero and empty vectors."""
     rng = random.Random(1717)
 
     def entry():
@@ -103,6 +103,10 @@ def test_vector_kernels_match_comprehensions():
         rows = [vec(n) for _ in range(rng.randint(0, 3))]
         A = IntMatrix(rows, cols=n)
         assert A.apply(b) == tuple(sum(x * y for x, y in zip(r, b)) for r in rows)
+        v = vec(len(rows)) if rng.random() < 0.8 else (0,) * len(rows)
+        assert A.left_apply(v) == tuple(
+            sum(v[i] * rows[i][j] for i in range(len(rows))) for j in range(n)
+        )
         p = rng.randint(0, 3)
         cols = [vec(n) for _ in range(p)]
         B = IntMatrix([tuple(c[j] for c in cols) for j in range(n)], cols=p)
@@ -113,6 +117,9 @@ def test_vector_kernels_match_comprehensions():
                 f(short, long)
             with pytest.raises(ValueError):
                 f(long, short)
+    for v in [(), (1, 2)]:
+        with pytest.raises(ValueError):
+            IntMatrix([(1, 2)], cols=2).left_apply(v)
 
 
 # -- Smith normal form --------------------------------------------------------

@@ -10,11 +10,11 @@ import random
 
 import pytest
 
+import fangen
 import oracles
 from toriclift import fan as fan_module
-from toriclift import lattice, lifting
+from toriclift import divisors, lattice, lifting
 from toriclift.divisors import (
-    cartier_data,
     cox_subgroup,
     divisor_subgroup,
     kajiwara_subgroup,
@@ -39,7 +39,6 @@ from toriclift.lifting import (
     _effective_points,
     _projections,
     classify_liftings,
-    pullback_cartier,
     solve_geometric_pullback,
     strict_transform,
     validate_toric_morphism,
@@ -125,10 +124,31 @@ class TestValidateMorphism:
 class TestPullbackCartier:
     def test_pullback_along_subdivision(self, blowup_line, quadric):
         f = validate_toric_morphism(blowup_line, quadric, IntMatrix.identity(2))
+        # the interior ray (1, 1) is half the sum of the quadric's rays
+        assert f.cartier_pullback == (
+            IntMatrix([(2, 0), (1, 1), (0, 2)]), (2, 2, 2)
+        )
         # 2 * (divisor of second ray) has local character (0, 1)
-        cd = cartier_data(quadric, (0, 2))
+        cd = oracles.cartier_data(quadric, (0, 2))
         assert cd is not None
-        assert pullback_cartier(f, cd) == (0, 1, 2)
+        assert oracles.pullback_cartier(f, cd) == (0, 1, 2)
+        assert f.pull_back_cartier((0, 2)) == (0, 1, 2)
+
+    def test_non_cartier_divisor_leaves_a_remainder(self, blowup_line, quadric):
+        # (1, 0) has no local character on the quadric cone, and its pullback
+        # at the interior ray would be 1/2
+        f = validate_toric_morphism(blowup_line, quadric, IntMatrix.identity(2))
+        assert oracles.cartier_data(quadric, (1, 0)) is None
+        with pytest.raises(ValueError, match="not Cartier"):
+            f.pull_back_cartier((1, 0))
+
+    def test_zero_images_pull_back_to_zero(self, line, quadric):
+        f = validate_toric_morphism(quadric, line, IntMatrix([(0, 0)]))
+        assert f.cartier_pullback == (IntMatrix([(0,), (0,)]), (1, 1))
+        assert f.pull_back_cartier((5,)) == (0, 0)
+        # the torus, a fan with no max cone, takes only zero images
+        torus = validate_fan(1, [], [])
+        assert validate_toric_morphism(line, torus, IntMatrix([(0,)])).pull_back_cartier(()) == (0,)
 
     def test_functoriality_on_a_chain(self, plane, line):
         # line --(1,1)--> plane --[[1,0],[1,1]]--> plane
@@ -140,12 +160,100 @@ class TestPullbackCartier:
             line, plane, IntMatrix([(1, 0), (1, 1)]) @ IntMatrix([(1,), (1,)])
         )
         d = (2, 3)
-        cd = cartier_data(plane, d)
-        step = pullback_cartier(outer, cd)
-        assert step == (2, 5)
-        cd_mid = cartier_data(plane, step)
-        assert pullback_cartier(inner, cd_mid) == (7,)
-        assert pullback_cartier(composed, cd) == (7,)
+        cd = oracles.cartier_data(plane, d)
+        step = oracles.pullback_cartier(outer, cd)
+        assert step == (2, 5) == outer.pull_back_cartier(d)
+        cd_mid = oracles.cartier_data(plane, step)
+        assert oracles.pullback_cartier(inner, cd_mid) == (7,) == inner.pull_back_cartier(step)
+        assert oracles.pullback_cartier(composed, cd) == (7,) == composed.pull_back_cartier(d)
+
+    def test_forced_values_take_no_new_smith_form(self, monkeypatch, line, quadric, diamond):
+        # the forced values of stage (a) and their re-verification on a yes
+        # read the pullback matrix, built from the target's cached cone Smith
+        # forms: no solve and no further Smith form
+        cases = [
+            (quadric, quadric, IntMatrix.identity(2)),
+            (line, diamond, IntMatrix([(1,), (0,), (3,)])),
+        ]
+        warm = []
+        for source, target, matrix in cases:
+            f = validate_toric_morphism(source, target, matrix)
+            t_sub, s_sub = cox_subgroup(target), cox_subgroup(source)
+            report = solve_geometric_pullback(f, t_sub, s_sub)
+            assert report.verdict == "yes" and t_sub.cartier_members
+            warm.append((validate_toric_morphism(source, target, matrix), t_sub, s_sub, report))
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("smith_normal_form", "solve_with_snf"):
+            for module in (lattice, fan_module, divisors, lifting):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for f, t_sub, s_sub, report in warm:
+            for c in t_sub.cartier_members:
+                f.pull_back_cartier(c)
+            assert not verify_pullback_witness(
+                f, t_sub, s_sub, report.witness, conditions=report.conditions_checked
+            )
+        assert calls == []
+
+    def test_matrix_matches_local_character_oracle(self, line):
+        """On seeded morphisms between ``fangen`` fans, the matrix pullback of
+        every Cartier member of the target's Cox and Kajiwara subgroups is
+        the pullback through local characters."""
+        rng = random.Random(2121)
+        seen = dict.fromkeys(
+            ["morphisms", "members", "non_simplicial", "singular", "zero_image",
+             "face_interior", "padded_source"], 0
+        )
+        for _ in range(1600):
+            source = fangen.random_fan(rng, torus_rank=rng.randint(0, 1))
+            branch = rng.random()
+            if branch < 0.2:
+                # a change of basis: every ray image is a target ray
+                matrix = fangen.random_unimodular(source.rank, rng)
+                target = fangen.conjugate_fan(source, matrix)
+            elif branch < 0.4:
+                # the line onto a sum of rays of one target max cone: an image
+                # interior to the face those rays span
+                source = line
+                target = fangen.random_fan(rng)
+                cone = rng.choice(target.max_cones)
+                picked = [target.rays[i] for i in cone if rng.random() < 0.6]
+                matrix = IntMatrix(
+                    [(sum(r[k] for r in picked),) for k in range(target.rank)], cols=1
+                )
+            else:
+                target = fangen.random_fan(rng)
+                matrix = IntMatrix(
+                    [[rng.randint(-2, 2) for _ in range(source.rank)]
+                     for _ in range(target.rank)],
+                    cols=source.rank,
+                )
+            try:
+                f = validate_toric_morphism(source, target, matrix)
+            except MorphismValidationError:
+                continue
+            for sub in (cox_subgroup(target), kajiwara_subgroup(target)):
+                for c in sub.cartier_members:
+                    want = oracles.pullback_cartier(f, oracles.cartier_data(target, c))
+                    assert f.pull_back_cartier(c) == want, (source, target, matrix, c)
+                    seen["members"] += 1
+            seen["morphisms"] += 1
+            seen["non_simplicial"] += not target.is_simplicial
+            seen["singular"] += target.is_simplicial and not target.is_smooth
+            seen["zero_image"] += () in f.ray_faces
+            seen["face_interior"] += any(
+                len(face) > 1 and face not in target.max_cones for face in f.ray_faces
+            )
+            seen["padded_source"] += source.is_degenerate
+        # 885 morphisms, 4,270 members, and 41 to 308 of each kind at this seed
+        assert min(seen.values()) >= 30, seen
 
 
 class TestStrictTransform:
