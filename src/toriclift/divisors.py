@@ -24,6 +24,7 @@ from .lattice import (
     hermite_coefficients,
     hermite_row_basis,
     hilbert_basis,
+    kernel_basis,
     lattice_intersection,
     primitive_vector,
     vec_dot,
@@ -56,39 +57,32 @@ def principal_divisor(fan: Fan, character: Sequence[int]) -> Vec:
 
 
 def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
-    """Canonical basis of the lattice of Cartier divisors inside Z^rays.
+    """Canonical (Hermite) basis of the Cartier divisors inside Z^rays.
 
-    A divisor is Cartier iff its restriction to each max cone's rays lies in
-    the image of the character pairing on that cone; each such condition cuts
-    out a sublattice and the Cartier lattice is their intersection.
+    A divisor d is Cartier iff on each max cone sigma it agrees with one
+    character, d|sigma = R m for sigma's ray matrix R (Cox-Little-Schenck,
+    Toric Varieties, Thm 4.2.8).  With sigma's cached Smith form U R V = S
+    (``Fan.cone_snfs``) that says (U d|sigma)_k is a multiple of s_k below
+    the rank and zero past it.  So the lattice is the kernel of one system
+    [A | -diag(s)], read in the divisor coordinates: a row of U per
+    invariant factor other than 1 and per rank deficit of each max cone
+    (none for a smooth cone), and a multiplier unknown per congruence.
     """
     n = fan.n_rays
-    units = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    current = units
-    for cone in fan.max_cones:
-        restricted = [
-            tuple(fan.rays[i][j] for i in cone) for j in range(fan.rank)
-        ]
-        rsub = hermite_row_basis(restricted, width=len(cone))
-        # identity basis: a smooth cone, on which every divisor is Cartier
-        if _is_identity_basis(rsub, len(cone)):
-            continue
-        gens = []
-        pos = {ray_i: k for k, ray_i in enumerate(cone)}
-        for r in rsub:
-            gens.append(
-                tuple(r[pos[i]] if i in pos else 0 for i in range(n))
-            )
-        for i in range(n):
-            if i not in pos:
-                gens.append(tuple(1 if j == i else 0 for j in range(n)))
-        basis = hermite_row_basis(gens, width=n)
-        current = (
-            basis
-            if current == units
-            else lattice_intersection(current, basis, width=n)
-        )
-    return current
+    rows, factors = [], []
+    for cone, snf in zip(fan.max_cones, fan.cone_snfs):
+        padded = snf.invariant_factors + (0,) * (len(cone) - snf.rank)
+        for u, factor in zip(snf.U, padded):
+            if factor != 1:
+                at = dict(zip(cone, u))
+                rows.append([at.get(i, 0) for i in range(n)])
+                factors.append(factor)
+    if not rows:
+        return IntMatrix.identity(n).row_list()
+    congruences = [r for r, factor in enumerate(factors) if factor]
+    stacked = [row + [-factors[r] * (r == q) for q in congruences] for r, row in enumerate(rows)]
+    kernel = kernel_basis(IntMatrix(stacked, cols=n + len(congruences)))
+    return hermite_row_basis((v[:n] for v in kernel), width=n)
 
 
 # -- class group ----------------------------------------------------------------
@@ -111,8 +105,9 @@ class DivisorSubgroup:
 
     ``basis`` is the canonical Hermite basis, so equal subgroups compare
     equal regardless of the generators they were built from.  Derived data
-    (the effective cone, effective generators, Cartier members, grading
-    cokernel) is computed once per instance, as cached properties.
+    (the effective cone and generators, the Cartier members, which cone
+    Smith forms decide through ``cartier_lattice``, the coordinates of both
+    over ``basis``, the grading cokernel) is cached once per instance.
     """
 
     fan: Fan
@@ -122,10 +117,18 @@ class DivisorSubgroup:
         return self.coefficients(coeffs) is not None
 
     def coefficients(self, coeffs: Sequence[int]) -> Optional[Vec]:
-        """Coordinates over ``basis``, unique since its rows are independent."""
+        """Coordinates over ``basis``, unique since its rows are independent;
+        on the full lattice, whose basis is the identity, the vector itself."""
         if len(coeffs) != self.fan.n_rays:
             raise ValueError("coefficient length mismatch")
+        if self.is_full:
+            return tuple(coeffs)
         return hermite_coefficients(self.basis, coeffs)
+
+    @cached_property
+    def is_full(self) -> bool:
+        """Whether the subgroup is all of Z^rays."""
+        return _is_identity_basis(self.basis, self.fan.n_rays)
 
     @cached_property
     def effective_cone_rays(self) -> tuple[Vec, ...]:
@@ -138,9 +141,29 @@ class DivisorSubgroup:
         return hilbert_basis(self.basis, self.effective_cone_rays)
 
     @cached_property
+    def generator_coefficients(self) -> tuple[Vec, ...]:
+        """Coordinates over ``basis`` of each of ``effective_generators``."""
+        coords = tuple(self.coefficients(g) for g in self.effective_generators)
+        assert None not in coords, "effective generators lie in the subgroup"
+        return coords
+
+    @cached_property
     def cartier_members(self) -> tuple[Vec, ...]:
-        """Canonical basis of the Cartier members of the subgroup."""
-        return lattice_intersection(self.basis, cartier_lattice(self.fan), width=self.fan.n_rays)
+        """Canonical basis of the subgroup's intersection with
+        ``cartier_lattice``; no intersection is taken when either is Z^rays."""
+        cartier = cartier_lattice(self.fan)
+        if self.is_full:
+            return cartier
+        if _is_identity_basis(cartier, self.fan.n_rays):
+            return self.basis
+        return lattice_intersection(self.basis, cartier, width=self.fan.n_rays)
+
+    @cached_property
+    def cartier_coefficients(self) -> tuple[Vec, ...]:
+        """Coordinates over ``basis`` of each of ``cartier_members``."""
+        coords = tuple(self.coefficients(c) for c in self.cartier_members)
+        assert None not in coords, "Cartier members lie in the subgroup"
+        return coords
 
     @cached_property
     def grading_cokernel(self) -> CokernelData:
@@ -195,10 +218,9 @@ def divisor_subgroup(fan: Fan, rows: Sequence[Sequence[int]]) -> DivisorSubgroup
 
 
 def cox_subgroup(fan: Fan) -> DivisorSubgroup:
-    """The full divisor lattice Z^rays (Cox-style presentation data)."""
-    n = fan.n_rays
-    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return divisor_subgroup(fan, units)
+    """The full divisor lattice Z^rays (Cox-style presentation data), not
+    validated: it holds every divisor, and its unit divisors are effective."""
+    return DivisorSubgroup(fan=fan, basis=IntMatrix.identity(fan.n_rays).row_list())
 
 
 def kajiwara_subgroup(fan: Fan) -> DivisorSubgroup:

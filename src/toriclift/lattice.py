@@ -19,6 +19,7 @@ modules appear in two shapes and each call site says which: ``A @ x = b``
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -686,15 +687,8 @@ def lattice_intersection(
     stacked = IntMatrix(ra + [vec_scale(-1, r) for r in rb])
     # left kernel: coefficient rows (x | y) with x@ra = y@rb
     ker = kernel_basis(stacked.T)
-    vecs = []
-    for coeffs in ker:
-        x = coeffs[: len(ra)]
-        w = [0] * width
-        for c, row in zip(x, ra):
-            for j in range(width):
-                w[j] += c * row[j]
-        vecs.append(tuple(w))
-    return hermite_row_basis(vecs, width=width)
+    left = IntMatrix(ra, cols=width)
+    return hermite_row_basis((left.left_apply(x[: len(ra)]) for x in ker), width=width)
 
 
 # ---------------------------------------------------------------------------
@@ -931,11 +925,17 @@ def hilbert_basis(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
         candidates.update(_parallelepiped_points([packed[i] for i in simplex], U, s))
     candidates.discard(0)
     high = sum(1 << (c * w + w - 1) for c in range(width))
+    shift = width * w
     kept: list[int] = []
+    next_sum = 0
     for p in sorted(candidates):
+        if p >= next_sum:
+            # if p = q + r, sum(q) <= sum(r), a kept part of q lies below p: test sums <= sum(p) / 2
+            next_sum = (p >> shift) + 1 << shift
+            tested = kept[: bisect_left(kept, (p >> shift) // 2 + 1 << shift)]
         # p - q is a nonnegative lattice vector, nonzero as q comes first
         p_high = p | high
-        for q in kept:
+        for q in tested:
             if (p_high - q) & high == high:
                 break
         else:

@@ -312,30 +312,19 @@ def solve_geometric_pullback(
     if source_subgroup.fan != f.source:
         raise ValueError("source subgroup lives on a different fan")
     n_src = f.source.n_rays
-    basis = target_subgroup.basis
-    k = len(basis)
+    k = len(target_subgroup.basis)
 
     conditions = force_conditions or not f.target.is_simplicial
 
     # (a) forced values on the Cartier members
-    cart = target_subgroup.cartier_members
-    crows = []
-    forced = []
-    for c in cart:
-        coeffs = target_subgroup.coefficients(c)
-        assert coeffs is not None, "Cartier members lie in the subgroup"
-        crows.append(coeffs)
-        forced.append(f.pull_back_cartier(c))
+    forced = [f.pull_back_cartier(c) for c in target_subgroup.cartier_members]
 
     # (b) extend from the Cartier members to the whole subgroup
     ext, obs = extend_homomorphism(
-        IntMatrix(crows, cols=k), IntMatrix(forced, cols=n_src)
+        IntMatrix(target_subgroup.cartier_coefficients, cols=k), IntMatrix(forced, cols=n_src)
     )
     if obs is not None:
-        divisor = tuple(
-            sum(c * row[j] for c, row in zip(obs.element, basis))
-            for j in range(f.target.n_rays)
-        )
+        divisor = IntMatrix(target_subgroup.basis, cols=f.target.n_rays).left_apply(obs.element)
         return _no_report(
             ExtensionObstructionCertificate(
                 multiplier=obs.multiplier, divisor=divisor, required=obs.required
@@ -373,9 +362,8 @@ def solve_geometric_pullback(
     bound_used: Optional[int] = None
     if conditions:
         gens = target_subgroup.effective_generators
-        gen_coeffs = [target_subgroup.coefficients(g) for g in gens]
-        assert None not in gen_coeffs
-        chain = _projections(_effectivity_system(phi0, dirs, gen_coeffs, n_src), len(dirs))
+        system = _effectivity_system(phi0, dirs, target_subgroup.generator_coefficients, n_src)
+        chain = _projections(system, len(dirs))
         bad = next((r for r, (_, b) in enumerate(chain[0]) if b > 0), None)
         if bad is not None:
             # with no direction chain[0] is the system itself, whose row r is
@@ -474,9 +462,7 @@ def _support_zero_cells(
     ray's image shares a ray with the generator's support.
     """
     cells = []
-    for g in target_subgroup.effective_generators:
-        coeffs = target_subgroup.coefficients(g)
-        assert coeffs is not None
+    for g, coeffs in zip(target_subgroup.effective_generators, target_subgroup.generator_coefficients):
         support = {j for j, x in enumerate(g) if x > 0}
         for i, face in enumerate(f.ray_faces):
             if support.isdisjoint(face):
@@ -582,7 +568,7 @@ class _ProjectedContainment:
 
 
 def _effectivity_system(
-    phi0: IntMatrix, dirs: list[IntMatrix], gen_coeffs: list[Vec], n_src: int
+    phi0: IntMatrix, dirs: list[IntMatrix], gen_coeffs: Sequence[Vec], n_src: int
 ) -> list[tuple[Vec, int]]:
     """Rows (a, b) of a . tau >= b, one per (generator, source ray) in that
     order: the pullback of the generator is nonnegative at the ray."""
@@ -709,9 +695,7 @@ def verify_pullback_witness(
     phi = witness.phi
     n_src = f.source.n_rays
 
-    for c in target_subgroup.cartier_members:
-        coeffs = target_subgroup.coefficients(c)
-        assert coeffs is not None
+    for c, coeffs in zip(target_subgroup.cartier_members, target_subgroup.cartier_coefficients):
         want = f.pull_back_cartier(c)
         got = phi.left_apply(coeffs)
         if got != want:
@@ -725,8 +709,7 @@ def verify_pullback_witness(
             problems.append(f"row {j} of phi is not in the source subgroup")
 
     if conditions:
-        for g in target_subgroup.effective_generators:
-            coeffs = target_subgroup.coefficients(g)
+        for g, coeffs in zip(target_subgroup.effective_generators, target_subgroup.generator_coefficients):
             val = phi.left_apply(coeffs)
             support = {j for j, x in enumerate(g) if x > 0}
             for i in range(n_src):

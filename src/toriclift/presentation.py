@@ -101,16 +101,11 @@ def build_presentation(
 def presentation_from_subgroup(sub: DivisorSubgroup) -> Presentation:
     coords = sub.effective_generators
     coker = sub.grading_cokernel
-    degrees = []
-    for w in coords:
-        c = sub.coefficients(w)
-        assert c is not None
-        degrees.append(coker.project(c))
     collections = exceptional_collections(sub.fan, coords)
     return Presentation(
         subgroup=sub,
         coordinates=coords,
-        degrees=tuple(degrees),
+        degrees=tuple(coker.project(c) for c in sub.generator_coefficients),
         exceptional_collections=collections,
         enough=enough_divisors(sub),
     )

@@ -834,3 +834,43 @@ def pullback_cartier(f, characters: Sequence[Vec]) -> Vec:
         assert len(values) == 1, "local characters must agree on the image"
         out.append(values.pop())
     return tuple(out)
+
+
+# -- Cartier lattice by pairwise intersection of per-cone lattices ------------
+
+
+def cartier_lattice_by_intersection(fan) -> tuple[Vec, ...]:
+    """Reference for ``divisors.cartier_lattice``: the lattice it replaced.
+
+    Each singular max cone's condition cuts out a sublattice of Z^rays, the
+    Hermite basis of the restricted character pairing on the cone's rays
+    plus every ray off the cone; the Cartier lattice is their intersection,
+    taken pairwise.
+    """
+    from toriclift.lattice import _is_identity_basis, hermite_row_basis, lattice_intersection
+
+    n = fan.n_rays
+    units = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+    current = units
+    for cone in fan.max_cones:
+        restricted = [tuple(fan.rays[i][j] for i in cone) for j in range(fan.rank)]
+        rsub = hermite_row_basis(restricted, width=len(cone))
+        # identity basis: a smooth cone, on which every divisor is Cartier
+        if _is_identity_basis(rsub, len(cone)):
+            continue
+        pos = {ray_i: k for k, ray_i in enumerate(cone)}
+        gens = [tuple(r[pos[i]] if i in pos else 0 for i in range(n)) for r in rsub]
+        gens += [units[i] for i in range(n) if i not in pos]
+        basis = hermite_row_basis(gens, width=n)
+        current = basis if current == units else lattice_intersection(current, basis, width=n)
+    return current
+
+
+def cartier_members_by_intersection(sub) -> tuple[Vec, ...]:
+    """Reference for ``DivisorSubgroup.cartier_members``: the subgroup's
+    basis intersected with :func:`cartier_lattice_by_intersection`, with no
+    shortcut."""
+    from toriclift.lattice import lattice_intersection
+
+    n = sub.fan.n_rays
+    return lattice_intersection(sub.basis, cartier_lattice_by_intersection(sub.fan), width=n)

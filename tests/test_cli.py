@@ -334,6 +334,34 @@ class TestLift:
         assert f"source: {path} sha256" in out and f"target: {path} sha256" in out
         assert calls == {"validate_fan": 1, "cox_subgroup": 1}
 
+    def test_subgroup_data_is_solved_once(self, files, capsys, monkeypatch):
+        # the Cox subgroups are admissible by construction, and each
+        # coordinate of a Cartier member or effective generator is solved at
+        # most once per lift
+        import toriclift.divisors as divisors
+        import toriclift.lattice as lattice
+
+        calls = {"divisor_subgroup": 0, "hermite_coefficients": 0}
+
+        def counting(name, *modules):
+            original = getattr(modules[0], name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            for module in modules:
+                monkeypatch.setattr(module, name, wrapper)
+
+        counting("divisor_subgroup", divisors, cli)
+        counting("hermite_coefficients", lattice, divisors)
+        code, out, _ = run(capsys, "lift", files["line"], files["diamond"], "--matrix", "1,0,3")
+        assert code == 0 and "exists: true" in out
+        # the diamond's Cox subgroup has 3 Cartier members and 4 effective
+        # generators
+        assert calls["divisor_subgroup"] == 0
+        assert calls["hermite_coefficients"] <= 3 + 4
+
     def test_morphism_label(self, tmp_path, files, capsys):
         p = tmp_path / "src.fan"
         p.write_text(BLOWUP + f"morphism down {files['plane']}\n1 0\n0 1\nend\n")
