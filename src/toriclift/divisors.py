@@ -67,10 +67,16 @@ def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
     [A | -diag(s)], read in the divisor coordinates: a row of U per
     invariant factor other than 1 and per rank deficit of each max cone
     (none for a smooth cone), and a multiplier unknown per congruence.
+    A cone shown smooth by its facet normals (``_has_dual_facets``), as
+    every full-dimensional smooth cone is, since its primitive facet normals
+    are the dual basis, is passed without its Smith form.
     """
     n = fan.n_rays
     rows, factors = [], []
-    for cone, snf in zip(fan.max_cones, fan.cone_snfs):
+    for ci, cone in enumerate(fan.max_cones):
+        if _has_dual_facets(fan.cone_rays(cone), fan.cone_hreps[ci].inequalities):
+            continue
+        snf = fan.cone_snfs[ci]
         padded = snf.invariant_factors + (0,) * (len(cone) - snf.rank)
         for u, factor in zip(snf.U, padded):
             if factor != 1:
@@ -83,6 +89,20 @@ def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
     stacked = [row + [-factors[r] * (r == q) for q in congruences] for r, row in enumerate(rows)]
     kernel = kernel_basis(IntMatrix(stacked, cols=n + len(congruences)))
     return hermite_row_basis((v[:n] for v in kernel), width=n)
+
+
+def _has_dual_facets(rays: Sequence[Vec], normals: Sequence[Vec]) -> bool:
+    """Whether some facet normals u_i pair with the rays v_j as a dual basis,
+    <u_i, v_j> = 1 if i = j else 0.  Then x -> (<u_i, x>) maps Z^rank onto
+    Z^k, k = len(rays), sending the rays to the unit vectors, so their span
+    is a direct summand: the rays are part of a lattice basis, the cone is
+    smooth."""
+    paired = set()
+    for u in normals:
+        values = [vec_dot(u, v) for v in rays]
+        if values.count(0) == len(values) - 1 and 1 in values:
+            paired.add(values.index(1))
+    return len(paired) == len(rays)
 
 
 # -- class group ----------------------------------------------------------------
@@ -150,12 +170,10 @@ class DivisorSubgroup:
     @cached_property
     def cartier_members(self) -> tuple[Vec, ...]:
         """Canonical basis of the subgroup's intersection with
-        ``cartier_lattice``; no intersection is taken when either is Z^rays."""
+        ``cartier_lattice``, which is all of it on the full lattice."""
         cartier = cartier_lattice(self.fan)
         if self.is_full:
             return cartier
-        if _is_identity_basis(cartier, self.fan.n_rays):
-            return self.basis
         return lattice_intersection(self.basis, cartier, width=self.fan.n_rays)
 
     @cached_property

@@ -19,7 +19,6 @@ modules appear in two shapes and each call site says which: ``A @ x = b``
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -925,17 +924,11 @@ def hilbert_basis(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
         candidates.update(_parallelepiped_points([packed[i] for i in simplex], U, s))
     candidates.discard(0)
     high = sum(1 << (c * w + w - 1) for c in range(width))
-    shift = width * w
     kept: list[int] = []
-    next_sum = 0
     for p in sorted(candidates):
-        if p >= next_sum:
-            # if p = q + r, sum(q) <= sum(r), a kept part of q lies below p: test sums <= sum(p) / 2
-            next_sum = (p >> shift) + 1 << shift
-            tested = kept[: bisect_left(kept, (p >> shift) // 2 + 1 << shift)]
         # p - q is a nonnegative lattice vector, nonzero as q comes first
         p_high = p | high
-        for q in tested:
+        for q in kept:
             if (p_high - q) & high == high:
                 break
         else:

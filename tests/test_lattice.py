@@ -570,12 +570,11 @@ def test_hilbert_matches_box_search(monkeypatch):
 
 
 def test_hilbert_matches_sieve_oracle(monkeypatch):
-    # the tuple listing and sieve it replaced, which tests every kept
-    # generator where hilbert_basis stops at half the candidate's sum, on
-    # 640 seeded lattices of rank 1-5; every third is of rank 3 or 4 in Z^5,
-    # whose effective cone is often not simplicial, and every third has one
-    # coordinate scaled past 2^64, which widens the packed fields.  The point
-    # guard is lowered so that a costly lattice is refused quickly
+    # the tuple listing and sieve it replaced, on 640 seeded lattices of
+    # rank 1-5; every third is of rank 3 or 4 in Z^5, whose effective cone is
+    # often not simplicial, and every third has one coordinate scaled past
+    # 2^64, which widens the packed fields.  The point guard is lowered so
+    # that a costly lattice is refused quickly
     monkeypatch.setattr(lattice, "MAX_HILBERT_POINTS", 10_000)
     rng = random.Random(20)
     compared = lower_rank = several_simplices = past_64_bits = 0
