@@ -17,12 +17,13 @@ are inside it, is strongly convex iff no listed ray lies on every facet
 (the facets meet in its lineality space), and has a ray extreme iff the
 facets through it hold no other listed ray.  Two max cones meet in a common
 face iff a functional >= 0 on one and <= 0 on the other cuts both in the
-same face (Cox-Little-Schenck, 1.2.13).  Tried in turn: one facet of
-either cone through the shared rays with the other's remaining rays
-strictly below it, read from the table's sign masks (it cuts cone(shared)
-out of the other cone, a face of the first if its smallest face holding
-the shared rays holds no other); a sum of facet normals; the exact test by
-double description.
+same face (Cox-Little-Schenck, 1.2.13).  One walk over each cone's facets
+through the shared rays, read from the table's masks, gives both the
+smallest face holding them and the first certificate: a facet with the
+other cone's remaining rays strictly below it cuts cone(shared) out of the
+other cone, and cone(shared) is a face of the walked one if that smallest
+face holds no other of its rays.  Then a sum of facet normals, then the
+exact test by double description.
 
 Degenerate fans (rays not spanning the ambient lattice) are legal; they
 describe varieties with a torus factor, split off by ``split_torus_factor``.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
@@ -132,22 +134,31 @@ class Fan:
 
     @cached_property
     def cone_incidences(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-        """Per max cone, bitmasks over the fan's rays (bit i for ray i), read
-        from one pass of facet values over the rays: the rays inside the
-        cone, and per facet inequality w those on w's hyperplane and those
-        strictly below it (w . ray < 0)."""
-        rays = self.ray_matrix()
-        every = (1 << len(self.rays)) - 1
+        """Per max cone, bitmasks over the fan's rays (bit i for ray i): the
+        rays inside the cone, and per facet inequality w those on w's
+        hyperplane and those strictly below it (w . ray < 0), both read from
+        one pass of w's values over the rays."""
+        rays = self.rays
+        bits = [1 << i for i in range(len(rays))]
+        every = (1 << len(rays)) - 1
         incidences = []
         for h in self.cone_hreps:
             off, on, below = 0, [], []
             for e in h.equations:
-                off |= _mask(i for i, v in enumerate(rays.apply(e)) if v)
+                for r, bit in zip(rays, bits):
+                    if sum(map(mul, e, r)):
+                        off |= bit
             for w in h.inequalities:
-                values = rays.apply(w)
-                on.append(_mask(i for i, v in enumerate(values) if v == 0))
-                below.append(_mask(i for i, v in enumerate(values) if v < 0))
-                off |= below[-1]
+                f = b = 0
+                for r, bit in zip(rays, bits):
+                    v = sum(map(mul, w, r))
+                    if not v:
+                        f |= bit
+                    elif v < 0:
+                        b |= bit
+                on.append(f)
+                below.append(b)
+                off |= b
             incidences.append((every & ~off, tuple(on), tuple(below)))
         return tuple(incidences)
 
@@ -268,24 +279,38 @@ def _meet_in_common_face(fan: Fan, a: int, b: int) -> bool:
     """Whether max cones ``a`` and ``b`` of ``fan``, strongly convex and
     neither inside the other, meet in a face of both.
 
-    With F the shared rays, the first two certificates read the facets of a,
-    then of b, where cone(F) is a face (the smallest face holding F holds no
-    other ray of that cone): one facet (:func:`_below_facet`), then a sum of
-    facet normals (:func:`_separates`).  Only when neither certifies the
-    pair, the exact test: u, the sum of the extreme rays of
-    {u : u >= 0 on a, u <= 0 on b}, lies in the relative interior of the
-    separating functionals, and the pair meets in a common face iff the
-    rays of a and of b on u's hyperplane are the same, so in both cones.
+    With F the shared rays, one walk over the facets of a, then one over the
+    facets of b, gives both the smallest face of that cone holding F (the
+    rays on every facet through F) and the one-facet certificate, the
+    separation lemma (Cox-Little-Schenck, *Toric Varieties*, 1.2.13) with a
+    facet inequality w through F: if cone(F) is a face of that cone (its
+    smallest face holding F holds no other ray of it) and w is negative on
+    the other cone's remaining rays, w >= 0 on the one gives a ∩ b ⊆ cone(F),
+    the face of the other cut out by w.  On the sides where cone(F) is a
+    face, a sum of facet normals is tried next (:func:`_separates`).  Only
+    when neither certifies the pair, the exact test: u, the sum of the
+    extreme rays of {u : u >= 0 on a, u <= 0 on b}, lies in the relative
+    interior of the separating functionals, and the pair meets in a common
+    face iff the rays of a and of b on u's hyperplane are the same, so in
+    both cones.
     """
     masks = fan.cone_masks
     shared = masks[a] & masks[b]
-    sides = [
-        (x, y) for x, y in ((a, b), (b, a))
-        if _smallest_face(fan.cone_incidences[x], shared) & masks[x] == shared
-    ]
-    if any(_below_facet(fan, x, y, shared) for x, y in sides) or any(
-        _separates(fan, x, y, shared) for x, y in sides
-    ):
+    sides = []
+    for x, y in ((a, b), (b, a)):
+        face, on, below = fan.cone_incidences[x]
+        rest = masks[y] & ~shared
+        certified = False
+        for f, w in zip(on, below):
+            if not shared & ~f:
+                face &= f
+                if not rest & ~w:
+                    certified = True
+        if face & masks[x] == shared:
+            if certified:
+                return True
+            sides.append((x, y))
+    if any(_separates(fan, x, y, shared) for x, y in sides):
         return True
     ca, cb = fan.max_cones[a], fan.max_cones[b]
     normals = [fan.rays[i] for i in ca] + [tuple(-x for x in fan.rays[i]) for i in cb]
@@ -294,18 +319,6 @@ def _meet_in_common_face(fan: Fan, a: int, b: int) -> bool:
     ta = {i for i in ca if vec_dot(u, fan.rays[i]) == 0}
     tb = {i for i in cb if vec_dot(u, fan.rays[i]) == 0}
     return ta == tb
-
-
-def _below_facet(fan: Fan, a: int, b: int, shared: int) -> bool:
-    """The separation lemma (Cox-Little-Schenck, *Toric Varieties*, 1.2.13)
-    with one facet inequality w of max cone ``a``, where cone(F), F the rays
-    in mask ``shared``, is a face of a.  If w vanishes on F and is negative
-    on max cone b's other rays, w >= 0 on a gives a ∩ b ⊆ b ∩ w^⊥ = cone(F),
-    the face of b cut out by w.  False says only that no facet certifies it.
-    """
-    _, on, below = fan.cone_incidences[a]
-    rest = fan.cone_masks[b] & ~shared
-    return any(shared & ~f == 0 and rest & ~w == 0 for f, w in zip(on, below))
 
 
 def _separates(fan: Fan, a: int, b: int, shared: int) -> bool:
@@ -318,9 +331,12 @@ def _separates(fan: Fan, a: int, b: int, shared: int) -> bool:
     False says only that this u does not certify the pair.
     """
     _, facets, _ = fan.cone_incidences[a]
-    through = [w for w, f in zip(fan.cone_hreps[a].inequalities, facets) if shared & ~f == 0]
-    u = [sum(w[j] for w in through) for j in range(fan.rank)]
-    return all(vec_dot(u, fan.rays[i]) < 0 for i in fan.max_cones[b] if not shared >> i & 1)
+    through = [w for w, f in zip(fan.cone_hreps[a].inequalities, facets) if not shared & ~f]
+    u = [sum(c) for c in zip(*through)]
+    for i in fan.max_cones[b]:
+        if not shared >> i & 1 and sum(map(mul, u, fan.rays[i])) >= 0:
+            return False
+    return True
 
 
 def validate_fan(
@@ -435,14 +451,16 @@ def validate_fan(
     if problems:
         raise FanValidationError(problems)
 
+    inside = [incidence[0] for incidence in table]
     for a in range(len(canon_cones)):
         for b in range(a + 1, len(canon_cones)):
-            nested = [(x, y) for x, y in ((a, b), (b, a)) if masks[x] & ~table[y][0] == 0]
-            for x, y in nested:
-                problems.append(
-                    f"max cone {list(canon_cones[x])} is contained in max cone {list(canon_cones[y])}"
-                )
-            if not nested and not _meet_in_common_face(fan, a, b):
+            if not (masks[a] & ~inside[b] and masks[b] & ~inside[a]):
+                for x, y in ((a, b), (b, a)):
+                    if not masks[x] & ~inside[y]:
+                        problems.append(
+                            f"max cone {list(canon_cones[x])} is contained in max cone {list(canon_cones[y])}"
+                        )
+            elif not _meet_in_common_face(fan, a, b):
                 problems.append(
                     f"intersection of max cones {list(canon_cones[a])} and {list(canon_cones[b])} "
                     f"is not a common face"

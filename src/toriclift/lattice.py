@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import gcd, prod
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -36,12 +36,6 @@ Vec = tuple[int, ...]
 
 def _as_vec(v: Iterable[int]) -> Vec:
     return tuple(map(int, v))
-
-
-def vec_sub(a: Sequence[int], b: Sequence[int]) -> Vec:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return tuple(map(sub, a, b))
 
 
 def vec_scale(k: int, a: Sequence[int]) -> Vec:
@@ -80,11 +74,12 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = tuple(tuple(map(int, row)) for row in data)
+        rows = tuple([tuple(map(int, row)) for row in data])
         if rows:
             width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
+            for r in rows:
+                if len(r) != width:
+                    raise ValueError("ragged rows")
         else:
             width = 0 if cols is None else cols
         object.__setattr__(self, "rows", len(rows))
@@ -194,17 +189,22 @@ class SNFDecomposition:
 
 
 def _find_pivot(data: list[list[int]], k: int, m: int, n: int) -> Optional[tuple[int, int]]:
-    # Fixed rule: smallest nonzero |entry|, ties by lowest row then lowest column.
+    # Fixed rule: smallest nonzero |entry|, ties by lowest row then lowest
+    # column.  Entries are scanned in that order, so only a strictly smaller
+    # |entry| replaces the best, and a 1 ends the scan.
     best = None
-    best_key = None
+    least = 0
     for i in range(k, m):
         row = data[i]
         for j in range(k, n):
             v = row[j]
-            if v != 0:
-                key = (abs(v), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
+            if v:
+                if v < 0:
+                    v = -v
+                if v < least or not least:
+                    if v == 1:
+                        return i, j
+                    least = v
                     best = (i, j)
     return best
 
@@ -221,82 +221,62 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def row_swap(i, j):
-        if i == j:
-            return
-        data[i], data[j] = data[j], data[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        if i == j:
-            return
-        for r in data:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def row_add(dst, src, c):
-        # row_dst += c * row_src
-        if c == 0:
-            return
-        data[dst] = [a + c * b for a, b in zip(data[dst], data[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def col_add(dst, src, c):
-        if c == 0:
-            return
-        for r in data:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-
-    def row_negate(i):
-        data[i] = [-a for a in data[i]]
-        U[i] = [-a for a in U[i]]
-
     for k in range(min(m, n)):
         while True:
             piv = _find_pivot(data, k, m, n)
             if piv is None:
                 break
-            row_swap(k, piv[0])
-            col_swap(k, piv[1])
-            p = data[k][k]
+            i, j = piv
+            if i != k:
+                data[i], data[k] = data[k], data[i]
+                U[i], U[k] = U[k], U[i]
+            if j != k:
+                for r in data:
+                    r[j], r[k] = r[k], r[j]
+                for r in V:
+                    r[j], r[k] = r[k], r[j]
+            pivot_row, pivot_u = data[k], U[k]
+            p = pivot_row[k]
             # Clear column k below and row k to the right by Euclidean steps.
             dirty = False
             for i in range(k + 1, m):
-                if data[i][k] != 0:
-                    q = data[i][k] // p
-                    row_add(i, k, -q)
-                    if data[i][k] != 0:
-                        dirty = True
+                q = data[i][k] // p
+                if q:
+                    data[i] = [a - q * b for a, b in zip(data[i], pivot_row)]
+                    U[i] = [a - q * b for a, b in zip(U[i], pivot_u)]
+                if data[i][k]:
+                    dirty = True
             for j in range(k + 1, n):
-                if data[k][j] != 0:
-                    q = data[k][j] // p
-                    col_add(j, k, -q)
-                    if data[k][j] != 0:
-                        dirty = True
+                q = pivot_row[j] // p
+                if q:
+                    for r in data:
+                        r[j] -= q * r[k]
+                    for r in V:
+                        r[j] -= q * r[k]
+                if pivot_row[j]:
+                    dirty = True
             if dirty:
                 continue
             # Row/col clean; enforce divisibility of the remaining block.
-            p = data[k][k]
             offender = None
             for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if data[i][j] % p != 0:
+                for x in data[i][k + 1:]:
+                    if x % p:
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            row_add(k, offender, 1)
+            data[k] = [a + b for a, b in zip(pivot_row, data[offender])]
+            U[k] = [a + b for a, b in zip(pivot_u, U[offender])]
         if piv is None:
             break
 
     for k in range(min(m, n)):
         if data[k][k] < 0:
-            row_negate(k)
+            data[k] = [-a for a in data[k]]
+            U[k] = [-a for a in U[k]]
 
     return SNFDecomposition(
         U=IntMatrix(U, cols=m),

@@ -23,16 +23,11 @@ combinatorial zero-set test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 from typing import Sequence
 
-from .lattice import (
-    Vec,
-    primitive_vector,
-    vec_dot,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-)
+from .lattice import Vec, primitive_vector, vec_dot, vec_is_zero, vec_scale
 
 
 def _canonical_line(v: Vec) -> Vec:
@@ -53,85 +48,85 @@ def dual_description(
     for a in normals:
         if len(a) != dim:
             raise ValueError("normal of wrong dimension")
-    lines: list[Vec] = [
-        tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-    ]
+    lines: list[Vec] = [tuple([int(i == j) for j in range(dim)]) for i in range(dim)]
     rays: list[Vec] = []
-    # zero sets: per ray, the set of processed constraint indices it satisfies
-    # with equality.  Lines satisfy every processed constraint with equality.
-    zero_sets: list[set[int]] = []
-    processed: list[int] = []
+    # zero sets: per ray, the bitmask of processed constraint indices it
+    # satisfies with equality.  Lines satisfy every processed constraint with
+    # equality.  Lines and rays stay primitive, so one of value 0 is its own
+    # projection.
+    zero_sets: list[int] = []
+    processed = 0
 
     for idx, a in enumerate(normals):
-        if vec_is_zero(a):
+        if not any(a):
             continue
-        line_vals = [vec_dot(a, l) for l in lines]
-        pivot = next((i for i, v in enumerate(line_vals) if v != 0), None)
-        if pivot is not None:
+        bit = 1 << idx
+        line_vals = [sum(map(mul, a, l)) for l in lines]
+        for pivot, v0 in enumerate(line_vals):
+            if v0:
+                break
+        else:
+            v0 = 0
+        if v0:
             l0 = lines.pop(pivot)
-            v0 = line_vals.pop(pivot)
+            del line_vals[pivot]
             if v0 < 0:
-                l0 = vec_scale(-1, l0)
+                l0 = tuple([-x for x in l0])
                 v0 = -v0
             new_lines = []
-            for l, v in zip(lines, line_vals):
-                nl = vec_sub(vec_scale(v0, l), vec_scale(v, l0))
-                new_lines.append(primitive_vector(nl))
+            for x, v in zip(lines, line_vals):
+                if v:
+                    y = [v0 * p - v * q for p, q in zip(x, l0)]
+                    g = gcd(*y)
+                    x = tuple([p // g for p in y]) if g > 1 else tuple(y)
+                new_lines.append(x)
             lines = new_lines
             new_rays = []
-            for r in rays:
-                vr = vec_dot(a, r)
-                nr = vec_sub(vec_scale(v0, r), vec_scale(vr, l0))
-                new_rays.append(primitive_vector(nr))
+            for x in rays:
+                v = sum(map(mul, a, x))
+                if v:
+                    y = [v0 * p - v * q for p, q in zip(x, l0)]
+                    g = gcd(*y)
+                    x = tuple([p // g for p in y]) if g > 1 else tuple(y)
+                new_rays.append(x)
             rays = new_rays
             # previous zero sets survive projection along a line direction
             rays.append(l0)
-            zero_sets.append(set(processed))
-            processed.append(idx)
-            for z in zero_sets[:-1]:
-                z.add(idx)
+            zero_sets = [z | bit for z in zero_sets]
+            zero_sets.append(processed)
+            processed |= bit
             continue
         # all lines orthogonal to a: split rays
-        vals = [vec_dot(a, r) for r in rays]
-        keep_idx = [i for i, v in enumerate(vals) if v >= 0]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        new_rays: list[Vec] = []
-        new_zero: list[set[int]] = []
-        for i in keep_idx:
+        vals = [sum(map(mul, a, r)) for r in rays]
+        new_rays, new_zero, pos, neg = [], [], [], []
+        for i, v in enumerate(vals):
+            if v > 0:
+                pos.append(i)
+            elif v < 0:
+                neg.append(i)
+                continue
             new_rays.append(rays[i])
-            z = set(zero_sets[i])
-            if vals[i] == 0:
-                z.add(idx)
-            new_zero.append(z)
+            new_zero.append(zero_sets[i] if v else zero_sets[i] | bit)
         for ip in pos:
+            zp, rp, vp = zero_sets[ip], rays[ip], vals[ip]
             for im in neg:
-                common = zero_sets[ip] & zero_sets[im]
-                adjacent = True
-                for k, z in enumerate(zero_sets):
-                    if k in (ip, im):
-                        continue
-                    if common <= z:
-                        adjacent = False
-                        break
-                if not adjacent:
+                common = zp & zero_sets[im]
+                # rays ip and im hold common; adjacent iff no other does
+                if len([z for z in zero_sets if not common & ~z]) > 2:
                     continue
-                comb = vec_sub(
-                    vec_scale(vals[ip], rays[im]), vec_scale(vals[im], rays[ip])
-                )
-                comb = primitive_vector(comb)
-                if vec_is_zero(comb):
+                vm = vals[im]
+                y = [vp * q - vm * p for p, q in zip(rp, rays[im])]
+                g = gcd(*y)
+                if not g:
                     continue
-                new_rays.append(comb)
-                new_zero.append((common | {idx}))
+                new_rays.append(tuple([p // g for p in y]) if g > 1 else tuple(y))
+                new_zero.append(common | bit)
         rays = new_rays
         zero_sets = new_zero
-        processed.append(idx)
+        processed |= bit
 
-    order = sorted(range(len(rays)), key=lambda i: rays[i])
-    rays = [rays[i] for i in order]
     lines = sorted(_canonical_line(l) for l in lines if not vec_is_zero(l))
-    return tuple(lines), tuple(rays)
+    return tuple(lines), tuple(sorted(rays))
 
 
 @dataclass(frozen=True)

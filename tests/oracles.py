@@ -602,7 +602,6 @@ def hilbert_basis_by_box(
         effective_cone_rays,
         hermite_row_basis,
         vec_is_zero,
-        vec_sub,
     )
 
     rows = [_as_vec(r) for r in subgroup_basis]
@@ -646,7 +645,7 @@ def hilbert_basis_by_box(
             if sum(q) >= sum(p):  # a proper summand has strictly smaller sum
                 break
             if all(a <= b for a, b in zip(q, p)):
-                rem = vec_sub(p, q)
+                rem = tuple(a - b for a, b in zip(p, q))
                 if not vec_is_zero(rem) and rem in members:
                     reducible = True
                     break
@@ -874,3 +873,182 @@ def cartier_members_by_intersection(sub) -> tuple[Vec, ...]:
 
     n = sub.fan.n_rays
     return lattice_intersection(sub.basis, cartier_lattice_by_intersection(sub.fan), width=n)
+
+
+# -- double description and Smith form through per-element helpers ------------
+#
+# The package's kernels before their inner loops were written out inline:
+# every projection and combination through the vector helpers, zero sets as
+# Python sets, and the Smith reduction's row and column operations as nested
+# closures.  The package must reproduce their outputs exactly.
+
+
+def dual_description_by_helpers(normals, dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Reference for ``polyhedra.dual_description``, the same algorithm with
+    one helper call per vector operation and set-valued zero sets."""
+    from toriclift.lattice import primitive_vector, vec_dot, vec_is_zero, vec_scale
+
+    def vec_sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def canonical_line(v):
+        v = primitive_vector(v)
+        lead = next((x for x in v if x != 0), 0)
+        return vec_scale(-1, v) if lead < 0 else v
+
+    normals = [tuple(map(int, a)) for a in normals]
+    for a in normals:
+        if len(a) != dim:
+            raise ValueError("normal of wrong dimension")
+    lines = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    rays: list[Vec] = []
+    zero_sets: list[set[int]] = []
+    processed: list[int] = []
+
+    for idx, a in enumerate(normals):
+        if vec_is_zero(a):
+            continue
+        line_vals = [vec_dot(a, l) for l in lines]
+        pivot = next((i for i, v in enumerate(line_vals) if v != 0), None)
+        if pivot is not None:
+            l0 = lines.pop(pivot)
+            v0 = line_vals.pop(pivot)
+            if v0 < 0:
+                l0 = vec_scale(-1, l0)
+                v0 = -v0
+            lines = [
+                primitive_vector(vec_sub(vec_scale(v0, l), vec_scale(v, l0)))
+                for l, v in zip(lines, line_vals)
+            ]
+            rays = [
+                primitive_vector(vec_sub(vec_scale(v0, r), vec_scale(vec_dot(a, r), l0)))
+                for r in rays
+            ]
+            rays.append(l0)
+            zero_sets.append(set(processed))
+            processed.append(idx)
+            for z in zero_sets[:-1]:
+                z.add(idx)
+            continue
+        vals = [vec_dot(a, r) for r in rays]
+        keep_idx = [i for i, v in enumerate(vals) if v >= 0]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        new_rays: list[Vec] = []
+        new_zero: list[set[int]] = []
+        for i in keep_idx:
+            new_rays.append(rays[i])
+            z = set(zero_sets[i])
+            if vals[i] == 0:
+                z.add(idx)
+            new_zero.append(z)
+        for ip in pos:
+            for im in neg:
+                common = zero_sets[ip] & zero_sets[im]
+                if any(
+                    common <= z for k, z in enumerate(zero_sets) if k not in (ip, im)
+                ):
+                    continue
+                comb = primitive_vector(
+                    vec_sub(vec_scale(vals[ip], rays[im]), vec_scale(vals[im], rays[ip]))
+                )
+                if vec_is_zero(comb):
+                    continue
+                new_rays.append(comb)
+                new_zero.append(common | {idx})
+        rays = new_rays
+        zero_sets = new_zero
+        processed.append(idx)
+
+    lines = sorted(canonical_line(l) for l in lines if not vec_is_zero(l))
+    return tuple(lines), tuple(sorted(rays))
+
+
+def smith_normal_form_by_closures(A):
+    """Reference for ``lattice.smith_normal_form``: the same pivot rule and
+    the same row and column operations, each one a nested closure."""
+    from toriclift.lattice import IntMatrix, SNFDecomposition
+
+    m, n = A.rows, A.cols
+    data = [list(r) for r in A.row_list()]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def find_pivot(k):
+        # smallest nonzero |entry|, ties by lowest row then lowest column
+        keys = [
+            (abs(data[i][j]), i, j) for i in range(k, m) for j in range(k, n) if data[i][j] != 0
+        ]
+        return min(keys)[1:] if keys else None
+
+    def row_swap(i, j):
+        if i == j:
+            return
+        data[i], data[j] = data[j], data[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        if i == j:
+            return
+        for r in data:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+
+    def row_add(dst, src, c):
+        if c == 0:
+            return
+        data[dst] = [a + c * b for a, b in zip(data[dst], data[src])]
+        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
+
+    def col_add(dst, src, c):
+        if c == 0:
+            return
+        for r in data:
+            r[dst] += c * r[src]
+        for r in V:
+            r[dst] += c * r[src]
+
+    def row_negate(i):
+        data[i] = [-a for a in data[i]]
+        U[i] = [-a for a in U[i]]
+
+    for k in range(min(m, n)):
+        while True:
+            piv = find_pivot(k)
+            if piv is None:
+                break
+            row_swap(k, piv[0])
+            col_swap(k, piv[1])
+            p = data[k][k]
+            dirty = False
+            for i in range(k + 1, m):
+                if data[i][k] != 0:
+                    row_add(i, k, -(data[i][k] // p))
+                    if data[i][k] != 0:
+                        dirty = True
+            for j in range(k + 1, n):
+                if data[k][j] != 0:
+                    col_add(j, k, -(data[k][j] // p))
+                    if data[k][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            p = data[k][k]
+            offender = next(
+                (i for i in range(k + 1, m) for j in range(k + 1, n) if data[i][j] % p != 0),
+                None,
+            )
+            if offender is None:
+                break
+            row_add(k, offender, 1)
+        if piv is None:
+            break
+
+    for k in range(min(m, n)):
+        if data[k][k] < 0:
+            row_negate(k)
+
+    return SNFDecomposition(
+        U=IntMatrix(U, cols=m), S=IntMatrix(data, cols=n), V=IntMatrix(V, cols=n)
+    )

@@ -197,26 +197,39 @@ def test_separator_agrees_with_double_description_oracle(monkeypatch):
     inputs += INVALID_SHAPES + [SQUARE_DIAGONAL]
     inputs += [_random_cone_pair(rng) for _ in range(1500)]
     # which certificate decides each pair: they are tried in turn, so at most
-    # one holds per pair, and the double description decides the rest
+    # one holds per pair.  The one-facet certificate is read inside the facet
+    # walk of _meet_in_common_face, so it decides the pairs that neither a sum
+    # of facet normals nor the double description of the exact branch does.
     results = Counter()
+    meet = fan_module._meet_in_common_face
+    separates = fan_module._separates
+    describe = polyhedra.dual_description
 
-    def counted(name):
-        original = getattr(fan_module, name)
+    def counted_describe(*args):
+        results["dual descriptions"] += 1
+        return describe(*args)
 
-        def call(*args):
-            result = original(*args)
-            results[name, result] += 1
-            return result
+    def counted_meet(*args):
+        before = results["dual descriptions"]
+        result = meet(*args)
+        results["pairs"] += 1
+        results["exact"] += results["dual descriptions"] - before
+        return result
 
-        monkeypatch.setattr(fan_module, name, call)
+    def counted_separates(*args):
+        result = separates(*args)
+        results["by sum"] += result
+        return result
 
-    for name in ("_meet_in_common_face", "_below_facet", "_separates"):
-        counted(name)
+    monkeypatch.setattr(fan_module, "_meet_in_common_face", counted_meet)
+    monkeypatch.setattr(fan_module, "_separates", counted_separates)
+    monkeypatch.setattr(polyhedra, "dual_description", counted_describe)
     got = [_outcome(*x) for x in inputs]
-    pairs = results["_meet_in_common_face", True] + results["_meet_in_common_face", False]
-    by_facet, by_sum = results["_below_facet", True], results["_separates", True]
-    # 1,612, 104 and 120 of 1,836 pairs when written
-    assert by_facet > 0 and by_sum > 0 and pairs - by_facet - by_sum > 0
+    monkeypatch.setattr(polyhedra, "dual_description", describe)
+    pairs, by_sum, exact = results["pairs"], results["by sum"], results["exact"]
+    # one facet, a sum of facet normals and the exact branch decide 777, 24
+    # and 120 of 921 pairs
+    assert by_sum > 0 and exact > 0 and pairs - by_sum - exact > 0
     monkeypatch.setattr(
         fan_module, "_meet_in_common_face", oracles.common_face_by_double_description
     )

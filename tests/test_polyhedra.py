@@ -126,3 +126,43 @@ def test_double_dual_is_identity_on_extreme_sets():
         h = facet_description(gens, dim)
         for g in gens:
             assert h.contains(g)
+
+
+def _random_normals(rng, dim):
+    """Normals for a seeded double description in dimension ``dim``: a few
+    to many, with zero normals, repeats, opposite pairs (lineality) and
+    sums of earlier normals mixed in."""
+    normals = []
+    for _ in range(rng.randint(0, 2 * dim + 2)):
+        kind = rng.random()
+        if kind < 0.08 or not dim:
+            normals.append((0,) * dim)
+        elif normals and kind < 0.2:
+            normals.append(rng.choice(normals))
+        elif normals and kind < 0.3:
+            normals.append(tuple(-x for x in rng.choice(normals)))
+        elif len(normals) > 1 and kind < 0.4:
+            a, b = rng.sample(normals, 2)
+            normals.append(tuple(x + y for x, y in zip(a, b)))
+        else:
+            bound = 1 if rng.random() < 0.5 else 4
+            normals.append(tuple(rng.randint(-bound, bound) for _ in range(dim)))
+    return normals
+
+
+def test_dual_description_matches_helper_oracle():
+    """The inline double description returns exactly the (lines, rays) of
+    the same algorithm written with one helper call per vector operation,
+    on 10,000 seeded inputs in dimensions 0 to 6."""
+    rng = random.Random(2024)
+    lineality = pointed = 0
+    for _ in range(10_000):
+        dim = rng.choice((0, 1, 2, 2, 3, 3, 3, 4, 4, 5, 6))
+        normals = _random_normals(rng, dim)
+        got = dual_description(normals, dim)
+        assert got == oracles.dual_description_by_helpers(normals, dim), (normals, dim)
+        lineality += bool(got[0]) and bool(got[1])
+        pointed += not got[0] and len(got[1]) > dim
+    # cones with both lines and rays, and pointed cones with more rays than
+    # the dimension, are both well represented
+    assert lineality > 500 and pointed > 500
