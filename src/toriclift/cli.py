@@ -53,11 +53,15 @@ class _InputError(Exception):
     pass
 
 
-def _header(*inputs: tuple[str, FanDocument]) -> list[str]:
+def _header(*inputs) -> tuple[list[str], dict]:
+    """The report's opening text lines and the matching JSON keys: the tool
+    version, then per ``(label, document)`` input its path and sha256."""
     lines = [f"toriclift {__version__}"]
+    payload: dict = {"tool": __version__}
     for label, doc in inputs:
         lines.append(f"{label}: {doc.path} sha256 {doc.digest}")
-    return lines
+        payload[label] = {"path": doc.path, "sha256": doc.digest}
+    return lines, payload
 
 
 def _load_target(path: str, src: FanDocument, max_rays: Optional[int]) -> FanDocument:
@@ -88,8 +92,7 @@ def _fmt(v) -> str:
 
 def _cmd_validate(args) -> tuple[int, list[str], dict]:
     raw = read_fan_document(args.file)
-    payload = {"tool": __version__, "input": {"path": str(raw.path), "sha256": raw.digest}}
-    lines = [f"toriclift {__version__}", f"input: {raw.path} sha256 {raw.digest}"]
+    lines, payload = _header(("input", raw))
     try:
         doc = validate_document(raw, max_rays=args.max_rays)
     except FanValidationError as e:
@@ -121,7 +124,8 @@ def _cmd_invariants(args) -> tuple[int, list[str], dict]:
     fan = doc.fan
     group = class_group(fan).group
     torus_rank = fan.rank - fan.span_rank
-    lines = _header(("input", doc)) + [
+    lines, head = _header(("input", doc))
+    lines += [
         f"class group: {group}",
         f"simplicial: {'yes' if fan.is_simplicial else 'no'}",
         f"smooth: {'yes' if fan.is_smooth else 'no'}",
@@ -129,8 +133,7 @@ def _cmd_invariants(args) -> tuple[int, list[str], dict]:
         f"torus factor rank: {torus_rank}",
     ]
     payload = {
-        "tool": __version__,
-        "input": {"path": doc.path, "sha256": doc.digest},
+        **head,
         "class_group": str(group),
         "simplicial": fan.is_simplicial,
         "smooth": fan.is_smooth,
@@ -158,7 +161,8 @@ def _cmd_present(args) -> tuple[int, list[str], dict]:
     else:
         pres = build_presentation(doc.fan, mode=args.mode)
         mode_text = args.mode
-    lines = _header(("input", doc)) + [f"mode: {mode_text}"]
+    lines, head = _header(("input", doc))
+    lines.append(f"mode: {mode_text}")
     lines.append(f"subgroup basis: {_fmt(pres.subgroup.basis)}")
     lines.append(f"coordinates: {pres.n_coordinates}")
     for i, c in enumerate(pres.coordinates):
@@ -172,8 +176,7 @@ def _cmd_present(args) -> tuple[int, list[str], dict]:
     for i, coll in enumerate(pres.exceptional_collections):
         lines.append(f"collection {i}: coordinates {list(coll)}")
     payload = {
-        "tool": __version__,
-        "input": {"path": doc.path, "sha256": doc.digest},
+        **head,
         "mode": mode_text,
         "subgroup_basis": [list(r) for r in pres.subgroup.basis],
         "coordinates": [list(c) for c in pres.coordinates],
@@ -239,7 +242,8 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
         f, target_sub, source_sub, search_bound=args.search_bound
     )
     verdict = {"yes": "true", "no": "false", "undecided": "undecided"}[report.verdict]
-    lines = _header(("source", src), ("target", dst)) + [
+    lines, head = _header(("source", src), ("target", dst))
+    lines += [
         f"matrix: {matrix.to_lists()}",
         f"source subgroup: {args.src_subgroup}",
         f"target subgroup: {args.dst_subgroup}",
@@ -247,9 +251,7 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
     ]
     lines += classify_liftings(report, src.fan.rank).splitlines()
     payload = {
-        "tool": __version__,
-        "source": {"path": src.path, "sha256": src.digest},
-        "target": {"path": dst.path, "sha256": dst.digest},
+        **head,
         "matrix": matrix.to_lists(),
         "source_subgroup": args.src_subgroup,
         "target_subgroup": args.dst_subgroup,
@@ -258,16 +260,18 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
         "uniqueness": report.uniqueness_note,
         "scope": SCOPE_NOTE,
     }
-    if report.witness is not None:
-        phi = report.witness.phi.to_lists()
+    if report.phi is not None:
+        phi = report.phi.to_lists()
         payload["witness"] = {
             "phi": phi,
             "decomposition": [
                 {"member": row, "character": [0] * src.fan.rank} for row in phi
             ],
-            "solution_lattice": [
-                d.to_lists() for d in report.witness.solution_lattice
-            ],
+            # a constant of the stable --out format, pinned by the lift
+            # goldens: it was always empty, since on simplicial targets no
+            # direction is left and on others the free directions are
+            # enumerated into witness_classes
+            "solution_lattice": [],
         }
         payload["witness_classes"] = [m.to_lists() for m in report.witness_classes]
         hom = report.induced_grading_hom
@@ -288,15 +292,14 @@ def _cmd_iso(args) -> tuple[int, list[str], dict]:
     a = parse_fan_file(args.first, max_rays=args.max_rays)
     b = parse_fan_file(args.second, max_rays=args.max_rays)
     report = toric_isomorphism(a.fan, b.fan)
-    lines = _header(("first", a), ("second", b)) + [
+    lines, head = _header(("first", a), ("second", b))
+    lines += [
         f"isomorphic: {'yes' if report.isomorphic else 'no'}",
         f"torus factor ranks: {report.torus_ranks[0]} {report.torus_ranks[1]}",
         f"reason: {report.reason}",
     ]
     payload = {
-        "tool": __version__,
-        "first": {"path": a.path, "sha256": a.digest},
-        "second": {"path": b.path, "sha256": b.digest},
+        **head,
         "isomorphic": report.isomorphic,
         "torus_ranks": list(report.torus_ranks),
         "reason": report.reason,
@@ -319,7 +322,8 @@ def _cmd_split(args) -> tuple[int, list[str], dict]:
     doc = parse_fan_file(args.file, max_rays=args.max_rays)
     split = split_torus_factor(doc.fan)
     red = split.reduced_fan
-    lines = _header(("input", doc)) + [
+    lines, head = _header(("input", doc))
+    lines += [
         f"torus factor rank: {split.torus_rank}",
         f"reduced rank: {red.rank}",
     ]
@@ -329,8 +333,7 @@ def _cmd_split(args) -> tuple[int, list[str], dict]:
         lines.append(f"reduced cone {i}: {list(c)}")
     lines.append(f"change of basis: {split.change_of_basis.to_lists()}")
     payload = {
-        "tool": __version__,
-        "input": {"path": doc.path, "sha256": doc.digest},
+        **head,
         "torus_factor_rank": split.torus_rank,
         "reduced_rank": red.rank,
         "reduced_rays": [list(r) for r in red.rays],

@@ -6,10 +6,10 @@ max cones.  The search fixes a maximal independent subset of the first fan's
 rays, the base, and maps it into the second fan's rays one ray at a time, in
 increasing ray index, so the first hit is that of lexicographic order.  A
 partial map is dropped once a ray it fixes misses landing, integrally, on a ray
-of its own; a complete one gives the lattice map over the rationals, kept when
-it is integral, unimodular and induces full ray and cone bijections.  Cheap
-invariants (lattice rank, ray and max-cone counts, max-cone sizes) run first,
-but only ever to reject.
+of its own, so a complete one is a ray bijection; it gives the lattice map
+over the rationals, kept when that is integral and unimodular and carries each
+max cone onto a max cone.  Cheap invariants (lattice rank, ray and max-cone
+counts, max-cone sizes) run first, but only ever to reject.
 
 Degenerate fans are never compared directly: both sides are split into a
 torus factor and a non-degenerate core, and the cores are compared only when
@@ -19,7 +19,7 @@ the torus ranks agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fan import Fan, TorusFactorSplit, split_torus_factor
 from .lattice import (
@@ -134,14 +134,18 @@ def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
     adj_r = _adjugate(r_mat, det_r)
     # ray = R c / det(R) with c = adj(R) ray: its image is fixed once base rays
     # 0..k have images, k the last nonzero position of c
-    fixed_at: list[list[Vec]] = [[] for _ in base]
-    for ray in (a.rays[i] for i in range(a.n_rays) if i not in base):
-        c = adj_r.apply(ray)
-        fixed_at[max(t for t, x in enumerate(c) if x)].append(c)
+    fixed_at: list[list[tuple[int, Vec]]] = [[] for _ in base]
+    for i in range(a.n_rays):
+        if i not in base:
+            c = adj_r.apply(a.rays[i])
+            fixed_at[max(t for t, x in enumerate(c) if x)].append((i, c))
     # det(R) times each ray of b: sum c_t w_t is a key exactly when its image is
     scaled = {tuple(det_r * x for x in ray): j for j, ray in enumerate(b.rays)}
     images: list[Vec] = []  # of base rays 0..depth-1
     used: set[int] = set()  # indices of the rays of b that are images so far
+    # ray_map[i] is the image of ray i of a, set once the search fixes it;
+    # a complete assignment has set every entry along its own path
+    ray_map = [0] * a.n_rays
     tried = 0
 
     def extend(depth: int) -> Optional[FanIso]:
@@ -157,20 +161,22 @@ def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
                     f"{MAX_ISO_ASSIGNMENTS} in toriclift.isomorphism, no flag overrides it"
                 )
             images.append(b.rays[j])
+            ray_map[base[depth]] = j
             placed = [j]
             # an isomorphism maps each ray now fixed to its own ray of b
-            for c in fixed_at[depth]:
+            for i, c in fixed_at[depth]:
                 num = (sum(ct * w[x] for ct, w in zip(c, images)) for x in range(b.rank))
                 k = scaled.get(tuple(num))
                 if k is None or k in used or k in placed:
                     break
+                ray_map[i] = k
                 placed.append(k)
             else:
                 used.update(placed)
                 if depth + 1 < a.rank:
                     iso = extend(depth + 1)
                 else:
-                    iso = _full_assignment(a, b, images, adj_r, det_r)
+                    iso = _full_assignment(a, b, images, adj_r, det_r, ray_map)
                 if iso is not None:
                     return iso
                 used.difference_update(placed)
@@ -182,38 +188,28 @@ def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
     return iso
 
 
-def _full_assignment(a: Fan, b: Fan, images: list[Vec], adj_r: IntMatrix, det_r: int):
-    # L = W R^{-1} = W adj(R) / det(R); keep only integral unimodular candidates
+def _full_assignment(
+    a: Fan, b: Fan, images: list[Vec], adj_r: IntMatrix, det_r: int, ray_map: list[int]
+) -> Optional[FanIso]:
+    """The isomorphism extending the search's ray bijection ``ray_map``, if
+    any.  L = W R^{-1} = W adj(R) / det(R) carries each ray of a to its
+    image, since the search placed every image; L must be integral and
+    unimodular, and each max cone of a must map onto a max cone of b, which
+    makes the cone map a bijection: the ray map is one and the counts agree."""
     num = IntMatrix(images, cols=b.rank).T @ adj_r
     if any(x % det_r for row in num for x in row):
         return None
     L = IntMatrix(tuple(tuple(x // det_r for x in row) for row in num), cols=a.rank)
-    return _complete_bijections(a, b, L) if abs(determinant(L)) == 1 else None
-
-
-def _complete_bijections(a: Fan, b: Fan, L: IntMatrix) -> Optional[FanIso]:
-    ray_index = {ray: j for j, ray in enumerate(b.rays)}
-    ray_map = []
-    for i in range(a.n_rays):
-        j = ray_index.get(L.apply(a.rays[i]))
-        if j is None:
-            return None
-        ray_map.append(j)
-    if len(set(ray_map)) != b.n_rays:
+    if abs(determinant(L)) != 1:
         return None
     cone_index = {cone: c for c, cone in enumerate(b.max_cones)}
     cone_map = []
     for cone in a.max_cones:
-        image = tuple(sorted(ray_map[i] for i in cone))
-        c = cone_index.get(image)
+        c = cone_index.get(tuple(sorted(ray_map[i] for i in cone)))
         if c is None:
             return None
         cone_map.append(c)
-    if len(set(cone_map)) != len(b.max_cones):
-        return None
-    return FanIso(
-        matrix=L, ray_bijection=tuple(ray_map), cone_bijection=tuple(cone_map)
-    )
+    return FanIso(matrix=L, ray_bijection=tuple(ray_map), cone_bijection=tuple(cone_map))
 
 
 @dataclass(frozen=True)

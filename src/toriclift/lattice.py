@@ -467,8 +467,8 @@ class CokernelData:
         snf = smith_normal_form(A)
         m = A.rows
         diag = list(snf.diagonal) + [0] * (m - min(A.rows, A.cols))
-        torsion_idx = [i for i in range(m) if i < len(diag) and diag[i] >= 2]
-        free_idx = [i for i in range(m) if i >= len(diag) or diag[i] == 0]
+        torsion_idx = [i for i in range(m) if diag[i] >= 2]
+        free_idx = [i for i in range(m) if diag[i] == 0]
         # Sign-normalize the free functionals so coordinates are canonical.
         signs = {}
         for i in free_idx:
@@ -696,7 +696,9 @@ class ExtensionObstruction:
     ``multiplier * phi(element) = required`` has no integral ``phi(element)``:
     ``element`` lies in the ambient lattice, its ``multiplier``-th multiple in
     the subgroup, and ``required`` (the forced value on that multiple) is not
-    divisible by ``multiplier``.
+    divisible by ``multiplier``.  The lifting decision reports the same
+    three facts with ``element`` read back as a target divisor: no additive
+    extension of the forced Cartier pullbacks exists.
     """
 
     multiplier: int

@@ -33,6 +33,7 @@ from .fan import Fan, _is_basis_part
 from .lattice import (
     AbHom,
     CokernelData,
+    ExtensionObstruction,
     IntMatrix,
     ResourceLimitError,
     Vec,
@@ -81,41 +82,32 @@ class ToricMorphism:
         return self.matrix.apply(self.source.rays[ray_index])
 
     @cached_property
-    def ray_image_cones(self) -> tuple[tuple[int, ...], ...]:
-        """Per source ray, the target max cones containing its image: those
-        with every ray of its minimal cone, since the image lies in that
-        cone's relative interior."""
-        cones = self.target.max_cones
-        return tuple(
-            tuple(ci for ci, cone in enumerate(cones) if set(face) <= set(cone))
-            for face in self.ray_faces
-        )
-
-    @cached_property
     def cartier_pullback(self) -> tuple[IntMatrix, Vec]:
         """Pullback of Cartier divisors as one matrix: numerators P, one row
         per source ray over the target rays, and denominators q, so that the
         pullback of a Cartier divisor d has coefficient (P d)_i / q_i.
 
         The pullback pairs the image w of source ray i with the local
-        character m of d on a target max cone sigma holding it.  Write w as a
-        rational combination a of sigma's rays u_j; since <m, u_j> = d_j,
-        <m, w> = sum_j a_j d_j (the support function of d: Cox-Little-Schenck,
-        Toric Varieties, 4.2).  a is read off sigma's cached Smith form
-        U R V = S, rays R as rows: a R = w iff z S = w V for z = a U^-1, so
-        z_k = (w V)_k / s_k up to the rank and 0 past it, and q_i is the lcm
-        of the s_k.  On a non-simplicial sigma any such a serves, because m
-        is one character on all of sigma.  A zero image, the only kind a
-        target with no max cone admits, gives a zero row over 1.
+        character m of d on a target max cone sigma holding it: the first
+        with every ray of w's minimal cone, in whose relative interior w
+        lies.  Write w as a rational combination a of sigma's rays u_j; since
+        <m, u_j> = d_j, <m, w> = sum_j a_j d_j (the support function of d:
+        Cox-Little-Schenck, Toric Varieties, 4.2).  a is read off sigma's
+        cached Smith form U R V = S, rays R as rows: a R = w iff z S = w V for
+        z = a U^-1, so z_k = (w V)_k / s_k up to the rank and 0 past it, and
+        q_i is the lcm of the s_k.  On a non-simplicial sigma any such a
+        serves, because m is one character on all of sigma.  A zero image,
+        the only kind a target with no max cone admits, gives a zero row
+        over 1.
         """
         target = self.target
         rows, denominators = [], []
-        for i, containing in enumerate(self.ray_image_cones):
-            if not self.ray_faces[i]:
+        for i, face in enumerate(self.ray_faces):
+            if not face:
                 rows.append([0] * target.n_rays)
                 denominators.append(1)
                 continue
-            ci = containing[0]
+            ci = next(ci for ci, cone in enumerate(target.max_cones) if set(face) <= set(cone))
             snf = target.cone_snfs[ci]
             s = snf.invariant_factors
             wv = snf.V.left_apply(self.ray_image(i))
@@ -208,17 +200,6 @@ def strict_transform(f: ToricMorphism, coeffs: Sequence[int]) -> Optional[Vec]:
 
 
 @dataclass(frozen=True)
-class ExtensionObstructionCertificate:
-    """No additive extension of the forced Cartier pullbacks exists: the
-    stated multiple of the stated target-subgroup divisor has a forced
-    pullback that the multiplier does not divide."""
-
-    multiplier: int
-    divisor: Vec  # element of the target subgroup's ambient divisor lattice
-    required: Vec  # forced pullback of multiplier * divisor on the source
-
-
-@dataclass(frozen=True)
 class ContainmentFailureCertificate:
     """Some extended value lies outside the source subgroup (so is no member
     plus principal divisor), for any choice of extension."""
@@ -240,39 +221,32 @@ class EffectivityFailureCertificate:
 
 
 @dataclass(frozen=True)
-class GeometricPullbackWitness:
-    """One lifting: images of the target-subgroup basis.
-
-    ``phi`` row j is the pullback of basis divisor j as a source divisor.
-    Each row lies in the source subgroup, so it is a member plus the
-    principal divisor of the zero character: an admissible subgroup holds
-    every principal divisor.  ``solution_lattice`` spans the remaining
-    directions in which ``phi`` may be shifted while preserving every
-    constraint that was checked.
-    """
-
-    phi: IntMatrix
-    solution_lattice: tuple[IntMatrix, ...]
-
-
-@dataclass(frozen=True)
 class LiftingReport:
     """Outcome of the lifting decision.
 
     ``verdict`` is "yes", "no", or "undecided" (search exhausted its bound
-    without an answer).  ``witness_classes`` lists the distinct liftings
-    found (first entry belongs to ``witness``).  The module's ``SCOPE_NOTE``
-    states the extent of the conditions checked.
+    without an answer).  On a yes, ``witness_classes`` lists the distinct
+    liftings found, the witness ``phi`` first; on a no, ``obstruction`` is
+    its certificate.  The module's ``SCOPE_NOTE`` states the extent of the
+    conditions checked.
     """
 
     verdict: str
-    witness: Optional[GeometricPullbackWitness]
-    witness_classes: tuple[IntMatrix, ...]
-    induced_grading_hom: Optional[AbHom]
     uniqueness_note: str
-    obstruction: Optional[object]
     conditions_checked: bool
-    search_bound: Optional[int]
+    witness_classes: tuple[IntMatrix, ...] = ()
+    induced_grading_hom: Optional[AbHom] = None
+    obstruction: Optional[object] = None
+    search_bound: Optional[int] = None
+
+    @property
+    def phi(self) -> Optional[IntMatrix]:
+        """The witness: row j is the pullback of basis divisor j as a source
+        divisor.  Each row lies in the source subgroup, so it is a member
+        plus the principal divisor of the zero character: an admissible
+        subgroup holds every principal divisor.  None unless the verdict is
+        yes."""
+        return self.witness_classes[0] if self.witness_classes else None
 
     @property
     def exists(self) -> Optional[bool]:
@@ -292,18 +266,20 @@ def solve_geometric_pullback(
     source_subgroup: DivisorSubgroup,
     *,
     search_bound: Optional[int] = None,
-    force_conditions: bool = False,
 ) -> LiftingReport:
     """Decide whether the morphism lifts to the chosen presentations.
 
     Stages: forced Cartier pullbacks, one product with the morphism's
     ``cartier_pullback`` matrix per Cartier member; additive extension to
     the whole target subgroup; containment of each value in the source
-    subgroup; effectivity and support conditions on effective generators
-    (skipped for simplicial target fans unless ``force_conditions``).
-    ``search_bound`` caps the coefficient box searched when residual freedom
-    survives the linear stages; exhausting it yields verdict "undecided".  A
-    negative ``search_bound`` is a ValueError: it would search an empty box.
+    subgroup; effectivity and support conditions on effective generators.
+    A simplicial target is Q-factorial: every divisor has a Cartier
+    multiple (Cox-Little-Schenck, Toric Varieties, 4.2.7), so the forced
+    values fix the lifting, which meets the conditions automatically; they
+    are skipped there.  ``search_bound`` caps the coefficient box searched
+    when residual freedom survives the linear stages; exhausting it yields
+    verdict "undecided".  A negative ``search_bound`` is a ValueError: it
+    would search an empty box.
     """
     if search_bound is not None and search_bound < 0:
         raise ValueError(f"search bound must be non-negative, got {search_bound}")
@@ -314,7 +290,7 @@ def solve_geometric_pullback(
     n_src = f.source.n_rays
     k = len(target_subgroup.basis)
 
-    conditions = force_conditions or not f.target.is_simplicial
+    conditions = not f.target.is_simplicial
 
     # (a) forced values on the Cartier members
     forced = [f.pull_back_cartier(c) for c in target_subgroup.cartier_members]
@@ -326,9 +302,7 @@ def solve_geometric_pullback(
     if obs is not None:
         divisor = IntMatrix(target_subgroup.basis, cols=f.target.n_rays).left_apply(obs.element)
         return _no_report(
-            ExtensionObstructionCertificate(
-                multiplier=obs.multiplier, divisor=divisor, required=obs.required
-            ),
+            ExtensionObstruction(multiplier=obs.multiplier, element=divisor, required=obs.required),
             conditions,
         )
     # (c) containment in the source subgroup, jointly over all rows in
@@ -356,6 +330,8 @@ def solve_geometric_pullback(
     t_particular, t_dirs = solved
     phi0 = ext.particular + containment.shift(t_particular)
     dirs = [containment.shift(t) for t in t_dirs]
+    # on a simplicial target the forced values already fix phi
+    assert conditions or not dirs, "free directions on a simplicial target"
 
     # (d) effectivity inequalities on the effective generators, over the
     # coordinates tau of phi0 + sum_s tau_s dirs[s]
@@ -382,14 +358,10 @@ def solve_geometric_pullback(
         if not found:
             return LiftingReport(
                 verdict="undecided",
-                witness=None,
-                witness_classes=(),
-                induced_grading_hom=None,
                 uniqueness_note=(
                     f"no integral solution within coefficient bound "
                     f"{bound_used}; the rational relaxation is feasible"
                 ),
-                obstruction=None,
                 conditions_checked=conditions,
                 search_bound=bound_used,
             )
@@ -398,56 +370,31 @@ def solve_geometric_pullback(
         classes = [phi0]
 
     phi = classes[0]
-    residual = tuple(dirs) if not conditions else ()
-    witness = GeometricPullbackWitness(phi=phi, solution_lattice=residual)
     problems = verify_pullback_witness(
-        f, target_subgroup, source_subgroup, witness, conditions=conditions
+        f, target_subgroup, source_subgroup, phi, conditions=conditions
     )
     assert not problems, f"witness failed re-verification: {problems}"
 
-    hom = induced_grading_hom(f, target_subgroup, source_subgroup, witness)
-
-    if conditions:
-        if len(classes) == 1 and not dirs:
-            note = "unique"
-        elif len(classes) == 1:
-            note = "one witness class found within the search bound"
-        else:
-            note = (
-                f"{len(classes)} witness classes found within coefficient "
-                f"bound {bound_used}"
-            )
+    if not dirs:
+        note = "unique"
+    elif len(classes) == 1:
+        note = "one witness class found within the search bound"
     else:
-        if dirs:
-            note = (
-                f"witness family of free rank {len(dirs)} (conditions hold "
-                f"automatically on the simplicial target)"
-            )
-        else:
-            note = "unique"
-
+        note = f"{len(classes)} witness classes found within coefficient bound {bound_used}"
     return LiftingReport(
         verdict="yes",
-        witness=witness,
-        witness_classes=tuple(classes[:MAX_WITNESS_CLASSES]),
-        induced_grading_hom=hom,
         uniqueness_note=note,
-        obstruction=None,
         conditions_checked=conditions,
+        witness_classes=tuple(classes),
+        induced_grading_hom=induced_grading_hom(f, target_subgroup, source_subgroup, phi),
         search_bound=bound_used if dirs else None,
     )
 
 
 def _no_report(certificate, conditions: bool) -> LiftingReport:
     return LiftingReport(
-        verdict="no",
-        witness=None,
-        witness_classes=(),
-        induced_grading_hom=None,
-        uniqueness_note="no lifting exists",
+        verdict="no", uniqueness_note="no lifting exists", conditions_checked=conditions,
         obstruction=certificate,
-        conditions_checked=conditions,
-        search_bound=None,
     )
 
 
@@ -656,17 +603,17 @@ def induced_grading_hom(
     f: ToricMorphism,
     target_subgroup: DivisorSubgroup,
     source_subgroup: DivisorSubgroup,
-    witness: GeometricPullbackWitness,
+    phi: IntMatrix,
 ) -> AbHom:
     """The homomorphism (target subgroup)/(principal) -> (source subgroup)/
-    (principal) induced by the witness: the grading-level shadow of the
-    lifting.  The witness rows lie in the source subgroup, so the image of
+    (principal) induced by the witness phi: the grading-level shadow of the
+    lifting.  The rows of phi lie in the source subgroup, so the image of
     each grading generator is read off in source subgroup coordinates."""
     coker_t = target_subgroup.grading_cokernel
     coker_s = source_subgroup.grading_cokernel
     rows = []
     for lift in coker_t.generator_lifts:
-        c = source_subgroup.coefficients(witness.phi.left_apply(lift))
+        c = source_subgroup.coefficients(phi.left_apply(lift))
         assert c is not None, "witness rows lie in the source subgroup"
         rows.append(coker_s.group.reduce(coker_s.project(c)))
     return AbHom(
@@ -680,11 +627,11 @@ def verify_pullback_witness(
     f: ToricMorphism,
     target_subgroup: DivisorSubgroup,
     source_subgroup: DivisorSubgroup,
-    witness: GeometricPullbackWitness,
+    phi: IntMatrix,
     *,
     conditions: bool,
 ) -> list[str]:
-    """Independent re-check of a witness; returns the list of violations.
+    """Independent re-check of a witness phi; returns the list of violations.
 
     Checks: forced Cartier values (against the morphism's
     ``cartier_pullback``), containment of every row in the source
@@ -692,7 +639,6 @@ def verify_pullback_witness(
     (when ``conditions``).
     """
     problems: list[str] = []
-    phi = witness.phi
     n_src = f.source.n_rays
 
     for c, coeffs in zip(target_subgroup.cartier_members, target_subgroup.cartier_coefficients):
@@ -734,9 +680,9 @@ def classify_liftings(report: LiftingReport, source_rank: int) -> str:
     if report.verdict == "no":
         lines.append("no lifting exists")
         ob = report.obstruction
-        if isinstance(ob, ExtensionObstructionCertificate):
+        if isinstance(ob, ExtensionObstruction):
             lines.append(
-                f"obstruction: {ob.multiplier} * phi({list(ob.divisor)}) = "
+                f"obstruction: {ob.multiplier} * phi({list(ob.element)}) = "
                 f"{list(ob.required)} has no integral solution"
             )
         elif isinstance(ob, ContainmentFailureCertificate):
@@ -777,7 +723,7 @@ def classify_liftings(report: LiftingReport, source_rank: int) -> str:
 
     lines.append("lifting exists")
     character = [0] * source_rank
-    for j, row in enumerate(report.witness.phi):
+    for j, row in enumerate(report.phi):
         lines.append(
             f"basis divisor {j}: maps to monomial with divisor exponent "
             f"{list(row)} = member {list(row)} + principal of "

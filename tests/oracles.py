@@ -743,7 +743,6 @@ def fan_isomorphic_by_permutations(a, b):
     from toriclift.isomorphism import (
         FanIso,
         _adjugate,
-        _complete_bijections,
         _independent_ray_subset,
         verify_fan_iso,
     )
@@ -799,6 +798,33 @@ def fan_isomorphic_by_permutations(a, b):
     return None
 
 
+def _complete_bijections(a: Fan, b: Fan, L: IntMatrix) -> Optional[FanIso]:
+    from toriclift.isomorphism import FanIso
+
+    ray_index = {ray: j for j, ray in enumerate(b.rays)}
+    ray_map = []
+    for i in range(a.n_rays):
+        j = ray_index.get(L.apply(a.rays[i]))
+        if j is None:
+            return None
+        ray_map.append(j)
+    if len(set(ray_map)) != b.n_rays:
+        return None
+    cone_index = {cone: c for c, cone in enumerate(b.max_cones)}
+    cone_map = []
+    for cone in a.max_cones:
+        image = tuple(sorted(ray_map[i] for i in cone))
+        c = cone_index.get(image)
+        if c is None:
+            return None
+        cone_map.append(c)
+    if len(set(cone_map)) != len(b.max_cones):
+        return None
+    return FanIso(
+        matrix=L, ray_bijection=tuple(ray_map), cone_bijection=tuple(cone_map)
+    )
+
+
 # -- Cartier pullback through the local characters of every max cone ----------
 
 
@@ -824,11 +850,14 @@ def pullback_cartier(f, characters: Sequence[Vec]) -> Vec:
     """Reference for ``ToricMorphism.pull_back_cartier``: the pullback of a
     Cartier divisor given by its local characters (:func:`cartier_data`).
     At each source ray, the local character of every target max cone
-    holding the ray's image pairs with that image to the same value, which
-    is asserted, and that value is the coefficient."""
+    holding the ray's image (by its facet description) pairs with that
+    image to the same value, which is asserted, and that value is the
+    coefficient."""
+    target = f.target
     out = []
-    for i, containing in enumerate(f.ray_image_cones):
+    for i in range(f.source.n_rays):
         w = f.ray_image(i)
+        containing = [ci for ci in range(len(target.max_cones)) if target.cone_hreps[ci].contains(w)]
         values = {sum(x * y for x, y in zip(characters[ci], w)) for ci in containing}
         assert len(values) == 1, "local characters must agree on the image"
         out.append(values.pop())

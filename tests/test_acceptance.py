@@ -24,9 +24,8 @@ from toriclift.divisors import (
 )
 from toriclift.fan import split_torus_factor
 from toriclift.isomorphism import FanIso, toric_isomorphism, verify_fan_iso
-from toriclift.lattice import FgAbGroup, IntMatrix, hermite_row_basis
+from toriclift.lattice import ExtensionObstruction, FgAbGroup, IntMatrix, hermite_row_basis
 from toriclift.lifting import (
-    ExtensionObstructionCertificate,
     solve_geometric_pullback,
     strict_transform,
     validate_toric_morphism,
@@ -52,14 +51,14 @@ def test_criterion_1_singular_target_counterexample(corpus):
         report = solve_geometric_pullback(f, cox_subgroup(dst), cox_subgroup(src))
         assert report.exists is False
         ob = report.obstruction
-        assert isinstance(ob, ExtensionObstructionCertificate)
+        assert isinstance(ob, ExtensionObstruction)
         # twice the divisor of the target ray (1,2) pulls back to the
         # divisor with coefficients (0,1,2) on the source rays
         # (1,0),(1,1),(1,2) — odd on the middle ray, so not divisible
         assert ob.multiplier == 2
-        assert ob.divisor == (0, 1)
+        assert ob.element == (0, 1)
         assert ob.required == (0, 1, 2)
-        assert report.witness is None and report.witness_classes == ()
+        assert report.phi is None and report.witness_classes == ()
 
 
 def test_criterion_2_smooth_target_unique_strict_transform(corpus):
@@ -74,7 +73,7 @@ def test_criterion_2_smooth_target_unique_strict_transform(corpus):
             assert len(report.witness_classes) == 1
             assert report.uniqueness_note == "unique"
             expected = [list(strict_transform(f, row)) for row in target_sub.basis]
-            assert report.witness.phi.to_lists() == expected
+            assert report.phi.to_lists() == expected
 
 
 def test_criterion_3_class_groups_match_snf_oracle(corpus):

@@ -507,38 +507,6 @@ def test_locate_matches_per_facet_oracle():
     assert outside >= 2000 and zero >= 400 and lower >= 150, (outside, zero, lower)
 
 
-def test_ray_image_cones_match_containment_oracle():
-    """The max cones with the rays of a ray image's minimal cone are exactly
-    the max cones whose facet description holds the image."""
-    rng = random.Random(1212)
-    morphisms = shared = zero = 0
-    for _ in range(1500):
-        source = fangen.random_fan(rng)
-        if rng.random() < 0.2:
-            # a change of basis: every ray image is a target ray
-            matrix = fangen.random_unimodular(source.rank, rng)
-            target = fangen.conjugate_fan(source, matrix)
-        else:
-            target = fangen.random_fan(rng, torus_rank=rng.randint(0, 1))
-            matrix = IntMatrix(
-                [[rng.randint(-2, 2) for _ in range(source.rank)] for _ in range(target.rank)],
-                cols=source.rank,
-            )
-        try:
-            f = validate_toric_morphism(source, target, matrix)
-        except lifting.MorphismValidationError:
-            continue
-        morphisms += 1
-        for i, cones in enumerate(f.ray_image_cones):
-            w = f.ray_image(i)
-            assert cones == tuple(
-                ci for ci in range(len(target.max_cones)) if target.cone_hreps[ci].contains(w)
-            ), (source, target, matrix, i)
-            shared += len(cones) > 1
-            zero += not any(w)
-    assert morphisms >= 300 and shared >= 200 and zero >= 40, (morphisms, shared, zero)
-
-
 def test_morphism_problems_match_per_cone_containment_oracle():
     """A source cone maps into the target fan iff the faces of its rays'
     images lie in one target max cone: the problems are exactly those of the
