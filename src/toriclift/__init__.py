@@ -17,7 +17,6 @@ from .divisors import (
     enough_divisors,
     kajiwara_subgroup,
     principal_basis,
-    principal_divisor,
 )
 from .fan import (
     DegenerateFanError,
@@ -55,15 +54,9 @@ from .lifting import (
     ToricMorphism,
     classify_liftings,
     solve_geometric_pullback,
-    strict_transform,
     validate_toric_morphism,
 )
-from .presentation import (
-    Presentation,
-    build_presentation,
-    grading_factorization,
-    presentation_from_subgroup,
-)
+from .presentation import Presentation, presentation_from_subgroup
 
 __all__ = [
     "__version__",
@@ -85,26 +78,22 @@ __all__ = [
     "SubgroupValidationError",
     "ToricMorphism",
     "TorusFactorSplit",
-    "build_presentation",
     "class_group",
     "classify_liftings",
     "cox_subgroup",
     "divisor_subgroup",
     "enough_divisors",
     "fan_isomorphic",
-    "grading_factorization",
     "hermite_row_basis",
     "hilbert_basis",
     "kajiwara_subgroup",
     "parse_fan_file",
     "presentation_from_subgroup",
     "principal_basis",
-    "principal_divisor",
     "read_fan_document",
     "smith_normal_form",
     "solve_geometric_pullback",
     "split_torus_factor",
-    "strict_transform",
     "toric_isomorphism",
     "validate_document",
     "validate_fan",

@@ -42,7 +42,7 @@ from .lifting import (
     validate_toric_morphism,
 )
 from .isomorphism import toric_isomorphism
-from .presentation import build_presentation
+from .presentation import presentation_from_subgroup
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -147,6 +147,7 @@ def _cmd_present(args) -> tuple[int, list[str], dict]:
     if args.subgroup is not None and args.mode != "subgroup":
         raise _InputError("--subgroup NAME applies only with --mode subgroup")
     doc = parse_fan_file(args.file, max_rays=args.max_rays)
+    mode_text = args.mode
     if args.mode == "subgroup":
         if not args.subgroup:
             raise _InputError("--mode subgroup requires --subgroup NAME")
@@ -154,13 +155,13 @@ def _cmd_present(args) -> tuple[int, list[str], dict]:
             raise _InputError(
                 f"subgroup '{args.subgroup}' is not defined in {doc.path}"
             )
-        pres = build_presentation(
-            doc.fan, mode="custom", subgroup_rows=doc.subgroups[args.subgroup]
-        )
+        sub = divisor_subgroup(doc.fan, doc.subgroups[args.subgroup])
         mode_text = f"subgroup {args.subgroup}"
+    elif args.mode == "kajiwara":
+        sub = kajiwara_subgroup(doc.fan)
     else:
-        pres = build_presentation(doc.fan, mode=args.mode)
-        mode_text = args.mode
+        sub = cox_subgroup(doc.fan)
+    pres = presentation_from_subgroup(sub)
     lines, head = _header(("input", doc))
     lines.append(f"mode: {mode_text}")
     lines.append(f"subgroup basis: {_fmt(pres.subgroup.basis)}")

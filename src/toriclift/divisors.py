@@ -50,12 +50,6 @@ def principal_basis(fan: Fan) -> tuple[Vec, ...]:
     )
 
 
-def principal_divisor(fan: Fan, character: Sequence[int]) -> Vec:
-    if len(character) != fan.rank:
-        raise ValueError("character of wrong rank")
-    return tuple(vec_dot(character, ray) for ray in fan.rays)
-
-
 def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
     """Canonical (Hermite) basis of the Cartier divisors inside Z^rays.
 

@@ -423,14 +423,6 @@ class FgAbGroup:
     def n_generators(self) -> int:
         return self.free_rank + len(self.torsion)
 
-    def order(self) -> Optional[int]:
-        if self.free_rank:
-            return None
-        out = 1
-        for k in self.torsion:
-            out *= k
-        return out
-
     def reduce(self, coords: Sequence[int]) -> Vec:
         """Canonical representative: torsion coordinates mod their orders."""
         if len(coords) != self.n_generators:
@@ -531,18 +523,6 @@ class AbHom:
                     f"not a homomorphism: order-{k} generator {i} maps to an element "
                     f"whose {k}-multiple is nonzero"
                 )
-
-    def compose(self, then: "AbHom") -> "AbHom":
-        """Returns x -> then(self(x)); codomain must equal then.domain."""
-        if self.codomain != then.domain:
-            raise ValueError("composition domain mismatch")
-        return AbHom(self.domain, then.codomain, self.matrix @ then.matrix)
-
-    def is_zero(self) -> bool:
-        return all(
-            self.codomain.is_zero_element(self.matrix.row(i))
-            for i in range(self.matrix.rows)
-        )
 
 
 # ---------------------------------------------------------------------------

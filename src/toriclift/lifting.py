@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .divisors import DivisorSubgroup
-from .fan import Fan, _is_basis_part
+from .fan import Fan
 from .lattice import (
     AbHom,
     CokernelData,
@@ -40,9 +40,7 @@ from .lattice import (
     _is_identity_basis,
     extend_homomorphism,
     hermite_row_basis,
-    smith_normal_form,
     solve_integer_linear,
-    solve_with_snf,
     vec_dot,
 )
 
@@ -173,29 +171,6 @@ def validate_toric_morphism(
     )
 
 
-# -- strict transform -------------------------------------------------------------
-
-
-def strict_transform(f: ToricMorphism, coeffs: Sequence[int]) -> Optional[Vec]:
-    """Divisor transform defined when every source ray's image lands in a
-    smooth minimal target cone; None otherwise.
-
-    On a smooth cone any divisor has a local character; pairing it with the
-    ray image gives the coefficient.
-    """
-    if len(coeffs) != f.target.n_rays:
-        raise ValueError("coefficient length mismatch")
-    out = []
-    for i, face in enumerate(f.ray_faces):
-        snf = smith_normal_form(IntMatrix(f.target.cone_rays(face), cols=f.target.rank))
-        if not _is_basis_part(snf, len(face)):
-            return None
-        sol = solve_with_snf(snf, [coeffs[j] for j in face])
-        assert sol is not None, "smooth cone always has a local character"
-        out.append(vec_dot(sol.particular, f.ray_image(i)))
-    return tuple(out)
-
-
 # -- lifting report types ---------------------------------------------------------
 
 
@@ -233,7 +208,6 @@ class LiftingReport:
 
     verdict: str
     uniqueness_note: str
-    conditions_checked: bool
     witness_classes: tuple[IntMatrix, ...] = ()
     induced_grading_hom: Optional[AbHom] = None
     obstruction: Optional[object] = None
@@ -302,8 +276,7 @@ def solve_geometric_pullback(
     if obs is not None:
         divisor = IntMatrix(target_subgroup.basis, cols=f.target.n_rays).left_apply(obs.element)
         return _no_report(
-            ExtensionObstruction(multiplier=obs.multiplier, element=divisor, required=obs.required),
-            conditions,
+            ExtensionObstruction(multiplier=obs.multiplier, element=divisor, required=obs.required)
         )
     # (c) containment in the source subgroup, jointly over all rows in
     # cokernel coordinates, plus the zero-forcing equations of the support
@@ -318,14 +291,12 @@ def solve_geometric_pullback(
         # feasible without the support equations: the support condition failed
         if not zero_cells or containment.solve([]) is None:
             return _no_report(
-                ContainmentFailureCertificate(basis_indices=containment.failing_rows()),
-                conditions,
+                ContainmentFailureCertificate(basis_indices=containment.failing_rows())
             )
         return _no_report(
             EffectivityFailureCertificate(
                 generator=None, coefficient_index=None, rationally_infeasible=False
-            ),
-            conditions,
+            )
         )
     t_particular, t_dirs = solved
     phi0 = ext.particular + containment.shift(t_particular)
@@ -349,8 +320,7 @@ def solve_geometric_pullback(
                     generator=None if dirs else gens[bad // n_src],
                     coefficient_index=None if dirs else bad % n_src,
                     rationally_infeasible=bool(dirs),
-                ),
-                conditions,
+                )
             )
         entries = [abs(x) for row in phi0 for x in row]
         bound_used = search_bound if search_bound is not None else 4 * max([1] + entries)
@@ -362,7 +332,6 @@ def solve_geometric_pullback(
                     f"no integral solution within coefficient bound "
                     f"{bound_used}; the rational relaxation is feasible"
                 ),
-                conditions_checked=conditions,
                 search_bound=bound_used,
             )
         classes = [sum((D * c for c, D in zip(tau, dirs)), phi0) for tau in found]
@@ -384,17 +353,15 @@ def solve_geometric_pullback(
     return LiftingReport(
         verdict="yes",
         uniqueness_note=note,
-        conditions_checked=conditions,
         witness_classes=tuple(classes),
         induced_grading_hom=induced_grading_hom(f, target_subgroup, source_subgroup, phi),
         search_bound=bound_used if dirs else None,
     )
 
 
-def _no_report(certificate, conditions: bool) -> LiftingReport:
+def _no_report(certificate) -> LiftingReport:
     return LiftingReport(
-        verdict="no", uniqueness_note="no lifting exists", conditions_checked=conditions,
-        obstruction=certificate,
+        verdict="no", uniqueness_note="no lifting exists", obstruction=certificate
     )
 
 

@@ -5,36 +5,20 @@ A presentation consists of: one coordinate per minimal generator of the
 subgroup's effective semigroup, a grading of those coordinates by the
 quotient of the subgroup by the principal divisors, and the exceptional
 coordinate collections (minimal sets of coordinates whose common vanishing
-locus misses the variety).  The classical constructions are the two built-in
-modes: ``cox`` uses the full divisor lattice, ``kajiwara`` the Cartier
-divisors; ``custom`` accepts any admissible subgroup.
+locus misses the variety).  ``presentation_from_subgroup`` builds it from
+any admissible subgroup; the classical constructions are those of
+``divisors.cox_subgroup`` (the full divisor lattice) and
+``divisors.kajiwara_subgroup`` (the Cartier divisors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .divisors import (
-    DivisorSubgroup,
-    EnoughDivisorsReport,
-    class_group,
-    cox_subgroup,
-    divisor_subgroup,
-    enough_divisors,
-    kajiwara_subgroup,
-)
+from .divisors import DivisorSubgroup, EnoughDivisorsReport, enough_divisors
 from .fan import DegenerateFanError, Fan
-from .lattice import (
-    AbHom,
-    CokernelData,
-    FgAbGroup,
-    IntMatrix,
-    ResourceLimitError,
-    Vec,
-)
-
-MODES = ("cox", "kajiwara", "custom")
+from .lattice import FgAbGroup, ResourceLimitError, Vec
 
 MAX_COLLECTION_FACES = 100_000
 
@@ -66,39 +50,17 @@ class Presentation:
         return self.subgroup.grading_cokernel.group
 
 
-def build_presentation(
-    fan: Fan,
-    mode: str = "cox",
-    subgroup_rows: Optional[Sequence[Sequence[int]]] = None,
-) -> Presentation:
-    """Construct the quotient presentation for the chosen divisor subgroup.
+def presentation_from_subgroup(sub: DivisorSubgroup) -> Presentation:
+    """Construct the quotient presentation of an admissible subgroup.
 
     Degenerate fans are rejected: split off the torus factor first and
     present the reduced fan.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if fan.is_degenerate:
+    if sub.fan.is_degenerate:
         raise DegenerateFanError(
             "fan rays do not span the lattice; split off the torus factor "
             "and present the reduced fan"
         )
-    if mode == "cox":
-        if subgroup_rows is not None:
-            raise ValueError("subgroup_rows only applies to custom mode")
-        sub = cox_subgroup(fan)
-    elif mode == "kajiwara":
-        if subgroup_rows is not None:
-            raise ValueError("subgroup_rows only applies to custom mode")
-        sub = kajiwara_subgroup(fan)
-    else:
-        if subgroup_rows is None:
-            raise ValueError("custom mode requires subgroup_rows")
-        sub = divisor_subgroup(fan, subgroup_rows)
-    return presentation_from_subgroup(sub)
-
-
-def presentation_from_subgroup(sub: DivisorSubgroup) -> Presentation:
     coords = sub.effective_generators
     coker = sub.grading_cokernel
     collections = exceptional_collections(sub.fan, coords)
@@ -176,76 +138,3 @@ def exceptional_collections(
             elif all(c | m != every_cone for c in without):
                 found.append(members + (useful[pos],))
     return tuple(sorted(found))
-
-
-# -- grading factorization -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradingFactorization:
-    """The grading group's two-sided fit against the class group.
-
-    ``into_class_group`` maps the presentation's grading group into the
-    divisor class group; ``onto_residual`` maps the class group onto the
-    classes modulo the subgroup; the three groups are their domains and
-    codomains.  Diagnostics: the composite vanishes, free ranks are
-    additive, and group orders are multiplicative when finite.
-    """
-
-    into_class_group: AbHom
-    onto_residual: AbHom
-    composite_is_zero: bool
-    ranks_additive: bool
-    orders_multiplicative: Optional[bool]
-
-
-def grading_factorization(pres: Presentation) -> GradingFactorization:
-    sub = pres.subgroup
-    n = sub.fan.n_rays
-    cl = class_group(sub.fan)
-    grading_coker = sub.grading_cokernel
-    grading = pres.grading_group
-
-    # residual: divisors modulo the subgroup
-    residual_coker = CokernelData(IntMatrix(sub.basis, cols=n).T)
-    residual = residual_coker.group
-
-    # grading generator -> divisor in Z^rays -> class
-    rows_in = []
-    for lift in grading_coker.generator_lifts:
-        divisor = tuple(
-            sum(c * row[j] for c, row in zip(lift, sub.basis)) for j in range(n)
-        )
-        rows_in.append(cl.project(divisor))
-    into = AbHom(
-        domain=grading,
-        codomain=cl.group,
-        matrix=IntMatrix(tuple(rows_in), cols=cl.group.n_generators),
-    )
-
-    # class generator -> divisor -> residual class
-    rows_onto = []
-    for divisor in cl.generator_lifts:
-        rows_onto.append(residual_coker.project(divisor))
-    onto = AbHom(
-        domain=cl.group,
-        codomain=residual,
-        matrix=IntMatrix(tuple(rows_onto), cols=residual.n_generators),
-    )
-
-    composite = into.compose(onto)
-    ranks_ok = grading.free_rank + residual.free_rank == cl.group.free_rank
-    orders = (grading.order(), residual.order(), cl.group.order())
-    orders_ok: Optional[bool]
-    if all(o is not None for o in orders):
-        orders_ok = orders[0] * orders[1] == orders[2]
-    else:
-        orders_ok = None
-
-    return GradingFactorization(
-        into_class_group=into,
-        onto_residual=onto,
-        composite_is_zero=composite.is_zero(),
-        ranks_additive=ranks_ok,
-        orders_multiplicative=orders_ok,
-    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
@@ -1080,4 +1081,143 @@ def smith_normal_form_by_closures(A):
 
     return SNFDecomposition(
         U=IntMatrix(U, cols=m), S=IntMatrix(data, cols=n), V=IntMatrix(V, cols=n)
+    )
+
+
+# -- divisor transforms and the grading factorization ---------------------------
+#
+# Computations with no engine counterpart: the strict transform is a formula
+# for phi on smooth targets, and the grading factorization checks a
+# presentation's grading group against the class group.
+
+
+def principal_divisor(fan: Fan, character: Sequence[int]) -> Vec:
+    from toriclift.lattice import vec_dot
+
+    if len(character) != fan.rank:
+        raise ValueError("character of wrong rank")
+    return tuple(vec_dot(character, ray) for ray in fan.rays)
+
+
+def strict_transform(f: ToricMorphism, coeffs: Sequence[int]) -> Vec | None:
+    """Divisor transform defined when every source ray's image lands in a
+    smooth minimal target cone; None otherwise.
+
+    On a smooth cone any divisor has a local character; pairing it with the
+    ray image gives the coefficient.
+    """
+    from toriclift.fan import _is_basis_part
+    from toriclift.lattice import IntMatrix, smith_normal_form, solve_with_snf, vec_dot
+
+    if len(coeffs) != f.target.n_rays:
+        raise ValueError("coefficient length mismatch")
+    out = []
+    for i, face in enumerate(f.ray_faces):
+        snf = smith_normal_form(IntMatrix(f.target.cone_rays(face), cols=f.target.rank))
+        if not _is_basis_part(snf, len(face)):
+            return None
+        sol = solve_with_snf(snf, [coeffs[j] for j in face])
+        assert sol is not None, "smooth cone always has a local character"
+        out.append(vec_dot(sol.particular, f.ray_image(i)))
+    return tuple(out)
+
+
+def order(group: FgAbGroup) -> int | None:
+    """The order of an ``FgAbGroup``; None when it is infinite."""
+    if group.free_rank:
+        return None
+    out = 1
+    for k in group.torsion:
+        out *= k
+    return out
+
+
+def compose(first: AbHom, then: AbHom) -> AbHom:
+    """The ``AbHom`` x -> then(first(x)); first's codomain must equal
+    then's domain."""
+    from toriclift.lattice import AbHom
+
+    if first.codomain != then.domain:
+        raise ValueError("composition domain mismatch")
+    return AbHom(first.domain, then.codomain, first.matrix @ then.matrix)
+
+
+def is_zero(hom: AbHom) -> bool:
+    """Whether an ``AbHom`` sends every generator to zero."""
+    return all(
+        hom.codomain.is_zero_element(hom.matrix.row(i))
+        for i in range(hom.matrix.rows)
+    )
+
+
+@dataclass(frozen=True)
+class GradingFactorization:
+    """The grading group's two-sided fit against the class group.
+
+    ``into_class_group`` maps the presentation's grading group into the
+    divisor class group; ``onto_residual`` maps the class group onto the
+    classes modulo the subgroup; the three groups are their domains and
+    codomains.  Diagnostics: the composite vanishes, free ranks are
+    additive, and group orders are multiplicative when finite.
+    """
+
+    into_class_group: AbHom
+    onto_residual: AbHom
+    composite_is_zero: bool
+    ranks_additive: bool
+    orders_multiplicative: bool | None
+
+
+def grading_factorization(pres: Presentation) -> GradingFactorization:
+    from toriclift.divisors import class_group
+    from toriclift.lattice import AbHom, CokernelData, IntMatrix
+
+    sub = pres.subgroup
+    n = sub.fan.n_rays
+    cl = class_group(sub.fan)
+    grading_coker = sub.grading_cokernel
+    grading = pres.grading_group
+
+    # residual: divisors modulo the subgroup
+    residual_coker = CokernelData(IntMatrix(sub.basis, cols=n).T)
+    residual = residual_coker.group
+
+    # grading generator -> divisor in Z^rays -> class
+    rows_in = []
+    for lift in grading_coker.generator_lifts:
+        divisor = tuple(
+            sum(c * row[j] for c, row in zip(lift, sub.basis)) for j in range(n)
+        )
+        rows_in.append(cl.project(divisor))
+    into = AbHom(
+        domain=grading,
+        codomain=cl.group,
+        matrix=IntMatrix(tuple(rows_in), cols=cl.group.n_generators),
+    )
+
+    # class generator -> divisor -> residual class
+    rows_onto = []
+    for divisor in cl.generator_lifts:
+        rows_onto.append(residual_coker.project(divisor))
+    onto = AbHom(
+        domain=cl.group,
+        codomain=residual,
+        matrix=IntMatrix(tuple(rows_onto), cols=residual.n_generators),
+    )
+
+    composite = compose(into, onto)
+    ranks_ok = grading.free_rank + residual.free_rank == cl.group.free_rank
+    orders = (order(grading), order(residual), order(cl.group))
+    orders_ok: bool | None
+    if all(o is not None for o in orders):
+        orders_ok = orders[0] * orders[1] == orders[2]
+    else:
+        orders_ok = None
+
+    return GradingFactorization(
+        into_class_group=into,
+        onto_residual=onto,
+        composite_is_zero=is_zero(composite),
+        ranks_additive=ranks_ok,
+        orders_multiplicative=orders_ok,
     )

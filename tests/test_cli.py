@@ -166,6 +166,15 @@ class TestPresent:
         assert code == 0 and "mode: subgroup full" in out
         assert "grading group: Z/2" in out
 
+    @pytest.mark.parametrize("mode", ["cox", "kajiwara"])
+    def test_degenerate_fan_is_an_input_error(self, files, capsys, mode):
+        code, out, err = run(capsys, "present", files["halftorus"], "--mode", mode)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: fan rays do not span the lattice; split off the torus factor "
+            "and present the reduced fan\n"
+        )
+
     def test_cox_24_ray_polygon(self, tmp_path, capsys):
         # past the old 20-coordinate guard: the 24 * 21 / 2 non-adjacent pairs
         p = tmp_path / "polygon24.fan"

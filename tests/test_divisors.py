@@ -15,7 +15,6 @@ from toriclift.divisors import (
     enough_divisors,
     kajiwara_subgroup,
     principal_basis,
-    principal_divisor,
 )
 from toriclift.fan import split_torus_factor, validate_fan
 from toriclift.lattice import (
@@ -70,8 +69,8 @@ def test_principal_basis_quadric():
     fan = quadric_cone()
     assert fan.rays == ((1, 0), (1, 2))
     assert principal_basis(fan) == ((1, 1), (0, 2))
-    assert principal_divisor(fan, (1, 0)) == (1, 1)
-    assert principal_divisor(fan, (0, 1)) == (0, 2)
+    assert oracles.principal_divisor(fan, (1, 0)) == (1, 1)
+    assert oracles.principal_divisor(fan, (0, 1)) == (0, 2)
     principal = hermite_row_basis(principal_basis(fan), width=fan.n_rays)
     assert hermite_coefficients(principal, (1, 1)) is not None
     assert hermite_coefficients(principal, (2, 0)) is not None  # 2*(1,1) - (0,2)
@@ -180,7 +179,7 @@ def test_cartier_lattice_unit_square_cone():
     fan = unit_square_cone()
     cart = cartier_lattice(fan)
     # Cartier = principal here (local character must be global on one cone)
-    assert hermite_coefficients(cart, principal_divisor(fan, (1, 0, 0))) is not None
+    assert hermite_coefficients(cart, oracles.principal_divisor(fan, (1, 0, 0))) is not None
     for c in cart:
         assert oracles.cartier_data(fan, c) is not None
     assert hermite_coefficients(cart, (1, 0, 0, 0)) is None

@@ -555,7 +555,7 @@ def test_smoothness_profiles():
 
 def test_face_is_smooth():
     # a face is smooth iff the Smith form of its rays shows them part of a
-    # lattice basis, the test ``lifting.strict_transform`` makes per ray
+    # lattice basis, the test the ``strict_transform`` oracle makes per ray
     fan = cone_over_square()
 
     def face_is_smooth(face):

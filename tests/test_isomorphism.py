@@ -126,6 +126,23 @@ class TestFanIsomorphic:
         with pytest.raises(ValueError):
             fan_isomorphic(deg, deg)
 
+    def test_one_degenerate_input_rejected_in_either_order(self, p2):
+        deg = mk(2, [(1, 0)], [(0,)])
+        for a, b in ((deg, p2), (p2, deg)):
+            with pytest.raises(ValueError, match="requires non-degenerate fans"):
+                fan_isomorphic(a, b)
+
+    def test_verifier_checks_the_cone_map_when_the_ray_map_is_right(self, p2):
+        iso = fan_isomorphic(p2, p2)
+        rotated = FanIso(
+            matrix=iso.matrix,
+            ray_bijection=iso.ray_bijection,
+            cone_bijection=iso.cone_bijection[1:] + iso.cone_bijection[:1],
+        )
+        assert verify_fan_iso(p2, p2, rotated) == [
+            f"max cone {c} does not map to its assigned cone" for c in range(3)
+        ]
+
     def test_verifier_catches_tampering(self, p2):
         iso = fan_isomorphic(p2, p2)
         bad = FanIso(
@@ -299,13 +316,13 @@ class TestRandomRoundTrips:
             )
 
 
-def _grading_map_of_unique_lift(source, target, matrix, subgroup):
+def _unique_lift(source, target, matrix, subgroup):
     f = validate_toric_morphism(source, target, matrix)
     report = solve_geometric_pullback(f, subgroup(target), subgroup(source))
     assert (report.verdict, report.uniqueness_note) == ("yes", "unique"), (
         source, target, matrix, subgroup.__name__,
     )
-    return report.induced_grading_hom
+    return report
 
 
 def _assert_lifts_uniquely(a, b, iso):
@@ -313,10 +330,19 @@ def _assert_lifts_uniquely(a, b, iso):
     snf = smith_normal_form(iso.matrix)
     assert snf.S == IntMatrix.identity(a.rank)
     inverse = snf.V @ snf.U
+    # under Cox subgroups phi is the ray permutation: row j pulls the
+    # divisor of ray j back to the divisor of the source ray mapped onto it
+    permutation = IntMatrix(
+        [[int(iso.ray_bijection[i] == j) for i in range(a.n_rays)] for j in range(b.n_rays)],
+        cols=a.n_rays,
+    )
     for subgroup in (cox_subgroup, kajiwara_subgroup):
-        there = _grading_map_of_unique_lift(a, b, iso.matrix, subgroup)
-        back = _grading_map_of_unique_lift(b, a, inverse, subgroup)
-        round_trip = there.compose(back)
+        there = _unique_lift(a, b, iso.matrix, subgroup)
+        back = _unique_lift(b, a, inverse, subgroup)
+        if subgroup is cox_subgroup:
+            assert there.phi == permutation, (a, b)
+            assert back.phi == permutation.T, (a, b)
+        round_trip = oracles.compose(there.induced_grading_hom, back.induced_grading_hom)
         group = round_trip.domain
         assert group == round_trip.codomain
         for i in range(group.n_generators):
@@ -327,7 +353,8 @@ def _assert_lifts_uniquely(a, b, iso):
 def test_isomorphisms_lift_to_the_presentations():
     """The paper's application: a fan isomorphism lifts, uniquely, to the Cox
     and to the Kajiwara presentations of both fans, and with the lift of its
-    inverse it composes to the identity on the grading group.  Fans with a
+    inverse it composes to the identity on the grading group.  Under Cox
+    subgroups the lift is the isomorphism's ray permutation.  Fans with a
     torus factor are compared through the reduced fans of their splits."""
     rng = Random(2002)
     fans = 0

@@ -39,7 +39,6 @@ from toriclift.lifting import (
     _projections,
     classify_liftings,
     solve_geometric_pullback,
-    strict_transform,
     validate_toric_morphism,
     verify_pullback_witness,
 )
@@ -197,7 +196,7 @@ class TestPullbackCartier:
             for c in t_sub.cartier_members:
                 f.pull_back_cartier(c)
             assert not verify_pullback_witness(
-                f, t_sub, s_sub, report.phi, conditions=report.conditions_checked
+                f, t_sub, s_sub, report.phi, conditions=not f.target.is_simplicial
             )
         assert calls == []
 
@@ -259,8 +258,8 @@ class TestStrictTransform:
     def test_blowup_of_plane(self, blowup_origin, plane):
         f = validate_toric_morphism(blowup_origin, plane, IntMatrix.identity(2))
         # divisor of the ray (1, 0): transform picks up the exceptional ray
-        assert strict_transform(f, (0, 1)) == (0, 1, 1)
-        assert strict_transform(f, (1, 0)) == (1, 0, 1)
+        assert oracles.strict_transform(f, (0, 1)) == (0, 1, 1)
+        assert oracles.strict_transform(f, (1, 0)) == (1, 0, 1)
 
     def test_one_smith_form_per_source_ray(self, monkeypatch, blowup_origin, plane):
         # the face's Smith form both tests smoothness and solves for the
@@ -273,19 +272,19 @@ class TestStrictTransform:
             calls.append(A)
             return snf(A)
 
-        for module in (lattice, fan_module, lifting):
+        for module in (lattice, fan_module):
             monkeypatch.setattr(module, "smith_normal_form", counted)
-        assert strict_transform(f, (0, 1)) == (0, 1, 1)
+        assert oracles.strict_transform(f, (0, 1)) == (0, 1, 1)
         assert len(calls) == 3
 
     def test_undefined_when_target_cone_singular(self, line, quadric):
         f = validate_toric_morphism(line, quadric, IntMatrix([(1,), (1,)]))
-        assert strict_transform(f, (1, 0)) is None
+        assert oracles.strict_transform(f, (1, 0)) is None
 
     def test_length_check(self, blowup_origin, plane):
         f = validate_toric_morphism(blowup_origin, plane, IntMatrix.identity(2))
         with pytest.raises(ValueError):
-            strict_transform(f, (1, 0, 0))
+            oracles.strict_transform(f, (1, 0, 0))
 
 
 # -- the lifting solver: definitive no -------------------------------------------
@@ -333,7 +332,7 @@ class TestLiftingObstructions:
         )
         f = validate_toric_morphism(source, target, IntMatrix([(2, 1), (0, 0), (1, -2)]))
         report = solve_geometric_pullback(f, cox_subgroup(target), kajiwara_subgroup(source))
-        assert report.verdict == "no" and report.conditions_checked
+        assert report.verdict == "no" and not f.target.is_simplicial
         assert report.obstruction == ContainmentFailureCertificate(basis_indices=())
         assert (
             "obstruction: no simultaneous containment decomposition exists across the basis rows"
@@ -376,7 +375,7 @@ class TestSupportFailure:
         assert f.ray_faces == ((0, 1),)
         target, source = cox_subgroup(f.target), cox_subgroup(line)
         report = solve_geometric_pullback(f, target, source)
-        assert report.verdict == "no" and report.conditions_checked
+        assert report.verdict == "no" and not f.target.is_simplicial
         assert report.obstruction == EffectivityFailureCertificate(
             generator=None, coefficient_index=None, rationally_infeasible=False
         )
@@ -392,7 +391,7 @@ class TestSupportFailure:
         report = solve_geometric_pullback(
             f, kajiwara_subgroup(f.target), cox_subgroup(line)
         )
-        assert report.verdict == "yes" and report.conditions_checked
+        assert report.verdict == "yes" and not f.target.is_simplicial
         assert report.uniqueness_note == "unique"
         assert report.phi.to_lists() == [[1], [1], [0]]
 
@@ -414,9 +413,11 @@ class TestLiftingExists:
         # every row lies in the source subgroup: it is a member plus the
         # principal divisor of the zero character
         assert all(cox_subgroup(blowup_origin).contains(row) for row in report.phi)
-        assert not report.conditions_checked  # smooth target: skipped
+        assert f.target.is_simplicial  # smooth target: the conditions are skipped
         text = classify_liftings(report, 2)
         assert "lifting exists" in text
+        # one class: no class list
+        assert "distinct witness classes" not in text
         assert (
             "basis divisor 0: maps to monomial with divisor exponent [1, 0, 1] = "
             "member [1, 0, 1] + principal of character [0, 0]"
@@ -429,7 +430,7 @@ class TestLiftingExists:
         )
         basis = cox_subgroup(plane).basis
         for j, b in enumerate(basis):
-            assert strict_transform(f, b) == report.phi.row(j)
+            assert oracles.strict_transform(f, b) == report.phi.row(j)
 
     def test_identity_lifts_identically(self, quadric):
         f = validate_toric_morphism(quadric, quadric, IntMatrix.identity(2))
@@ -452,7 +453,7 @@ class TestLiftingExists:
         f = validate_toric_morphism(source, target, IntMatrix([(1, -1), (1, -1), (2, 0)]))
         t_sub, s_sub = cox_subgroup(target), kajiwara_subgroup(source)
         report = solve_geometric_pullback(f, t_sub, s_sub)
-        assert report.verdict == "yes" and report.conditions_checked
+        assert report.verdict == "yes" and not f.target.is_simplicial
         assert report.uniqueness_note == "one witness class found within the search bound"
         assert report.search_bound == 24
         assert report.witness_classes == (IntMatrix([(0, 0), (0, 2), (1, 1), (0, 4)]),)
@@ -470,11 +471,17 @@ class TestLiftingExists:
             f, cox_subgroup(diamond), cox_subgroup(line)
         )
         assert report.verdict == "yes"
-        assert report.conditions_checked
+        assert not f.target.is_simplicial
         found = {tuple(x for (x,) in m) for m in report.witness_classes}
         assert found == {(0, 1, 2, 0), (1, 0, 1, 1)}
         assert report.phi == report.witness_classes[0]
         assert "2 witness classes" in report.uniqueness_note
+        lines = classify_liftings(report, 1).splitlines()
+        at = lines.index(
+            "distinct witness classes (pairwise non-equivalence of the induced "
+            "liftings is not asserted):"
+        )
+        assert lines[at + 1:-1] == ["  " + str(m.to_lists()) for m in report.witness_classes]
         # the grading shadow collapses: the source has trivial grading
         hom = report.induced_grading_hom
         assert hom.codomain == FgAbGroup(0)
@@ -505,7 +512,7 @@ class TestLiftingExists:
             lifting, "solve_integer_linear", lambda A, b: calls.append(A) or solve(A, b)
         )
         report = solve_geometric_pullback(f, target, source)
-        assert report.verdict == "yes" and report.conditions_checked
+        assert report.verdict == "yes" and not f.target.is_simplicial
         assert len(calls) == 1
 
     def test_witness_reverification_catches_tampering(self, line, diamond):
@@ -588,7 +595,7 @@ def test_simplicial_targets_lift_uniquely_and_meet_the_conditions():
                 if report.verdict == "no":
                     seen["no"] += 1
                     continue
-                assert report.verdict == "yes" and not report.conditions_checked
+                assert report.verdict == "yes" and f.target.is_simplicial
                 assert report.uniqueness_note == "unique" and len(report.witness_classes) == 1
                 assert not verify_pullback_witness(
                     f, t_sub, s_sub, report.phi, conditions=True

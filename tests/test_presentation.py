@@ -7,14 +7,15 @@ import pytest
 import fangen
 import oracles
 import toriclift.presentation as presentation
-from toriclift.divisors import principal_basis
+from toriclift.divisors import (
+    cox_subgroup,
+    divisor_subgroup,
+    kajiwara_subgroup,
+    principal_basis,
+)
 from toriclift.fan import DegenerateFanError, validate_fan
 from toriclift.lattice import FgAbGroup, ResourceLimitError
-from toriclift.presentation import (
-    build_presentation,
-    exceptional_collections,
-    grading_factorization,
-)
+from toriclift.presentation import exceptional_collections, presentation_from_subgroup
 
 
 def projective_plane():
@@ -31,11 +32,11 @@ def hirzebruch_one():
     )
 
 
-# -- Cox mode -----------------------------------------------------------------
+# -- Cox subgroup -------------------------------------------------------------
 
 
 def test_cox_p2():
-    pres = build_presentation(projective_plane(), mode="cox")
+    pres = presentation_from_subgroup(cox_subgroup(projective_plane()))
     assert pres.coordinates == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert pres.grading_group == FgAbGroup(1, ())
     d = pres.degrees
@@ -47,7 +48,7 @@ def test_cox_p2():
 
 
 def test_cox_quadric():
-    pres = build_presentation(quadric_cone(), mode="cox")
+    pres = presentation_from_subgroup(cox_subgroup(quadric_cone()))
     assert pres.coordinates == ((0, 1), (1, 0))
     assert pres.grading_group == FgAbGroup(0, (2,))
     assert pres.degrees == ((1,), (1,))
@@ -58,7 +59,7 @@ def test_cox_quadric():
 def test_cox_hirzebruch_collections():
     fan = hirzebruch_one()
     assert fan.rays == ((-1, 1), (0, -1), (0, 1), (1, 0))
-    pres = build_presentation(fan, mode="cox")
+    pres = presentation_from_subgroup(cox_subgroup(fan))
     assert pres.grading_group == FgAbGroup(2, ())
     # coordinates are lex-sorted unit divisors; map each back to its ray
     ray_of = [w.index(1) for w in pres.coordinates]
@@ -77,11 +78,11 @@ def test_cox_hirzebruch_collections():
         assert total == [0, 0]
 
 
-# -- Kajiwara mode ---------------------------------------------------------------
+# -- Kajiwara subgroup -----------------------------------------------------------
 
 
 def test_kajiwara_quadric():
-    pres = build_presentation(quadric_cone(), mode="kajiwara")
+    pres = presentation_from_subgroup(kajiwara_subgroup(quadric_cone()))
     assert pres.coordinates == ((0, 2), (1, 1), (2, 0))
     assert pres.grading_group == FgAbGroup(0)
     assert pres.degrees == ((), (), ())
@@ -99,7 +100,7 @@ def singular_polygon(n):
 
 @pytest.mark.parametrize("n, n_coordinates", [(18, 22), (62, 64)])
 def test_kajiwara_singular_polygon_past_16_rays(n, n_coordinates):
-    pres = build_presentation(singular_polygon(n), mode="kajiwara")
+    pres = presentation_from_subgroup(kajiwara_subgroup(singular_polygon(n)))
     coords = pres.coordinates
     assert len(coords) == n_coordinates
     assert pres.grading_group == FgAbGroup(n - 2)
@@ -110,42 +111,32 @@ def test_kajiwara_singular_polygon_past_16_rays(n, n_coordinates):
 
 def test_kajiwara_smooth_equals_cox():
     fan = projective_plane()
-    a = build_presentation(fan, mode="cox")
-    b = build_presentation(fan, mode="kajiwara")
+    a = presentation_from_subgroup(cox_subgroup(fan))
+    b = presentation_from_subgroup(kajiwara_subgroup(fan))
     assert a.subgroup == b.subgroup
     assert a.coordinates == b.coordinates
     assert a.degrees == b.degrees
 
 
-# -- custom mode ------------------------------------------------------------------
+# -- custom subgroups -------------------------------------------------------------
 
 
 def test_custom_principal_subgroup():
     fan = quadric_cone()
-    pres = build_presentation(
-        fan, mode="custom", subgroup_rows=principal_basis(fan)
-    )
+    pres = presentation_from_subgroup(divisor_subgroup(fan, principal_basis(fan)))
     assert pres.grading_group == FgAbGroup(0)
     assert pres.coordinates == ((0, 2), (1, 1), (2, 0))
 
 
-def test_custom_requires_rows():
-    with pytest.raises(ValueError):
-        build_presentation(quadric_cone(), mode="custom")
-    with pytest.raises(ValueError):
-        build_presentation(quadric_cone(), mode="cox", subgroup_rows=[(1, 0)])
-    with pytest.raises(ValueError):
-        build_presentation(quadric_cone(), mode="other")
-
-
 def test_degenerate_fan_rejected():
     fan = validate_fan(3, [(1, 0, 0), (0, 1, 0)], [(0, 1)])
-    with pytest.raises(DegenerateFanError):
-        build_presentation(fan, mode="cox")
+    for subgroup in (cox_subgroup, kajiwara_subgroup):
+        with pytest.raises(DegenerateFanError, match="fan rays do not span the lattice"):
+            presentation_from_subgroup(subgroup(fan))
 
 
 def test_point_fan_presentation():
-    pres = build_presentation(validate_fan(0, [], []), mode="cox")
+    pres = presentation_from_subgroup(cox_subgroup(validate_fan(0, [], [])))
     assert pres.coordinates == ()
     assert pres.grading_group == FgAbGroup(0)
     assert pres.exceptional_collections == ()
@@ -304,7 +295,7 @@ def test_cone_no_coordinate_misses_answers_before_the_guard(monkeypatch):
 
 
 def test_degree_of_member():
-    pres = build_presentation(quadric_cone(), mode="cox")
+    pres = presentation_from_subgroup(cox_subgroup(quadric_cone()))
     degree = dict(zip(pres.coordinates, pres.degrees))
     assert degree[(1, 0)] == degree[(0, 1)] == (1,)
     # degrees are additive: (1, 1) = (1, 0) + (0, 1) is principal, and
@@ -312,15 +303,16 @@ def test_degree_of_member():
     reduce = pres.grading_group.reduce
     assert reduce((degree[(1, 0)][0] + degree[(0, 1)][0],)) == (0,)
     assert reduce((degree[(1, 0)][0] + 2 * degree[(0, 1)][0],)) == (1,)
-    assert not build_presentation(quadric_cone(), mode="kajiwara").subgroup.contains((1, 0))
+    kajiwara = presentation_from_subgroup(kajiwara_subgroup(quadric_cone()))
+    assert not kajiwara.subgroup.contains((1, 0))
 
 
 # -- grading factorization ------------------------------------------------------------
 
 
 def test_factorization_cox_quadric():
-    pres = build_presentation(quadric_cone(), mode="cox")
-    fac = grading_factorization(pres)
+    pres = presentation_from_subgroup(cox_subgroup(quadric_cone()))
+    fac = oracles.grading_factorization(pres)
     assert fac.into_class_group.domain == FgAbGroup(0, (2,))
     assert fac.into_class_group.codomain == FgAbGroup(0, (2,))
     assert fac.onto_residual.codomain == FgAbGroup(0)
@@ -330,8 +322,8 @@ def test_factorization_cox_quadric():
 
 
 def test_factorization_kajiwara_quadric():
-    pres = build_presentation(quadric_cone(), mode="kajiwara")
-    fac = grading_factorization(pres)
+    pres = presentation_from_subgroup(kajiwara_subgroup(quadric_cone()))
+    fac = oracles.grading_factorization(pres)
     assert fac.into_class_group.domain == FgAbGroup(0)
     assert fac.onto_residual.codomain == FgAbGroup(0, (2,))
     assert fac.orders_multiplicative is True
@@ -339,7 +331,8 @@ def test_factorization_kajiwara_quadric():
 
 
 def test_factorization_cox_p2():
-    fac = grading_factorization(build_presentation(projective_plane(), "cox"))
+    pres = presentation_from_subgroup(cox_subgroup(projective_plane()))
+    fac = oracles.grading_factorization(pres)
     assert fac.into_class_group.codomain == FgAbGroup(1, ())
     assert fac.onto_residual.codomain == FgAbGroup(0)
     assert fac.orders_multiplicative is None  # infinite groups
@@ -348,8 +341,8 @@ def test_factorization_cox_p2():
 
 def test_factorization_custom_principal():
     fan = quadric_cone()
-    pres = build_presentation(fan, mode="custom", subgroup_rows=principal_basis(fan))
-    fac = grading_factorization(pres)
+    pres = presentation_from_subgroup(divisor_subgroup(fan, principal_basis(fan)))
+    fac = oracles.grading_factorization(pres)
     assert fac.into_class_group.domain == FgAbGroup(0)
     assert fac.onto_residual.codomain == FgAbGroup(0, (2,))
     assert fac.composite_is_zero and fac.ranks_additive
