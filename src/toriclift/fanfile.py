@@ -7,7 +7,7 @@ Text format (version 1), one directive per line, ``#`` starts a comment::
     ray 1 0
     ray 1 2
     cone 0 1
-    subgroup cox
+    subgroup full
     1 0
     0 1
     end
@@ -20,14 +20,16 @@ The JSON twin carries the same data::
 
     {"format": "fan", "version": 1, "rank": 2,
      "rays": [[1, 0], [1, 2]], "max_cones": [[0, 1]],
-     "subgroups": {"cox": [[1, 0], [0, 1]]},
+     "subgroups": {"full": [[1, 0], [0, 1]]},
      "morphisms": {"blowdown": {"target": "quadric.fan",
                                 "matrix": [[1, 0], [0, 1]]}}}
 
 A file whose first non-blank character is ``{`` is parsed as JSON.  Rays may
 be listed in any order: cones refer to the listed order, and subgroup basis
 columns do too; both are re-expressed in the fan's canonical ray order during
-validation, so downstream code never sees the file ordering.
+validation, so downstream code never sees the file ordering.  The subgroup
+labels ``cox`` and ``kajiwara`` name the built-in subgroups, so a document
+may not declare them.
 """
 
 from __future__ import annotations
@@ -110,6 +112,13 @@ def _ints(parts: Sequence[str], path, line: int, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_subgroup_label(path, line: Optional[int], label: str) -> None:
+    if label in ("cox", "kajiwara"):
+        raise FanFileError(
+            path, line, f"subgroup label '{label}' is reserved for the built-in subgroup"
+        )
+
+
 def read_fan_text(path, text: str) -> RawFanDocument:
     lines = text.splitlines()
     version: Optional[int] = None
@@ -175,6 +184,7 @@ def read_fan_text(path, text: str) -> RawFanDocument:
         elif directive == "subgroup":
             if len(parts) != 2:
                 raise FanFileError(path, ln, "expected 'subgroup <label>'")
+            _check_subgroup_label(path, ln, parts[1])
             block = ("subgroup", parts[1], None, ln, [])
         elif directive == "morphism":
             if len(parts) != 3:
@@ -242,6 +252,7 @@ def read_fan_json(path, text: str) -> RawFanDocument:
 
     subgroups = {}
     for label, rows in labelled("subgroups"):
+        _check_subgroup_label(path, None, label)
         subgroups[label] = tuple(int_rows(rows, f"subgroups.{label}", None))
     morphisms = {}
     for label, decl in labelled("morphisms"):

@@ -662,11 +662,15 @@ class HomExtension:
     ``particular`` is one extension X (n x k, row-vector action v @ X) and
     ``kernel`` an n x d matrix N whose independent columns span the integer
     kernel of the subgroup basis B (B @ N = 0); the extensions are exactly
-    X + N @ T over integer d x k matrices T.
+    X + N @ T over integer d x k matrices T.  With B's Smith form
+    U @ B @ V = S of rank r, N is V past column r, so V^-1 @ (X + N @ T)
+    stacks the r rows of ``fixed`` above T: row i of ``fixed`` is every
+    extension's value on (U @ B)_i / s_i, which is row i of V^-1.
     """
 
     particular: IntMatrix
     kernel: IntMatrix
+    fixed: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -718,7 +722,7 @@ def extend_homomorphism(
     X = snf.V @ IntMatrix(Y, cols=k)
     rank = snf.rank
     N = IntMatrix((row[rank:] for row in snf.V), cols=n - rank)
-    return HomExtension(particular=X, kernel=N), None
+    return HomExtension(particular=X, kernel=N, fixed=IntMatrix(Y[:rank], cols=k)), None
 
 
 # ---------------------------------------------------------------------------

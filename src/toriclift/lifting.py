@@ -12,13 +12,14 @@ for simplicial targets, where they hold automatically.  Failures carry
 machine-checkable certificates, and searches that exhaust their configured
 bound report "undecided" rather than guessing.
 
-The extensions are X + N @ T over integer matrices T.  Containment is
-decided in the quotient group Z^n / (source subgroup), n the number of
-source rays: a value is contained iff its class there vanishes, which gives
-one equation per free coordinate and one congruence per torsion coordinate
-of the group, so the system's size follows the group rather than the
-lattice.  When the group is trivial (Cox source subgroups) containment holds
-without solving anything.
+The extensions are X + N @ T over integer matrices T.  Containment is read
+off the Smith form U B V = S of the Cartier coordinates B, which the
+extension step computes anyway: V is unimodular and N is V past the rank,
+so V^-1 (X + N T) stacks the rows the Cartier values fix above T.  Every
+row lies in the source subgroup L iff each fixed row does and T = W H for
+the Hermite basis H of L and some integer W.  So containment is one
+membership test per fixed row, and only the support equations of a
+non-simplicial target are solved, as one integer system over W.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from .divisors import DivisorSubgroup
 from .fan import Fan
 from .lattice import (
     AbHom,
-    CokernelData,
     ExtensionObstruction,
+    HomExtension,
     IntMatrix,
     ResourceLimitError,
     Vec,
-    _is_identity_basis,
     extend_homomorphism,
+    hermite_coefficients,
     hermite_row_basis,
     solve_integer_linear,
     vec_dot,
@@ -278,36 +279,33 @@ def solve_geometric_pullback(
         return _no_report(
             ExtensionObstruction(multiplier=obs.multiplier, element=divisor, required=obs.required)
         )
-    # (c) containment in the source subgroup, jointly over all rows in
-    # cokernel coordinates, plus the zero-forcing equations of the support
-    # condition when active
-    zero_cells = _support_zero_cells(f, target_subgroup) if conditions else []
-
-    containment = _ProjectedContainment(
-        ext.particular, ext.kernel, source_subgroup.basis
-    )
-    solved = containment.solve(zero_cells)
-    if solved is None:
-        # feasible without the support equations: the support condition failed
-        if not zero_cells or containment.solve([]) is None:
-            return _no_report(
-                ContainmentFailureCertificate(basis_indices=containment.failing_rows())
-            )
+    # (c) containment in the source subgroup: the rows of V^-1 phi are the
+    # fixed rows over T, so phi's rows lie in it iff each fixed row does
+    if not all(source_subgroup.contains(y) for y in ext.fixed):
         return _no_report(
-            EffectivityFailureCertificate(
-                generator=None, coefficient_index=None, rationally_infeasible=False
-            )
+            ContainmentFailureCertificate(basis_indices=_failing_rows(ext, source_subgroup.basis))
         )
-    t_particular, t_dirs = solved
-    phi0 = ext.particular + containment.shift(t_particular)
-    dirs = [containment.shift(t) for t in t_dirs]
     # on a simplicial target the forced values already fix phi
-    assert conditions or not dirs, "free directions on a simplicial target"
-
-    # (d) effectivity inequalities on the effective generators, over the
-    # coordinates tau of phi0 + sum_s tau_s dirs[s]
+    assert conditions or not ext.kernel.cols, "free directions on a simplicial target"
+    phi0, dirs = ext.particular, []
     bound_used: Optional[int] = None
     if conditions:
+        # the zero-forcing equations of the support condition, over T = W H
+        solved = _support_solution(
+            ext, source_subgroup.basis, _support_zero_cells(f, target_subgroup)
+        )
+        if solved is None:
+            return _no_report(
+                EffectivityFailureCertificate(
+                    generator=None, coefficient_index=None, rationally_infeasible=False
+                )
+            )
+        t_particular, t_dirs = solved
+        phi0 = phi0 + _shift(ext.kernel, t_particular, n_src)
+        dirs = [_shift(ext.kernel, t, n_src) for t in t_dirs]
+
+        # (d) effectivity inequalities on the effective generators, over the
+        # coordinates tau of phi0 + sum_s tau_s dirs[s]
         gens = target_subgroup.effective_generators
         system = _effectivity_system(phi0, dirs, target_subgroup.generator_coefficients, n_src)
         chain = _projections(system, len(dirs))
@@ -384,101 +382,56 @@ def _support_zero_cells(
     return cells
 
 
-class _ProjectedContainment:
-    """The containment stage in the cokernel C = Z^n / lattice.
-
-    The extended values are phi = X + N @ T over integer d x n matrices T,
-    whose entries T[i, c], read row by row, are the unknowns t.  Row j of
-    phi lies in the lattice iff its class in C vanishes, i.e.
-    sum_{i,c} N[j, i] T[i, c] pi(e_c) = -pi(X row j) in C: an equation over Z
-    per free coordinate of C, and per torsion coordinate of order m a
-    congruence mod m, which becomes an equation with one multiplier unknown
-    for that row and coordinate.  ``blocks[j]`` holds row j's equations as
-    pairs (coefficients over t, right-hand side), torsion coordinates first.
-
-    The feasible t are those of the dense system that stacks every lattice
-    coefficient of every row as an unknown, so the Hermite basis of their
-    directions is the same canonical lattice; only the particular t may
-    differ, by an element of that lattice.
-    """
-
-    def __init__(self, X: IntMatrix, N: IntMatrix, lattice_rows: Sequence[Vec]):
-        """``N`` is k x d with independent columns, k = ``X.rows``;
-        ``lattice_rows`` is the Hermite basis of the lattice in Z^n,
-        n = ``X.cols``."""
-        self.X = X
-        self.N = N
-        n = X.cols
-        self.n_unknowns = N.cols * n
-        # the Hermite basis of Z^n is the identity: C is trivial, nothing to solve
-        if _is_identity_basis(lattice_rows, n):
-            self.torsion: tuple[int, ...] = ()
-            self.blocks: list[list[tuple[Vec, int]]] = [[] for _ in range(X.rows)]
-            return
-        columns = [[row[i] for row in lattice_rows] for i in range(n)]
-        coker = CokernelData(IntMatrix(columns, cols=len(lattice_rows)))
-        self.torsion = coker.group.torsion
-        orders = self.torsion + (0,) * coker.group.free_rank
-        units = [coker.project(tuple(int(c == r) for r in range(n))) for c in range(n)]
-        # pi(a e_c) = a pi(e_c), torsion coordinates reduced as project does
-        self.blocks = []
-        for j in range(X.rows):
-            x = coker.project(X.row(j))
-            self.blocks.append([
-                (tuple(a * u[g] % m if m else a * u[g] for a in N.row(j) for u in units), -x[g])
-                for g, m in enumerate(orders)
-            ])
-
-    def solve(
-        self, zero_cells: Sequence[tuple[Vec, int]]
-    ) -> Optional[tuple[Vec, list[Vec]]]:
-        """Solve every row's containment jointly, plus the zero-forcing
-        equations (generator coefficients, source ray) of the support
-        condition.  Returns the particular t and the Hermite basis of the
-        t-directions of the solution set, or None when infeasible."""
-        n = self.X.cols
-        extra = []
-        for coeffs, ray_i in zero_cells:
-            # phi[., ray_i] only involves the unknowns T[., ray_i]
-            row = [0] * self.n_unknowns
-            row[ray_i::n] = self.N.left_apply(coeffs)
-            extra.append((row, -vec_dot(coeffs, self.X.col(ray_i))))
-        return self._solve(self.blocks, extra)
-
-    def failing_rows(self) -> tuple[int, ...]:
-        """Indices of the rows whose containment fails on its own."""
-        return tuple(
-            j for j, block in enumerate(self.blocks) if self._solve([block], []) is None
+def _failing_rows(ext: HomExtension, lattice_rows: Sequence[Vec]) -> tuple[int, ...]:
+    """Rows j of X + N @ T that lie in the lattice L for no T.  N_j @ T
+    ranges over g_j Z^n, g_j the gcd of row j of N, so row j fails on its
+    own iff X_j is not in L + g_j Z^n."""
+    X, N = ext.particular, ext.kernel
+    n = X.cols
+    failing = []
+    for j, x in enumerate(X):
+        g = gcd(*N.row(j))
+        widened = hermite_row_basis(
+            [*lattice_rows, *(IntMatrix.identity(n) * g)], width=n
         )
+        if hermite_coefficients(widened, x) is None:
+            failing.append(j)
+    return tuple(failing)
 
-    def shift(self, t: Sequence[int]) -> IntMatrix:
-        """N @ T for the unknowns t."""
-        n = self.X.cols
-        T = IntMatrix((t[i * n:(i + 1) * n] for i in range(self.N.cols)), cols=n)
-        return self.N @ T
 
-    def _solve(self, blocks, extra) -> Optional[tuple[Vec, list[Vec]]]:
-        A = self.n_unknowns
-        tau = len(self.torsion)
-        n_unknowns = A + len(blocks) * tau
-        rows: list[list[int]] = []
-        rhs: list[int] = []
-        for j, block in enumerate(blocks):
-            for c, (coeffs, b) in enumerate(block):
-                row = list(coeffs) + [0] * (n_unknowns - A)
-                if c < tau:
-                    row[A + j * tau + c] = -self.torsion[c]
-                rows.append(row)
-                rhs.append(b)
-        for coeffs, b in extra:
-            rows.append(list(coeffs) + [0] * (n_unknowns - A))
-            rhs.append(b)
-        sol = solve_integer_linear(IntMatrix(rows, cols=n_unknowns), rhs)
-        if sol is None:
-            return None
-        t_part = sol.particular[:A]
-        t_dirs = hermite_row_basis([kv[:A] for kv in sol.kernel_basis], width=A)
-        return t_part, list(t_dirs)
+def _support_solution(
+    ext: HomExtension, lattice_rows: Sequence[Vec], zero_cells: Sequence[tuple[Vec, int]]
+) -> Optional[tuple[Vec, list[Vec]]]:
+    """Solve the zero-forcing equations (generator coefficients c, source
+    ray i) of the support condition, c @ (X + N @ T) vanishing at ray i, over
+    the d x r integer matrices W with T = W @ H, H the r x n Hermite basis
+    of the lattice; the fixed rows must lie in the lattice already.  The
+    entries W[a, b], read row by row, are the unknowns, and (c @ N)_a H[b, i]
+    is the coefficient of W[a, b].  Returns the particular T and the Hermite
+    basis of the T-directions, each read row by row, or None when
+    infeasible.  On the full lattice H is the identity and W is T."""
+    X, N = ext.particular, ext.kernel
+    H = IntMatrix(lattice_rows, cols=X.cols)
+    r = H.rows
+    rows, rhs = [], []
+    for coeffs, ray_i in zero_cells:
+        h = H.col(ray_i)
+        rows.append([a * x for a in N.left_apply(coeffs) for x in h])
+        rhs.append(-vec_dot(coeffs, X.col(ray_i)))
+    sol = solve_integer_linear(IntMatrix(rows, cols=N.cols * r), rhs)
+    if sol is None:
+        return None
+
+    def t_of(w: Vec) -> Vec:
+        return tuple(x for a in range(N.cols) for x in H.left_apply(w[a * r:(a + 1) * r]))
+
+    t_dirs = hermite_row_basis(map(t_of, sol.kernel_basis), width=N.cols * X.cols)
+    return t_of(sol.particular), list(t_dirs)
+
+
+def _shift(N: IntMatrix, t: Sequence[int], n: int) -> IntMatrix:
+    """N @ T for the entries t of the d x n matrix T, read row by row."""
+    return N @ IntMatrix((t[i * n:(i + 1) * n] for i in range(N.cols)), cols=n)
 
 
 def _effectivity_system(

@@ -228,9 +228,11 @@ def containment_dense(X, kernels, lattice_rows, zero_cells, k, n_src):
     row, its coefficients over the containment lattice.
 
     Returns (particular t, Hermite basis of the t-directions) or None.  The
-    package solves the same question in cokernel coordinates; this dense
-    form needs one Smith form of a (k * n_src) x (A + k * L) matrix, so it
-    only suits small instances.
+    package reads the same question off the extension's Smith form: one
+    membership test per fixed row, then the support equations over the
+    lattice coordinates of T; ``_ProjectedContainment`` below answers it in
+    cokernel coordinates.  This dense form needs one Smith form of a
+    (k * n_src) x (A + k * L) matrix, so it only suits small instances.
     """
     from toriclift.lattice import IntMatrix, hermite_row_basis, solve_integer_linear
 
@@ -261,6 +263,119 @@ def containment_dense(X, kernels, lattice_rows, zero_cells, k, n_src):
         return None
     t_dirs = hermite_row_basis([kv[:A] for kv in sol.kernel_basis], width=A)
     return sol.particular[:A], list(t_dirs)
+
+
+# -- lifting's containment stage in cokernel coordinates -----------------------
+#
+# The routine lifting used before it read containment off the extension's
+# Smith form: every row's class in the cokernel of the source subgroup, one
+# equation per free coordinate and one multiplier per torsion coordinate.
+
+from toriclift.lattice import (  # noqa: E402
+    CokernelData,
+    IntMatrix,
+    _is_identity_basis,
+    hermite_row_basis,
+    solve_integer_linear,
+    vec_dot,
+)
+
+
+class _ProjectedContainment:
+    """The containment stage in the cokernel C = Z^n / lattice.
+
+    The extended values are phi = X + N @ T over integer d x n matrices T,
+    whose entries T[i, c], read row by row, are the unknowns t.  Row j of
+    phi lies in the lattice iff its class in C vanishes, i.e.
+    sum_{i,c} N[j, i] T[i, c] pi(e_c) = -pi(X row j) in C: an equation over Z
+    per free coordinate of C, and per torsion coordinate of order m a
+    congruence mod m, which becomes an equation with one multiplier unknown
+    for that row and coordinate.  ``blocks[j]`` holds row j's equations as
+    pairs (coefficients over t, right-hand side), torsion coordinates first.
+
+    The feasible t are those of the dense system that stacks every lattice
+    coefficient of every row as an unknown, so the Hermite basis of their
+    directions is the same canonical lattice; only the particular t may
+    differ, by an element of that lattice.
+    """
+
+    def __init__(self, X: IntMatrix, N: IntMatrix, lattice_rows: Sequence[Vec]):
+        """``N`` is k x d with independent columns, k = ``X.rows``;
+        ``lattice_rows`` is the Hermite basis of the lattice in Z^n,
+        n = ``X.cols``."""
+        self.X = X
+        self.N = N
+        n = X.cols
+        self.n_unknowns = N.cols * n
+        # the Hermite basis of Z^n is the identity: C is trivial, nothing to solve
+        if _is_identity_basis(lattice_rows, n):
+            self.torsion: tuple[int, ...] = ()
+            self.blocks: list[list[tuple[Vec, int]]] = [[] for _ in range(X.rows)]
+            return
+        columns = [[row[i] for row in lattice_rows] for i in range(n)]
+        coker = CokernelData(IntMatrix(columns, cols=len(lattice_rows)))
+        self.torsion = coker.group.torsion
+        orders = self.torsion + (0,) * coker.group.free_rank
+        units = [coker.project(tuple(int(c == r) for r in range(n))) for c in range(n)]
+        # pi(a e_c) = a pi(e_c), torsion coordinates reduced as project does
+        self.blocks = []
+        for j in range(X.rows):
+            x = coker.project(X.row(j))
+            self.blocks.append([
+                (tuple(a * u[g] % m if m else a * u[g] for a in N.row(j) for u in units), -x[g])
+                for g, m in enumerate(orders)
+            ])
+
+    def solve(
+        self, zero_cells: Sequence[tuple[Vec, int]]
+    ) -> Optional[tuple[Vec, list[Vec]]]:
+        """Solve every row's containment jointly, plus the zero-forcing
+        equations (generator coefficients, source ray) of the support
+        condition.  Returns the particular t and the Hermite basis of the
+        t-directions of the solution set, or None when infeasible."""
+        n = self.X.cols
+        extra = []
+        for coeffs, ray_i in zero_cells:
+            # phi[., ray_i] only involves the unknowns T[., ray_i]
+            row = [0] * self.n_unknowns
+            row[ray_i::n] = self.N.left_apply(coeffs)
+            extra.append((row, -vec_dot(coeffs, self.X.col(ray_i))))
+        return self._solve(self.blocks, extra)
+
+    def failing_rows(self) -> tuple[int, ...]:
+        """Indices of the rows whose containment fails on its own."""
+        return tuple(
+            j for j, block in enumerate(self.blocks) if self._solve([block], []) is None
+        )
+
+    def shift(self, t: Sequence[int]) -> IntMatrix:
+        """N @ T for the unknowns t."""
+        n = self.X.cols
+        T = IntMatrix((t[i * n:(i + 1) * n] for i in range(self.N.cols)), cols=n)
+        return self.N @ T
+
+    def _solve(self, blocks, extra) -> Optional[tuple[Vec, list[Vec]]]:
+        A = self.n_unknowns
+        tau = len(self.torsion)
+        n_unknowns = A + len(blocks) * tau
+        rows: list[list[int]] = []
+        rhs: list[int] = []
+        for j, block in enumerate(blocks):
+            for c, (coeffs, b) in enumerate(block):
+                row = list(coeffs) + [0] * (n_unknowns - A)
+                if c < tau:
+                    row[A + j * tau + c] = -self.torsion[c]
+                rows.append(row)
+                rhs.append(b)
+        for coeffs, b in extra:
+            rows.append(list(coeffs) + [0] * (n_unknowns - A))
+            rhs.append(b)
+        sol = solve_integer_linear(IntMatrix(rows, cols=n_unknowns), rhs)
+        if sol is None:
+            return None
+        t_part = sol.particular[:A]
+        t_dirs = hermite_row_basis([kv[:A] for kv in sol.kernel_basis], width=A)
+        return t_part, list(t_dirs)
 
 
 # -- exceptional collections, every coordinate subset in size order -------------

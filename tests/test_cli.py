@@ -306,6 +306,16 @@ class TestLift:
         code, _, err = run(capsys, "lift", files["blowup"], "--matrix", "1,0,0,1")
         assert code == 1 and "target" in err
 
+    @pytest.mark.parametrize("label", ["cox", "kajiwara"])
+    def test_reserved_subgroup_label_is_an_input_error(self, tmp_path, capsys, label):
+        # a file's own 'cox' would otherwise shadow the built-in subgroup,
+        # which the default --src-subgroup and --dst-subgroup name
+        p = tmp_path / "shadow.fan"
+        p.write_text(QUADRIC + f"subgroup {label}\n1 1\n0 2\nend\n")
+        code, out, err = run(capsys, "lift", str(p), str(p), "--matrix", "1,0,0,1")
+        assert code == 1 and out == ""
+        assert f"subgroup label '{label}' is reserved" in err
+
     def test_unknown_subgroup(self, files, capsys):
         code, _, err = run(
             capsys, "lift", files["blowup"], files["plane"],

@@ -135,6 +135,11 @@ class TestTextErrors:
         text = "fan 1\nrank 1\nray 1\nsubgroup s\n1\nend\nsubgroup s\n1\nend\n"
         assert "duplicate subgroup 's'" in self.err(tmp_path, text).message
 
+    @pytest.mark.parametrize("label", ["cox", "kajiwara"])
+    def test_builtin_subgroup_labels_are_reserved(self, tmp_path, label):
+        e = self.err(tmp_path, f"fan 1\nrank 1\nray 1\ncone 0\nsubgroup {label}\n1\nend\n")
+        assert e.line == 5 and f"subgroup label '{label}' is reserved" in e.message
+
     def test_subgroup_needs_label(self, tmp_path):
         assert "subgroup <label>" in self.err(tmp_path, "fan 1\nrank 1\nsubgroup\nend\n").message
 
@@ -186,6 +191,14 @@ class TestJsonTwin:
             (lambda d: d.__setitem__("morphisms", {"m": {"target": "x"}}), "'matrix'"),
             (lambda d: d.__setitem__("subgroups", [1]), "'subgroups' must be an object"),
             (lambda d: d.__setitem__("subgroups", "ab"), "must be an object mapping labels"),
+            (
+                lambda d: d["subgroups"].__setitem__("cox", [[1, 0], [0, 1]]),
+                "subgroup label 'cox' is reserved for the built-in subgroup",
+            ),
+            (
+                lambda d: d["subgroups"].__setitem__("kajiwara", [[1, 0], [0, 1]]),
+                "subgroup label 'kajiwara' is reserved for the built-in subgroup",
+            ),
             (lambda d: d.__setitem__("rank", True), "'rank' must be a nonnegative"),
             (lambda d: d.__setitem__("version", True), "unsupported format version True"),
             (

@@ -7,6 +7,7 @@ integer systems whose solution sets are written out in comments.
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -34,7 +35,6 @@ from toriclift.lifting import (
     ContainmentFailureCertificate,
     EffectivityFailureCertificate,
     MorphismValidationError,
-    _ProjectedContainment,
     _effective_points,
     _projections,
     classify_liftings,
@@ -723,27 +723,27 @@ def test_search_counts_nodes_not_box_volume(monkeypatch):
         _effective_points(chain, 10**9)
 
 
-# -- containment stage against the dense reference -------------------------------
+# -- containment stage against the cokernel routine and the dense reference ------
 
 
-def _random_containment_instance(rng):
+def _random_extension_instance(rng):
+    """Cartier coordinates B over k basis divisors, some rank-deficient, with
+    forced values B @ X0 for a random X0, so an extension exists; a lattice
+    in Z^n whose quotient often has torsion; and support cells."""
     n = rng.randint(1, 4)
     k = rng.randint(1, 3)
-    X = IntMatrix(
-        [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)], cols=n
+    B = IntMatrix(
+        [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(k)] for _ in range(rng.randint(0, k + 1))],
+        cols=k,
     )
-    d = rng.randint(0, 3)
-    N = IntMatrix(
-        [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(d)] for _ in range(k)],
-        cols=d,
-    )
+    X0 = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)], cols=n)
+    ext, obs = lattice.extend_homomorphism(B, B @ X0)
+    assert obs is None
     shape = rng.random()
     if shape < 0.1:
         lattice_rows = hermite_row_basis([], width=n)
-    elif shape < 0.2:
-        lattice_rows = hermite_row_basis(
-            [tuple(int(i == j) for j in range(n)) for i in range(n)], width=n
-        )
+    elif shape < 0.25:
+        lattice_rows = IntMatrix.identity(n).row_list()
     else:
         # small entries: the quotient often has torsion
         lattice_rows = hermite_row_basis(
@@ -754,7 +754,7 @@ def _random_containment_instance(rng):
         (tuple(rng.randint(-1, 2) for _ in range(k)), rng.randrange(n))
         for _ in range(rng.choice((0, 0, 1, 2)))
     ]
-    return X, N, lattice_rows, zero_cells, k, n
+    return B, ext, lattice_rows, zero_cells
 
 
 def _one_hot_kernels(N, n):
@@ -767,42 +767,46 @@ def _one_hot_kernels(N, n):
     ]
 
 
-def test_projected_containment_matches_dense_system():
+def test_containment_stage_matches_cokernel_routine_and_dense_system():
     rng = random.Random(2024)
-    seen = {"feasible": 0, "infeasible": 0, "torsion": 0, "trivial": 0}
-    for _ in range(400):
-        X, N, lattice_rows, zero_cells, k, n = _random_containment_instance(rng)
+    seen = {
+        "feasible": 0, "containment fails": 0, "support fails": 0, "joint": 0,
+        "torsion": 0, "identity": 0, "rank-deficient": 0, "gcd above 1": 0,
+    }
+    for _ in range(600):
+        B, ext, lattice_rows, zero_cells = _random_extension_instance(rng)
+        X, N = ext.particular, ext.kernel
+        k, n = X.rows, X.cols
+
+        def in_lattice(v):
+            return hermite_coefficients(lattice_rows, v) is not None
+
+        # row i of fixed is every extension's value on (U @ B)_i / s_i
+        snf = lattice.smith_normal_form(B)
+        T = IntMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(N.cols)], cols=n)
+        phi = X + N @ T
+        assert ext.fixed.rows == snf.rank
+        for i, s in enumerate(snf.invariant_factors):
+            u = B.left_apply(snf.U.row(i))
+            assert all(x % s == 0 for x in u)
+            assert phi.left_apply([x // s for x in u]) == ext.fixed.row(i) == X.left_apply([x // s for x in u])
+
         kernels = _one_hot_kernels(N, n)
-        system = _ProjectedContainment(X, N, lattice_rows)
-        seen["torsion"] += bool(system.torsion)
-        seen["trivial"] += not any(system.blocks)
-        if any(system.blocks):
+        old = oracles._ProjectedContainment(X, N, lattice_rows)
+        if any(old.blocks):
             # each coefficient is the class of the one-hot kernel row, with
             # torsion coordinates reduced as project reduces them
             coker = CokernelData(
                 IntMatrix([[r[i] for r in lattice_rows] for i in range(n)], cols=len(lattice_rows))
             )
-            for j, block in enumerate(system.blocks):
+            for j, block in enumerate(old.blocks):
                 classes = [coker.project(K.row(j)) for K in kernels]
                 assert [c for c, _ in block] == [tuple(p[g] for p in classes) for g in range(len(block))]
-        got = system.solve(zero_cells)
         want = oracles.containment_dense(X, kernels, lattice_rows, zero_cells, k, n)
-        assert (got is None) == (want is None), (X, kernels, lattice_rows, zero_cells)
-        if want is None:
-            seen["infeasible"] += 1
-        else:
-            seen["feasible"] += 1
-            t, dirs = got
-            assert dirs == want[1]
-            # the particular t solves the dense system
-            phi = X
-            for c, K in zip(t, kernels):
-                phi = phi + K * c
-            assert X + system.shift(t) == phi
-            for j in range(k):
-                assert hermite_coefficients(lattice_rows, phi.row(j)) is not None
-            for coeffs, ray_i in zero_cells:
-                assert sum(c * phi[j, ray_i] for j, c in enumerate(coeffs)) == 0
+        contained = all(in_lattice(y) for y in ext.fixed)
+        got = lifting._support_solution(ext, lattice_rows, zero_cells) if contained else None
+        assert (got is None) == (want is None) == (old.solve(zero_cells) is None), (B, X, lattice_rows, zero_cells)
+
         failing = tuple(
             j
             for j in range(k)
@@ -813,5 +817,38 @@ def test_projected_containment_matches_dense_system():
             )
             is None
         )
-        assert system.failing_rows() == failing
+        assert lifting._failing_rows(ext, lattice_rows) == old.failing_rows() == failing
+        # containment fails iff some fixed row leaves the lattice
+        assert contained == (old.solve([]) is not None)
+
+        seen["torsion"] += bool(old.torsion)
+        seen["rank-deficient"] += bool(N.cols)
+        seen["gcd above 1"] += any(gcd(*row) > 1 for row in N)
+        identity = len(lattice_rows) == n and all(r[i] == 1 for i, r in enumerate(lattice_rows))
+        seen["identity"] += identity
+        if not contained:
+            seen["containment fails"] += 1
+            seen["joint"] += not failing and not identity and any(gcd(*row) == 1 for row in N)
+            continue
+        if got is None:
+            seen["support fails"] += 1
+            continue
+        seen["feasible"] += 1
+        t, dirs = got
+        assert dirs == want[1] == old.solve(zero_cells)[1]
+        if identity:
+            # the same system as the cokernel routine, so the same particular t
+            assert t == old.solve(zero_cells)[0]
+        phi = X + lifting._shift(N, t, n)
+        assert phi == sum((K * c for c, K in zip(t, kernels)), X)
+        assert all(in_lattice(row) for row in phi)
+        for coeffs, ray_i in zero_cells:
+            assert sum(c * phi[j, ray_i] for j, c in enumerate(coeffs)) == 0
+        for d in dirs:
+            shifted = lifting._shift(N, d, n)
+            assert all(in_lattice(row) for row in shifted)
+            for coeffs, ray_i in zero_cells:
+                assert sum(c * shifted[j, ray_i] for j, c in enumerate(coeffs)) == 0
+    # 302 feasible, 241 containment and 57 support failures, 23 joint
+    # failures, 220 torsion cokernels and 334 rank-deficient B at this seed
     assert all(count >= 20 for count in seen.values()), seen
