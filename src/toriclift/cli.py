@@ -20,12 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .divisors import (
-    class_group,
-    cox_subgroup,
-    divisor_subgroup,
-    kajiwara_subgroup,
-)
+from .divisors import BUILTIN_SUBGROUPS, class_group, divisor_subgroup
 from .fan import FanValidationError, split_torus_factor
 from .fanfile import (
     FanDocument,
@@ -73,13 +68,11 @@ def _load_target(path: str, src: FanDocument, max_rays: Optional[int]) -> FanDoc
 def _resolve_subgroup(doc: FanDocument, name: str):
     if name in doc.subgroups:
         return divisor_subgroup(doc.fan, doc.subgroups[name])
-    if name == "cox":
-        return cox_subgroup(doc.fan)
-    if name == "kajiwara":
-        return kajiwara_subgroup(doc.fan)
+    if name in BUILTIN_SUBGROUPS:
+        return BUILTIN_SUBGROUPS[name](doc.fan)
     raise _InputError(
         f"subgroup '{name}' is not defined in {doc.path} and is not a "
-        f"built-in name (cox, kajiwara)"
+        f"built-in name ({', '.join(BUILTIN_SUBGROUPS)})"
     )
 
 
@@ -157,10 +150,8 @@ def _cmd_present(args) -> tuple[int, list[str], dict]:
             )
         sub = divisor_subgroup(doc.fan, doc.subgroups[args.subgroup])
         mode_text = f"subgroup {args.subgroup}"
-    elif args.mode == "kajiwara":
-        sub = kajiwara_subgroup(doc.fan)
     else:
-        sub = cox_subgroup(doc.fan)
+        sub = BUILTIN_SUBGROUPS[args.mode](doc.fan)
     pres = presentation_from_subgroup(sub)
     lines, head = _header(("input", doc))
     lines.append(f"mode: {mode_text}")
@@ -381,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("present", help="build a quotient presentation")
     p.add_argument("file")
-    p.add_argument("--mode", choices=("cox", "kajiwara", "subgroup"), default="cox")
+    p.add_argument("--mode", choices=(*BUILTIN_SUBGROUPS, "subgroup"), default="cox")
     p.add_argument("--subgroup", default=None, help="named subgroup (with --mode subgroup)")
     common(p)
     p.set_defaults(handler=_cmd_present)

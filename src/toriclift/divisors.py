@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
+from . import polyhedra
 from .fan import Fan
 from .lattice import (
     CokernelData,
     IntMatrix,
     Vec,
-    _is_identity_basis,
-    effective_cone_rays,
     hermite_coefficients,
     hermite_row_basis,
     hilbert_basis,
@@ -141,17 +140,37 @@ class DivisorSubgroup:
 
     @cached_property
     def is_full(self) -> bool:
-        """Whether the subgroup is all of Z^rays."""
-        return _is_identity_basis(self.basis, self.fan.n_rays)
+        """Whether the subgroup is all of Z^rays, i.e. its Hermite basis is
+        the identity: with n_rays rows its pivots lie on the diagonal, and
+        entries above a pivot of 1 are reduced to 0."""
+        return len(self.basis) == self.fan.n_rays and all(
+            r[i] == 1 for i, r in enumerate(self.basis)
+        )
 
     @cached_property
     def effective_cone_rays(self) -> tuple[Vec, ...]:
-        """Extreme rays of the effective cone {c : c @ basis >= 0}."""
-        return effective_cone_rays(self.basis)
+        """Primitive extreme rays of the effective cone {c : c @ basis >= 0},
+        lex-sorted.
+
+        The rows of ``basis`` are independent, so the cone is pointed: the
+        extreme rays of a face are exactly the rays on it, and for a
+        primitive c the image c @ basis is the smallest member on its ray.
+        The full lattice gives the unit vectors; any other subgroup takes
+        one double description.
+        """
+        if self.is_full:
+            return tuple(sorted(self.basis))
+        ineqs = [tuple(row[j] for row in self.basis) for j in range(self.fan.n_rays)]
+        lines, rays = polyhedra.dual_description(ineqs, len(self.basis))
+        assert not lines, "coefficient cone of an independent basis is pointed"
+        return rays
 
     @cached_property
     def effective_generators(self) -> tuple[Vec, ...]:
-        """Minimal generators of the semigroup of effective members."""
+        """Minimal generators of the semigroup of effective members, sorted
+        by (coordinate sum, lex): the unit vectors on the full lattice."""
+        if self.is_full:
+            return self.effective_cone_rays
         return hilbert_basis(self.basis, self.effective_cone_rays)
 
     @cached_property
@@ -238,6 +257,13 @@ def cox_subgroup(fan: Fan) -> DivisorSubgroup:
 def kajiwara_subgroup(fan: Fan) -> DivisorSubgroup:
     """The lattice of Cartier divisors (Kajiwara-style presentation data)."""
     return divisor_subgroup(fan, cartier_lattice(fan))
+
+
+# the subgroups named by the command line, and reserved as fan-file labels
+BUILTIN_SUBGROUPS: dict[str, Callable[[Fan], DivisorSubgroup]] = {
+    "cox": cox_subgroup,
+    "kajiwara": kajiwara_subgroup,
+}
 
 
 # -- enough effective divisors ---------------------------------------------------

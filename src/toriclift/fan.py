@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -45,8 +46,6 @@ from .lattice import (
     matrix_rank,
     smith_normal_form,
     vec_dot,
-    vec_gcd,
-    vec_is_zero,
 )
 
 MAX_RANK = 6
@@ -178,7 +177,7 @@ class Fan:
                     if vec_dot(u, point) == 0:
                         face &= f
                 return tuple(i for i in self.max_cones[ci] if face >> i & 1)
-        return () if vec_is_zero(point) else None
+        return None if any(point) else ()
 
     # -- invariants ---------------------------------------------------------
 
@@ -384,10 +383,10 @@ def validate_fan(
         if len(v) != rank:
             problems.append(f"ray {i} has {len(v)} coordinates, expected {rank}")
             continue
-        if vec_is_zero(v):
+        if not any(v):
             problems.append(f"ray {i} is zero")
             continue
-        if vec_gcd(v) != 1:
+        if gcd(*v) != 1:
             problems.append(f"ray {i} = {list(v)} is not primitive")
             continue
         clean_rays.append(v)

@@ -28,8 +28,8 @@ A file whose first non-blank character is ``{`` is parsed as JSON.  Rays may
 be listed in any order: cones refer to the listed order, and subgroup basis
 columns do too; both are re-expressed in the fan's canonical ray order during
 validation, so downstream code never sees the file ordering.  The subgroup
-labels ``cox`` and ``kajiwara`` name the built-in subgroups, so a document
-may not declare them.
+labels of ``divisors.BUILTIN_SUBGROUPS``, ``cox`` and ``kajiwara``, name the
+built-in subgroups, so a document may not declare them.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .divisors import BUILTIN_SUBGROUPS
 from .fan import Fan, validate_fan
 from .lattice import IntMatrix, Vec
 
@@ -113,7 +114,7 @@ def _ints(parts: Sequence[str], path, line: int, what: str) -> tuple[int, ...]:
 
 
 def _check_subgroup_label(path, line: Optional[int], label: str) -> None:
-    if label in ("cox", "kajiwara"):
+    if label in BUILTIN_SUBGROUPS:
         raise FanFileError(
             path, line, f"subgroup label '{label}' is reserved for the built-in subgroup"
         )

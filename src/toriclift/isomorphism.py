@@ -23,7 +23,7 @@ from typing import Optional
 
 from .fan import Fan, TorusFactorSplit, split_torus_factor
 from .lattice import (
-    IntMatrix, ResourceLimitError, Vec, determinant, matrix_rank, smith_normal_form,
+    IntMatrix, ResourceLimitError, Vec, determinant, matrix_rank, scaled_inverse,
 )
 
 MAX_ISO_ASSIGNMENTS = 2_000_000
@@ -94,14 +94,6 @@ def _independent_ray_subset(fan: Fan) -> list[int]:
     return chosen
 
 
-def _adjugate(m: IntMatrix, det: int) -> IntMatrix:
-    """adj(m) = det * m^-1 for a nonsingular m of determinant ``det``: from
-    its Smith form U m V = S, m^-1 = V S^-1 U, so adj(m) = V diag(det / s_i) U."""
-    snf = smith_normal_form(m)
-    scaled = (tuple(det // s * x for x in row) for s, row in zip(snf.diagonal, snf.U))
-    return snf.V @ IntMatrix(scaled, cols=m.rows)
-
-
 def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
     """Search for a fan isomorphism; None when provably none exists.
 
@@ -131,7 +123,7 @@ def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
     r_mat = IntMatrix(tuple(a.rays[i] for i in base), cols=a.rank).T
     det_r = determinant(r_mat)
     assert det_r != 0
-    adj_r = _adjugate(r_mat, det_r)
+    adj_r = scaled_inverse(r_mat, det_r)  # adj(R) = det(R) R^-1
     # ray = R c / det(R) with c = adj(R) ray: its image is fixed once base rays
     # 0..k have images, k the last nonzero position of c
     fixed_at: list[list[tuple[int, Vec]]] = [[] for _ in base]

@@ -3,8 +3,12 @@
 Everything here works with arbitrary-precision Python ints; no floats ever
 enter a computation.  The central primitive is the Smith normal form with
 unimodular transforms on both sides, from which integer system solving,
-cokernels of maps of free modules, homomorphism extension and lattice
-arithmetic (Hermite bases, sums, intersections, membership) are derived.
+scaled inverses (adjugates, inverses of unimodular matrices), cokernels of
+maps of free modules, homomorphism extension and Hilbert bases are derived.
+Rank and determinant share one fraction-free elimination, and Hermite bases
+give lattice membership, coefficients and intersections.
+
+This is the package's bottom layer: it imports nothing from ``toriclift``.
 
 Pivot selection in the Smith reduction is fixed (smallest nonzero absolute
 value, then lowest row, then lowest column) so that all derived data —
@@ -38,27 +42,15 @@ def _as_vec(v: Iterable[int]) -> Vec:
     return tuple(map(int, v))
 
 
-def vec_scale(k: int, a: Sequence[int]) -> Vec:
-    return tuple([k * x for x in a])
-
-
 def vec_dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError("length mismatch")
     return sum(map(mul, a, b))
 
 
-def vec_is_zero(a: Sequence[int]) -> bool:
-    return not any(a)
-
-
-def vec_gcd(a: Sequence[int]) -> int:
-    return gcd(*a)
-
-
 def primitive_vector(a: Sequence[int]) -> Vec:
     """Divide out the content; the zero vector stays zero."""
-    g = vec_gcd(a)
+    g = gcd(*a)
     if g <= 1:
         return _as_vec(a)
     return tuple([x // g for x in a])
@@ -285,50 +277,30 @@ def smith_normal_form(A: IntMatrix) -> SNFDecomposition:
     )
 
 
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in A.row_list()]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def matrix_rank(A: IntMatrix) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination.
+def _bareiss(A: IntMatrix) -> tuple[int, int]:
+    """Rank over the rationals and signed last pivot, by fraction-free
+    (Bareiss) elimination.
 
     A column with no nonzero entry at or below the next pivot row is skipped;
-    every division is exact, because each entry is a minor of A.
+    every division is exact, because each entry is a minor of A.  For a
+    square A of full rank the last pivot is the determinant of A with its
+    rows swapped as the pivots were, so the pivot times the swaps' sign is
+    det A.
     """
     a = [list(r) for r in A.row_list()]
     m, n = A.rows, A.cols
     rank = 0
     prev = 1
+    sign = 1
     for j in range(n):
         if rank == m:
             break
         i = next((i for i in range(rank, m) if a[i][j] != 0), None)
         if i is None:
             continue
-        a[rank], a[i] = a[i], a[rank]
+        if i != rank:
+            a[rank], a[i] = a[i], a[rank]
+            sign = -sign
         top = a[rank]
         p = top[j]
         for row in a[rank + 1:]:
@@ -337,7 +309,20 @@ def matrix_rank(A: IntMatrix) -> int:
                 row[k] = (row[k] * p - f * top[k]) // prev
         prev = p
         rank += 1
-    return rank
+    return rank, sign * prev
+
+
+def determinant(A: IntMatrix) -> int:
+    """Exact determinant, by fraction-free (Bareiss) elimination."""
+    if A.rows != A.cols:
+        raise ValueError("determinant of non-square matrix")
+    rank, det = _bareiss(A)
+    return det if rank == A.rows else 0
+
+
+def matrix_rank(A: IntMatrix) -> int:
+    """Rank over the rationals, by fraction-free (Bareiss) elimination."""
+    return _bareiss(A)[0]
 
 
 @dataclass(frozen=True)
@@ -351,40 +336,38 @@ class IntegerSolution:
 def solve_integer_linear(A: IntMatrix, b: Sequence[int]) -> Optional[IntegerSolution]:
     """Solve A @ x = b over Z.
 
-    Returns None when no integral solution exists.  The particular solution
-    and the kernel basis (columns of V past the rank) are deterministic.
+    Returns None when no integral solution exists.  With the Smith form
+    U @ A @ V = S, x = V @ y for S @ y = U @ b: y_i = (U @ b)_i / s_i below
+    the rank, and every other entry of U @ b must vanish.  The particular
+    solution and the kernel basis (columns of V past the rank) are
+    deterministic.
     """
-    if len(b) != A.rows:
-        raise ValueError("rhs length mismatch")
-    return solve_with_snf(smith_normal_form(A), b)
-
-
-def solve_with_snf(snf: SNFDecomposition, b: Sequence[int]) -> Optional[IntegerSolution]:
-    """Solve A @ x = b over Z, given the Smith decomposition of A.
-
-    Lets a caller that solves many systems with one matrix reduce it once;
-    the result is the one ``solve_integer_linear`` returns.
-    """
-    m, n = snf.S.rows, snf.S.cols
+    m, n = A.rows, A.cols
     if len(b) != m:
         raise ValueError("rhs length mismatch")
+    snf = smith_normal_form(A)
     c = snf.U.apply(b)
     y = [0] * n
-    r = snf.rank
-    for i in range(min(m, n)):
-        s = snf.S[i, i]
-        if s != 0:
-            if c[i] % s != 0:
-                return None
-            y[i] = c[i] // s
-    # Rows of S beyond the diagonal / rank must see zero on the rhs.
     for i in range(m):
-        if i >= n or snf.S[i, i] == 0:
-            if c[i] != 0:
+        s = snf.S[i, i] if i < n else 0
+        if s:
+            y[i], rem = divmod(c[i], s)
+            if rem:
                 return None
-    x = snf.V.apply(y)
-    kernel = tuple(snf.V.col(j) for j in range(r, n))
-    return IntegerSolution(particular=x, kernel_basis=kernel)
+        elif c[i]:
+            return None
+    kernel = tuple(snf.V.col(j) for j in range(snf.rank, n))
+    return IntegerSolution(particular=snf.V.apply(y), kernel_basis=kernel)
+
+
+def scaled_inverse(m: IntMatrix, d: int) -> IntMatrix:
+    """d * m^-1 for a nonsingular square m whose invariant factors all divide
+    d: from the Smith form U @ m @ V = S, m^-1 = V @ S^-1 @ U, so
+    d * m^-1 = V @ diag(d / s_i) @ U.  With d = det(m) this is the adjugate
+    of m; with d = 1 the inverse of a unimodular m."""
+    snf = smith_normal_form(m)
+    scaled = (tuple(d // s * x for x in row) for s, row in zip(snf.diagonal, snf.U))
+    return snf.V @ IntMatrix(scaled, cols=m.rows)
 
 
 def kernel_basis(A: IntMatrix) -> tuple[Vec, ...]:
@@ -431,7 +414,7 @@ class FgAbGroup:
         return tuple(c % k for c, k in zip(coords[:t], self.torsion)) + tuple(coords[t:])
 
     def is_zero_element(self, coords: Sequence[int]) -> bool:
-        return vec_is_zero(self.reduce(coords))
+        return not any(self.reduce(coords))
 
     def __str__(self) -> str:
         parts = []
@@ -478,10 +461,8 @@ class CokernelData:
 
     @cached_property
     def generator_lifts(self) -> tuple[Vec, ...]:
-        """The columns of U^-1, signed like the coordinates: U^-1 = V' @ U'
-        for the Smith form U' @ U @ V' = I of the unimodular U."""
-        inv = smith_normal_form(self._snf.U)
-        U_inv = inv.V @ inv.U
+        """The columns of U^-1, signed like the coordinates."""
+        U_inv = scaled_inverse(self._snf.U, 1)
         return tuple(
             tuple(self._signs.get(i, 1) * x for x in U_inv.col(i))
             for i in self._torsion_idx + self._free_idx
@@ -517,8 +498,7 @@ class AbHom:
         if self.matrix.cols != self.codomain.n_generators:
             raise ValueError("matrix cols must match codomain generators")
         for i, k in enumerate(self.domain.torsion):
-            img = vec_scale(k, self.matrix.row(i))
-            if not self.codomain.is_zero_element(img):
+            if not self.codomain.is_zero_element([k * x for x in self.matrix.row(i)]):
                 raise ValueError(
                     f"not a homomorphism: order-{k} generator {i} maps to an element "
                     f"whose {k}-multiple is nonzero"
@@ -604,14 +584,6 @@ def _exgcd(a: int, b: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-def _is_identity_basis(h: Sequence[Vec], width: int) -> bool:
-    """Whether the Hermite basis ``h`` spans all of Z^width, i.e. is the identity.
-
-    With ``width`` rows its pivots lie on the diagonal, and entries above a
-    pivot of 1 are reduced to 0."""
-    return len(h) == width and all(r[i] == 1 for i, r in enumerate(h))
-
-
 def hermite_coefficients(h: Sequence[Vec], v: Sequence[int]) -> Optional[Vec]:
     """Coefficients c with c @ h = v for a Hermite basis ``h``, or None.
 
@@ -632,7 +604,7 @@ def hermite_coefficients(h: Sequence[Vec], v: Sequence[int]) -> Optional[Vec]:
         if q:
             r = [a - q * b for a, b in zip(r, row)]
         coeffs.append(q)
-    return tuple(coeffs) if vec_is_zero(r) else None
+    return None if any(r) else tuple(coeffs)
 
 
 def lattice_intersection(
@@ -643,7 +615,7 @@ def lattice_intersection(
     rb = [_as_vec(r) for r in b]
     if not ra or not rb:
         return ()
-    stacked = IntMatrix(ra + [vec_scale(-1, r) for r in rb])
+    stacked = IntMatrix(ra + [tuple([-x for x in r]) for r in rb])
     # left kernel: coefficient rows (x | y) with x@ra = y@rb
     ker = kernel_basis(stacked.T)
     left = IntMatrix(ra, cols=width)
@@ -710,7 +682,7 @@ def extend_homomorphism(
         s = snf.S[i, i] if i < min(B.rows, n) else 0
         row = Wp.row(i)
         if s == 0:
-            if not vec_is_zero(row):
+            if any(row):
                 raise ValueError("prescribed values are inconsistent on a relation")
             continue
         if any(x % s for x in row):
@@ -730,28 +702,6 @@ def extend_homomorphism(
 # ---------------------------------------------------------------------------
 
 MAX_HILBERT_POINTS = 500_000
-
-
-def effective_cone_rays(h: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Primitive extreme rays of the effective cone {c : c @ h >= 0} in the
-    coefficient space of a Hermite basis ``h``, lex-sorted.
-
-    The rows of ``h`` are independent, so the cone is pointed: the extreme
-    rays of a face are exactly the rays on it, and for a primitive c the
-    image c @ h is the smallest lattice point on its ray.  The identity gives
-    the unit vectors; any other basis takes one double description.
-    """
-    from . import polyhedra  # local import to avoid a cycle at module load
-
-    if not h:
-        return ()
-    width = len(h[0])
-    if _is_identity_basis(h, width):
-        return tuple(sorted(h))
-    ineqs = [tuple(row[j] for row in h) for j in range(width)]
-    lines, rays = polyhedra.dual_description(ineqs, len(h))
-    assert not lines, "coefficient cone of an independent basis is pointed"
-    return rays
 
 
 def _pulling_triangulation(
@@ -824,17 +774,18 @@ def _parallelepiped_points(images: Sequence[int], U: IntMatrix, s: Vec) -> list[
 
 def hilbert_basis(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
     """Minimal generating set of (lattice) intersect (nonnegative orthant),
-    given the lattice's Hermite basis ``h`` and the rays of its effective
-    cone, ``effective_cone_rays(h)``.
+    given the lattice's Hermite basis ``h`` and the primitive extreme rays of
+    its effective cone {c : c @ h >= 0} (``DivisorSubgroup.effective_cone_rays``).
 
     The semigroup of nonnegative lattice vectors is finitely generated; this
     returns its unique minimal generators sorted by (coordinate sum, lex).
     Each is the image of an effective-cone ray or a lattice point of the
     half-open fundamental parallelepiped of a simplex of a triangulation of
     that cone (Bruns-Gubeladze, *Polytopes, Rings, and K-Theory*, 2.C); a
-    sieve keeps the irreducible ones.  The full lattice is answered directly;
-    otherwise the parallelepiped points are counted, and guarded, before any
-    is listed.
+    sieve keeps the irreducible ones.  The parallelepiped points are
+    counted, and guarded, before any is listed.  The full lattice takes the
+    same path: its one simplex has Smith factors all 1 and no parallelepiped
+    point, so it gives the unit vectors.
 
     Every candidate is one int: its coordinates in fields of w bits, the
     first coordinate highest, under a top field holding the coordinate sum.
@@ -848,14 +799,9 @@ def hilbert_basis(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, ...]:
     one addition per point and one subtraction per wrapped coordinate
     pattern (``_parallelepiped_points``).
     """
-    if not h:
-        return ()
-    width = len(h[0])
-    # Fast path: the full integer lattice — generators are the unit vectors.
-    if _is_identity_basis(h, width):
-        return tuple(sorted(h))
     if not rays:
         return ()
+    width = len(h[0])
     basis = IntMatrix(h)
     images = [basis.left_apply(c) for c in rays]
     limit = MAX_HILBERT_POINTS

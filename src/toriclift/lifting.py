@@ -53,6 +53,7 @@ SCOPE_NOTE = (
 
 MAX_SEARCH_POINTS = 200_000
 MAX_WITNESS_CLASSES = 64
+MAX_PROJECTION_PAIRS = 100_000
 
 
 class MorphismValidationError(ValueError):
@@ -212,7 +213,6 @@ class LiftingReport:
     witness_classes: tuple[IntMatrix, ...] = ()
     induced_grading_hom: Optional[AbHom] = None
     obstruction: Optional[object] = None
-    search_bound: Optional[int] = None
 
     @property
     def phi(self) -> Optional[IntMatrix]:
@@ -288,7 +288,6 @@ def solve_geometric_pullback(
     # on a simplicial target the forced values already fix phi
     assert conditions or not ext.kernel.cols, "free directions on a simplicial target"
     phi0, dirs = ext.particular, []
-    bound_used: Optional[int] = None
     if conditions:
         # the zero-forcing equations of the support condition, over T = W H
         solved = _support_solution(
@@ -330,7 +329,6 @@ def solve_geometric_pullback(
                     f"no integral solution within coefficient bound "
                     f"{bound_used}; the rational relaxation is feasible"
                 ),
-                search_bound=bound_used,
             )
         classes = [sum((D * c for c, D in zip(tau, dirs)), phi0) for tau in found]
     else:
@@ -353,7 +351,6 @@ def solve_geometric_pullback(
         uniqueness_note=note,
         witness_classes=tuple(classes),
         induced_grading_hom=induced_grading_hom(f, target_subgroup, source_subgroup, phi),
-        search_bound=bound_used if dirs else None,
     )
 
 
@@ -455,13 +452,22 @@ def _projections(rows: list[tuple[Vec, int]], dim: int) -> list[list[tuple[Vec, 
     coordinates are eliminated, so entry dim is the system itself and entry
     0, over no coordinate, has a row with b > 0 iff the system is rationally
     infeasible.  A combined row is divided by the gcd of its entries, which
-    keeps its solutions; duplicates are dropped.
+    keeps its solutions; duplicates are dropped.  The rows can grow doubly
+    exponentially with ``dim``, so an elimination that would combine more
+    than MAX_PROJECTION_PAIRS row pairs raises ResourceLimitError first.
     """
     chain = [rows]
     for var in range(dim - 1, -1, -1):
         kept = {(a[:var], b): None for a, b in chain[0] if not a[var]}
         lower = [(a, b) for a, b in chain[0] if a[var] > 0]
         upper = [(a, b) for a, b in chain[0] if a[var] < 0]
+        pairs = len(lower) * len(upper)
+        if pairs > MAX_PROJECTION_PAIRS:
+            raise ResourceLimitError(
+                f"Fourier-Motzkin elimination would combine {pairs} row pairs, over guard "
+                f"{MAX_PROJECTION_PAIRS}: MAX_PROJECTION_PAIRS = {MAX_PROJECTION_PAIRS} in "
+                f"toriclift.lifting, no flag overrides it"
+            )
         for al, bl in lower:
             for au, bu in upper:
                 # -au[var] * (row al) + al[var] * (row au) cancels tau_var

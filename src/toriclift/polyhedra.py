@@ -27,13 +27,13 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .lattice import Vec, primitive_vector, vec_dot, vec_is_zero, vec_scale
+from .lattice import Vec, primitive_vector, vec_dot
 
 
 def _canonical_line(v: Vec) -> Vec:
     v = primitive_vector(v)
     lead = next((x for x in v if x != 0), 0)
-    return vec_scale(-1, v) if lead < 0 else v
+    return tuple([-x for x in v]) if lead < 0 else v
 
 
 def dual_description(
@@ -125,7 +125,7 @@ def dual_description(
         zero_sets = new_zero
         processed |= bit
 
-    lines = sorted(_canonical_line(l) for l in lines if not vec_is_zero(l))
+    lines = sorted(_canonical_line(l) for l in lines if any(l))
     return tuple(lines), tuple(sorted(rays))
 
 

@@ -274,11 +274,29 @@ def containment_dense(X, kernels, lattice_rows, zero_cells, k, n_src):
 from toriclift.lattice import (  # noqa: E402
     CokernelData,
     IntMatrix,
-    _is_identity_basis,
     hermite_row_basis,
     solve_integer_linear,
     vec_dot,
 )
+
+
+def is_identity_basis(h: Sequence[Vec], width: int) -> bool:
+    """Whether the Hermite basis ``h`` is that of all of Z^width: the identity."""
+    return tuple(h) == tuple(tuple(int(i == j) for j in range(width)) for i in range(width))
+
+
+def effective_cone_rays(h: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Primitive extreme rays of {c : c @ h >= 0} for a Hermite basis ``h``,
+    lex-sorted, by one double description: what
+    ``DivisorSubgroup.effective_cone_rays`` returns for a subgroup with
+    basis ``h``, read off a raw basis with no fan behind it."""
+    from toriclift.polyhedra import dual_description
+
+    if not h:
+        return ()
+    lines, rays = dual_description([tuple(row[j] for row in h) for j in range(len(h[0]))], len(h))
+    assert not lines, "coefficient cone of an independent basis is pointed"
+    return rays
 
 
 class _ProjectedContainment:
@@ -308,7 +326,7 @@ class _ProjectedContainment:
         n = X.cols
         self.n_unknowns = N.cols * n
         # the Hermite basis of Z^n is the identity: C is trivial, nothing to solve
-        if _is_identity_basis(lattice_rows, n):
+        if is_identity_basis(lattice_rows, n):
             self.torsion: tuple[int, ...] = ()
             self.blocks: list[list[tuple[Vec, int]]] = [[] for _ in range(X.rows)]
             return
@@ -486,13 +504,12 @@ def extreme_rays(h, dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     each non-simplicial max cone took before they were read off its facet
     description.
     """
-    from toriclift.lattice import vec_scale
     from toriclift.polyhedra import dual_description
 
     normals = list(h.inequalities)
     for e in h.equations:
         normals.append(e)
-        normals.append(vec_scale(-1, e))
+        normals.append(tuple(-x for x in e))
     return dual_description(normals, dim)
 
 
@@ -613,8 +630,8 @@ def box_search(
 
 
 def adjugate_by_cofactors(m):
-    """Reference for ``isomorphism._adjugate``: the transpose of the matrix
-    of cofactors, one minor determinant per entry."""
+    """Reference for ``lattice.scaled_inverse(m, det(m))``, the adjugate: the
+    transpose of the matrix of cofactors, one minor determinant per entry."""
     from toriclift.lattice import IntMatrix, determinant
 
     n = m.rows
@@ -714,10 +731,7 @@ def hilbert_basis_by_box(
         IntMatrix,
         ResourceLimitError,
         _as_vec,
-        _is_identity_basis,
-        effective_cone_rays,
         hermite_row_basis,
-        vec_is_zero,
     )
 
     rows = [_as_vec(r) for r in subgroup_basis]
@@ -728,7 +742,7 @@ def hilbert_basis_by_box(
     if not h:
         return ()
     # Fast path: the full integer lattice — generators are the unit vectors.
-    if _is_identity_basis(h, ambient_rank):
+    if is_identity_basis(h, ambient_rank):
         return tuple(sorted(h))
     if ambient_rank > MAX_HILBERT_AMBIENT:
         raise ResourceLimitError(
@@ -750,7 +764,7 @@ def hilbert_basis_by_box(
     pts = [
         p
         for p in _lattice_points_in_box(h, bounds)
-        if not vec_is_zero(p) and all(x >= 0 for x in p)
+        if any(p) and all(x >= 0 for x in p)
     ]
     pts.sort(key=lambda p: (sum(p), p))
     members = set(pts)
@@ -762,7 +776,7 @@ def hilbert_basis_by_box(
                 break
             if all(a <= b for a, b in zip(q, p)):
                 rem = tuple(a - b for a, b in zip(p, q))
-                if not vec_is_zero(rem) and rem in members:
+                if any(rem) and rem in members:
                     reducible = True
                     break
         if not reducible:
@@ -783,7 +797,6 @@ def hilbert_basis_by_sieve(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, 
     from toriclift.lattice import (
         IntMatrix,
         ResourceLimitError,
-        _is_identity_basis,
         _pulling_triangulation,
         matrix_rank,
         smith_normal_form,
@@ -794,7 +807,7 @@ def hilbert_basis_by_sieve(h: Sequence[Vec], rays: Sequence[Vec]) -> tuple[Vec, 
         return ()
     width = len(h[0])
     # Fast path: the full integer lattice — generators are the unit vectors.
-    if _is_identity_basis(h, width):
+    if is_identity_basis(h, width):
         return tuple(sorted(h))
     if not rays:
         return ()
@@ -858,11 +871,10 @@ def fan_isomorphic_by_permutations(a, b):
 
     from toriclift.isomorphism import (
         FanIso,
-        _adjugate,
         _independent_ray_subset,
         verify_fan_iso,
     )
-    from toriclift.lattice import IntMatrix, ResourceLimitError, determinant
+    from toriclift.lattice import IntMatrix, ResourceLimitError, determinant, scaled_inverse
 
     if a.is_degenerate or b.is_degenerate:
         raise ValueError(
@@ -886,7 +898,7 @@ def fan_isomorphic_by_permutations(a, b):
     r_mat = IntMatrix(tuple(a.rays[i] for i in base), cols=a.rank).T
     det_r = determinant(r_mat)
     assert det_r != 0
-    adj_r = _adjugate(r_mat, det_r)
+    adj_r = scaled_inverse(r_mat, det_r)
 
     n_assign = factorial(b.n_rays) // factorial(b.n_rays - a.rank)
     if n_assign > MAX_ISO_ASSIGNMENTS:
@@ -949,13 +961,14 @@ def cartier_data(fan, coeffs: Sequence[int]):
     trivializations witnessing that the divisor is Cartier, one character
     per max cone pairing to the divisor coefficients on that cone's rays;
     None when some cone has none."""
-    from toriclift.lattice import solve_with_snf
+    from toriclift.lattice import IntMatrix, solve_integer_linear
 
     if len(coeffs) != fan.n_rays:
         raise ValueError("coefficient length mismatch")
     chars = []
-    for snf, cone in zip(fan.cone_snfs, fan.max_cones):
-        sol = solve_with_snf(snf, [coeffs[i] for i in cone])
+    for cone in fan.max_cones:
+        rays = IntMatrix(fan.cone_rays(cone), cols=fan.rank)
+        sol = solve_integer_linear(rays, [coeffs[i] for i in cone])
         if sol is None:
             return None
         chars.append(sol.particular)
@@ -991,7 +1004,7 @@ def cartier_lattice_by_intersection(fan) -> tuple[Vec, ...]:
     plus every ray off the cone; the Cartier lattice is their intersection,
     taken pairwise.
     """
-    from toriclift.lattice import _is_identity_basis, hermite_row_basis, lattice_intersection
+    from toriclift.lattice import hermite_row_basis, lattice_intersection
 
     n = fan.n_rays
     units = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
@@ -1000,7 +1013,7 @@ def cartier_lattice_by_intersection(fan) -> tuple[Vec, ...]:
         restricted = [tuple(fan.rays[i][j] for i in cone) for j in range(fan.rank)]
         rsub = hermite_row_basis(restricted, width=len(cone))
         # identity basis: a smooth cone, on which every divisor is Cartier
-        if _is_identity_basis(rsub, len(cone)):
+        if is_identity_basis(rsub, len(cone)):
             continue
         pos = {ray_i: k for k, ray_i in enumerate(cone)}
         gens = [tuple(r[pos[i]] if i in pos else 0 for i in range(n)) for r in rsub]
@@ -1031,10 +1044,16 @@ def cartier_members_by_intersection(sub) -> tuple[Vec, ...]:
 def dual_description_by_helpers(normals, dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """Reference for ``polyhedra.dual_description``, the same algorithm with
     one helper call per vector operation and set-valued zero sets."""
-    from toriclift.lattice import primitive_vector, vec_dot, vec_is_zero, vec_scale
+    from toriclift.lattice import primitive_vector, vec_dot
 
     def vec_sub(a, b):
         return tuple(x - y for x, y in zip(a, b))
+
+    def vec_scale(k, a):
+        return tuple(k * x for x in a)
+
+    def vec_is_zero(a):
+        return all(x == 0 for x in a)
 
     def canonical_line(v):
         v = primitive_vector(v)
@@ -1219,10 +1238,12 @@ def strict_transform(f: ToricMorphism, coeffs: Sequence[int]) -> Vec | None:
     smooth minimal target cone; None otherwise.
 
     On a smooth cone any divisor has a local character; pairing it with the
-    ray image gives the coefficient.
+    ray image gives the coefficient.  The face's one Smith form U R V = S
+    both tests smoothness, S = (I | 0), and gives the character
+    m = V (U d, 0) with R m = d for the divisor's restriction d.
     """
     from toriclift.fan import _is_basis_part
-    from toriclift.lattice import IntMatrix, smith_normal_form, solve_with_snf, vec_dot
+    from toriclift.lattice import IntMatrix, smith_normal_form, vec_dot
 
     if len(coeffs) != f.target.n_rays:
         raise ValueError("coefficient length mismatch")
@@ -1231,9 +1252,9 @@ def strict_transform(f: ToricMorphism, coeffs: Sequence[int]) -> Vec | None:
         snf = smith_normal_form(IntMatrix(f.target.cone_rays(face), cols=f.target.rank))
         if not _is_basis_part(snf, len(face)):
             return None
-        sol = solve_with_snf(snf, [coeffs[j] for j in face])
-        assert sol is not None, "smooth cone always has a local character"
-        out.append(vec_dot(sol.particular, f.ray_image(i)))
+        padding = (0,) * (f.target.rank - len(face))
+        m = snf.V.apply(snf.U.apply([coeffs[j] for j in face]) + padding)
+        out.append(vec_dot(m, f.ray_image(i)))
     return tuple(out)
 
 

@@ -252,6 +252,27 @@ class TestLift:
         assert "resource limit" in err and "undecided" not in err
         assert "MAX_SEARCH_POINTS = 3 in toriclift.lifting, lower --search-bound" in err
 
+    def test_fourier_motzkin_growth_trips_its_guard(self, tmp_path, capsys):
+        # the effectivity system over the Kajiwara source subgroup grows
+        # from 25 rows to 925,582 over its eliminations; the guard refuses
+        # the pair count of the step before, where the Cox subgroup answers
+        src, dst = tmp_path / "src.fan", tmp_path / "dst.fan"
+        src.write_text(
+            "fan 1\nrank 3\nray -2 1 -1\nray -2 2 -1\nray -1 1 -1\n"
+            "ray -1 3 -1\nray 0 2 -1\ncone 0 1 2 3 4\n"
+        )
+        dst.write_text(
+            "fan 1\nrank 3\nray -2 -1 -8\nray -1 -2 -8\nray -1 0 -2\n"
+            "ray 0 -1 -2\nray 0 0 1\ncone 0 1 2 3 4\n"
+        )
+        args = ("lift", str(src), str(dst), "--matrix", "0,0,1,2,-1,0,-1,2,1")
+        code, out, err = run(capsys, *args, "--src-subgroup", "kajiwara")
+        assert code == 2 and out == ""
+        assert "resource limit: Fourier-Motzkin elimination would combine 1200465 row pairs" in err
+        assert "MAX_PROJECTION_PAIRS = 100000 in toriclift.lifting, no flag overrides it" in err
+        code, out, _ = run(capsys, *args, "--src-subgroup", "cox")
+        assert code == 0 and "exists: true" in out
+
     def test_default_bound_decides(self, files, capsys):
         code, out, _ = run(
             capsys, "lift", files["line"], files["diamond"], "--matrix", "1,0,3"
@@ -331,22 +352,20 @@ class TestLift:
         assert code == 1 and "no target cone" in err
 
     def test_same_path_loads_one_document(self, files, capsys, monkeypatch):
-        import toriclift.cli as cli
         import toriclift.fanfile as fanfile
+        from toriclift.divisors import BUILTIN_SUBGROUPS
 
         calls = {"validate_fan": 0, "cox_subgroup": 0}
 
-        def counting(module, name):
-            original = getattr(module, name)
-
+        def counting(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, wrapper)
+            return wrapper
 
-        counting(fanfile, "validate_fan")
-        counting(cli, "cox_subgroup")
+        monkeypatch.setattr(fanfile, "validate_fan", counting("validate_fan", fanfile.validate_fan))
+        monkeypatch.setitem(BUILTIN_SUBGROUPS, "cox", counting("cox_subgroup", BUILTIN_SUBGROUPS["cox"]))
         path = files["blowup"]
         code, out, _ = run(capsys, "lift", path, path, "--matrix", "1,0,0,1")
         assert code == 0 and "exists: true" in out

@@ -20,7 +20,6 @@ from toriclift.lattice import (
     IntMatrix,
     ResourceLimitError,
     determinant,
-    effective_cone_rays,
     hilbert_basis,
     smith_normal_form,
 )
@@ -415,7 +414,7 @@ def _plane():
 
 def _index_two_hilbert():
     h = ((1, 1), (0, 2))
-    return hilbert_basis(h, effective_cone_rays(h))
+    return hilbert_basis(h, oracles.effective_cone_rays(h))
 
 
 def _p2_self_iso():
@@ -442,6 +441,7 @@ def _p2_collections():
         (lattice, "MAX_HILBERT_POINTS", _index_two_hilbert, "no flag overrides it"),
         (isomorphism, "MAX_ISO_ASSIGNMENTS", _p2_self_iso, "no flag overrides it"),
         (lifting, "MAX_SEARCH_POINTS", _line_into_square_cone, "lower --search-bound"),
+        (lifting, "MAX_PROJECTION_PAIRS", _line_into_square_cone, "no flag overrides it"),
         (presentation, "MAX_COLLECTION_FACES", _p2_collections, "no flag overrides it"),
     ],
 )
@@ -453,6 +453,22 @@ def test_guard_messages_name_constant_and_override(
     with pytest.raises(ResourceLimitError) as e:
         trip()
     assert f"{constant} = 1 in {module.__name__}, {override}" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "module, constant, trip, reached",
+    [
+        (lattice, "MAX_HILBERT_POINTS", _index_two_hilbert, 2),
+        (lifting, "MAX_PROJECTION_PAIRS", _line_into_square_cone, 4),
+    ],
+)
+def test_guards_admit_exactly_their_limit(monkeypatch, module, constant, trip, reached):
+    # a guard refuses a count past its constant, not one equal to it
+    monkeypatch.setattr(module, constant, reached)
+    trip()
+    monkeypatch.setattr(module, constant, reached - 1)
+    with pytest.raises(ResourceLimitError, match=f"{constant} = {reached - 1} in"):
+        trip()
 
 
 # -- location ---------------------------------------------------------------------

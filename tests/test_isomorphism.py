@@ -12,7 +12,6 @@ from toriclift import isomorphism
 from toriclift.fan import validate_fan
 from toriclift.isomorphism import (
     FanIso,
-    _adjugate,
     _prefilter_reject,
     IsoReport,
     fan_isomorphic,
@@ -20,7 +19,9 @@ from toriclift.isomorphism import (
     verify_fan_iso,
 )
 from toriclift.divisors import cox_subgroup, kajiwara_subgroup
-from toriclift.lattice import IntMatrix, ResourceLimitError, determinant, smith_normal_form
+from toriclift.lattice import (
+    IntMatrix, ResourceLimitError, determinant, scaled_inverse, smith_normal_form,
+)
 from toriclift.lifting import solve_geometric_pullback, validate_toric_morphism
 
 
@@ -87,7 +88,7 @@ def test_adjugate_matches_cofactors():
         m = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)], cols=n)
         det = determinant(m)
         if det:
-            assert _adjugate(m, det) == oracles.adjugate_by_cofactors(m), m
+            assert scaled_inverse(m, det) == oracles.adjugate_by_cofactors(m), m
             sizes.append(n)
     assert len(sizes) >= 900 and set(sizes) == set(range(1, 7))
 

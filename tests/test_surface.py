@@ -26,6 +26,9 @@ deleted export cannot leave stale docs behind.
 Every size guard, a ``MAX_*`` constant named in a ``raise
 ResourceLimitError(...)``, has a row in the README guard table and a case in
 the parametrized guard-message test.
+
+``lattice`` is the bottom layer: it imports nothing from the package, at
+module level or inside a function.
 """
 
 import ast
@@ -196,6 +199,19 @@ def test_every_guard_is_documented_and_tripped():
     rows = [line for line in README.read_text(encoding="utf-8").splitlines() if line.startswith("|")]
     assert sorted(g for g in guards if not any(f"`{g}`" in row for row in rows)) == []
     assert sorted(guards - _tripped_guards()) == []
+
+
+def test_lattice_imports_nothing_from_the_package():
+    def from_package(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or (node.module or "").split(".")[0] == "toriclift"
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "toriclift" for alias in node.names)
+        return False
+
+    tree = ast.parse((PACKAGE / "lattice.py").read_text(encoding="utf-8"))
+    found = [f"lattice:{n.lineno} {ast.unparse(n)}" for n in ast.walk(tree) if from_package(n)]
+    assert found == []
 
 
 def test_exports_resolve_and_readme_imports_are_exported():
