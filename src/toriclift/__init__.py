@@ -11,7 +11,6 @@ from .divisors import (
     DivisorSubgroup,
     EnoughDivisorsReport,
     SubgroupValidationError,
-    class_group,
     cox_subgroup,
     divisor_subgroup,
     enough_divisors,
@@ -78,7 +77,6 @@ __all__ = [
     "SubgroupValidationError",
     "ToricMorphism",
     "TorusFactorSplit",
-    "class_group",
     "classify_liftings",
     "cox_subgroup",
     "divisor_subgroup",

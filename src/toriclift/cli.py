@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .divisors import BUILTIN_SUBGROUPS, class_group, divisor_subgroup
+from .divisors import BUILTIN_SUBGROUPS, cox_subgroup, divisor_subgroup
 from .fan import FanValidationError, split_torus_factor
 from .fanfile import (
     FanDocument,
@@ -115,7 +115,7 @@ def _cmd_validate(args) -> tuple[int, list[str], dict]:
 def _cmd_invariants(args) -> tuple[int, list[str], dict]:
     doc = parse_fan_file(args.file, max_rays=args.max_rays)
     fan = doc.fan
-    group = class_group(fan).group
+    group = cox_subgroup(fan).grading_cokernel.group
     torus_rank = fan.rank - fan.span_rank
     lines, head = _header(("input", doc))
     lines += [
@@ -137,22 +137,16 @@ def _cmd_invariants(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_present(args) -> tuple[int, list[str], dict]:
-    if args.subgroup is not None and args.mode != "subgroup":
-        raise _InputError("--subgroup NAME applies only with --mode subgroup")
-    doc = parse_fan_file(args.file, max_rays=args.max_rays)
-    mode_text = args.mode
     if args.mode == "subgroup":
         if not args.subgroup:
             raise _InputError("--mode subgroup requires --subgroup NAME")
-        if args.subgroup not in doc.subgroups:
-            raise _InputError(
-                f"subgroup '{args.subgroup}' is not defined in {doc.path}"
-            )
-        sub = divisor_subgroup(doc.fan, doc.subgroups[args.subgroup])
-        mode_text = f"subgroup {args.subgroup}"
+        name, mode_text = args.subgroup, f"subgroup {args.subgroup}"
+    elif args.subgroup is not None:
+        raise _InputError("--subgroup NAME applies only with --mode subgroup")
     else:
-        sub = BUILTIN_SUBGROUPS[args.mode](doc.fan)
-    pres = presentation_from_subgroup(sub)
+        name = mode_text = args.mode
+    doc = parse_fan_file(args.file, max_rays=args.max_rays)
+    pres = presentation_from_subgroup(_resolve_subgroup(doc, name))
     lines, head = _header(("input", doc))
     lines.append(f"mode: {mode_text}")
     lines.append(f"subgroup basis: {_fmt(pres.subgroup.basis)}")

@@ -1,11 +1,15 @@
-"""Torus-invariant divisors on a fan: principal and Cartier divisors, the
-divisor class group, and admissible divisor subgroups.
+"""Torus-invariant divisors on a fan: principal and Cartier divisors and
+admissible divisor subgroups.
 
 Divisors are integer coefficient vectors indexed by the fan's rays (in the
 fan's canonical ray order).  An *admissible divisor subgroup* is a saturated
 choice of divisors from which a quotient presentation is built: it must have
 independent generators, contain every principal divisor, and be generated by
-its effective members together with the principal divisors.
+its effective members together with the principal divisors.  Each divisor
+fact is read off a subgroup: the Cox subgroup, all of Z^rays, has the class
+group as its grading cokernel (the same group for a degenerate fan and its
+reduced fan, which have the same principal divisors) and the Cartier
+divisors as its Cartier members, which span the Kajiwara subgroup.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .lattice import (
     hermite_row_basis,
     hilbert_basis,
     kernel_basis,
-    lattice_intersection,
     primitive_vector,
     vec_dot,
 )
@@ -49,20 +52,22 @@ def principal_basis(fan: Fan) -> tuple[Vec, ...]:
     )
 
 
-def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
-    """Canonical (Hermite) basis of the Cartier divisors inside Z^rays.
+def cartier_lattice(fan: Fan, basis: tuple[Vec, ...]) -> tuple[Vec, ...]:
+    """Canonical (Hermite) basis of the Cartier divisors in the lattice with
+    Hermite basis ``basis``; the identity basis gives all Cartier divisors.
 
     A divisor d is Cartier iff on each max cone sigma it agrees with one
     character, d|sigma = R m for sigma's ray matrix R (Cox-Little-Schenck,
     Toric Varieties, Thm 4.2.8).  With sigma's cached Smith form U R V = S
     (``Fan.cone_snfs``) that says (U d|sigma)_k is a multiple of s_k below
-    the rank and zero past it.  So the lattice is the kernel of one system
-    [A | -diag(s)], read in the divisor coordinates: a row of U per
-    invariant factor other than 1 and per rank deficit of each max cone
-    (none for a smooth cone), and a multiplier unknown per congruence.
-    A cone shown smooth by its facet normals (``_has_dual_facets``), as
-    every full-dimensional smooth cone is, since its primitive facet normals
-    are the dual basis, is passed without its Smith form.
+    the rank and zero past it: a row a of A per invariant factor other than
+    1 and per rank deficit of each max cone (none for a smooth cone).  For
+    d = c B over the basis B the members are the images c B of the kernel
+    of one system [A B^T | -diag(s)], in c and a multiplier unknown per
+    congruence; with no condition every member is Cartier, and B is the
+    answer.  A cone shown smooth by its facet normals (``_has_dual_facets``),
+    as every full-dimensional smooth cone is, since its primitive facet
+    normals are the dual basis, is passed without its Smith form.
     """
     n = fan.n_rays
     rows, factors = [], []
@@ -71,17 +76,19 @@ def cartier_lattice(fan: Fan) -> tuple[Vec, ...]:
             continue
         snf = fan.cone_snfs[ci]
         padded = snf.invariant_factors + (0,) * (len(cone) - snf.rank)
+        on_cone = [[b[i] for i in cone] for b in basis]
         for u, factor in zip(snf.U, padded):
             if factor != 1:
-                at = dict(zip(cone, u))
-                rows.append([at.get(i, 0) for i in range(n)])
+                rows.append([vec_dot(u, b) for b in on_cone])
                 factors.append(factor)
     if not rows:
-        return IntMatrix.identity(n).row_list()
+        return basis
+    k = len(basis)
     congruences = [r for r, factor in enumerate(factors) if factor]
     stacked = [row + [-factors[r] * (r == q) for q in congruences] for r, row in enumerate(rows)]
-    kernel = kernel_basis(IntMatrix(stacked, cols=n + len(congruences)))
-    return hermite_row_basis((v[:n] for v in kernel), width=n)
+    kernel = kernel_basis(IntMatrix(stacked))
+    members = IntMatrix(basis, cols=n)
+    return hermite_row_basis((members.left_apply(v[:k]) for v in kernel), width=n)
 
 
 def _has_dual_facets(rays: Sequence[Vec], normals: Sequence[Vec]) -> bool:
@@ -98,17 +105,6 @@ def _has_dual_facets(rays: Sequence[Vec], normals: Sequence[Vec]) -> bool:
     return len(paired) == len(rays)
 
 
-# -- class group ----------------------------------------------------------------
-
-
-def class_group(fan: Fan) -> CokernelData:
-    """Divisor class group Z^rays / (principal divisors), with coordinates:
-    ``project`` gives the class of a divisor, ``generator_lifts`` a divisor
-    of each generator.  The image of the principal divisors, and so the
-    group, is the same for a degenerate fan and its reduced fan."""
-    return CokernelData(fan.ray_matrix())  # columns = principal divisors of e_j
-
-
 # -- admissible divisor subgroups ------------------------------------------------
 
 
@@ -118,9 +114,10 @@ class DivisorSubgroup:
 
     ``basis`` is the canonical Hermite basis, so equal subgroups compare
     equal regardless of the generators they were built from.  Derived data
-    (the effective cone and generators, the Cartier members, which cone
-    Smith forms decide through ``cartier_lattice``, the coordinates of both
-    over ``basis``, the grading cokernel) is cached once per instance.
+    (the effective cone and generators, the Cartier members, which
+    ``cartier_lattice`` solves in the coordinates of ``basis``, the
+    coordinates of both over ``basis``, the grading cokernel, which is the
+    class group on the full lattice) is cached once per instance.
     """
 
     fan: Fan
@@ -182,12 +179,8 @@ class DivisorSubgroup:
 
     @cached_property
     def cartier_members(self) -> tuple[Vec, ...]:
-        """Canonical basis of the subgroup's intersection with
-        ``cartier_lattice``, which is all of it on the full lattice."""
-        cartier = cartier_lattice(self.fan)
-        if self.is_full:
-            return cartier
-        return lattice_intersection(self.basis, cartier, width=self.fan.n_rays)
+        """Canonical basis of the subgroup's Cartier divisors."""
+        return cartier_lattice(self.fan, self.basis)
 
     @cached_property
     def cartier_coefficients(self) -> tuple[Vec, ...]:
@@ -250,13 +243,18 @@ def divisor_subgroup(fan: Fan, rows: Sequence[Sequence[int]]) -> DivisorSubgroup
 
 def cox_subgroup(fan: Fan) -> DivisorSubgroup:
     """The full divisor lattice Z^rays (Cox-style presentation data), not
-    validated: it holds every divisor, and its unit divisors are effective."""
-    return DivisorSubgroup(fan=fan, basis=IntMatrix.identity(fan.n_rays).row_list())
+    validated: it holds every divisor, and its unit divisors are effective.
+    The unit rows are joined from constant tuples, since every lift, class
+    group and Cox or Kajiwara presentation builds this subgroup afresh."""
+    n = fan.n_rays
+    units = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+    return DivisorSubgroup(fan=fan, basis=units)
 
 
 def kajiwara_subgroup(fan: Fan) -> DivisorSubgroup:
-    """The lattice of Cartier divisors (Kajiwara-style presentation data)."""
-    return divisor_subgroup(fan, cartier_lattice(fan))
+    """The lattice of Cartier divisors (Kajiwara-style presentation data):
+    the Cartier members of the Cox subgroup."""
+    return divisor_subgroup(fan, cox_subgroup(fan).cartier_members)
 
 
 # the subgroups named by the command line, and reserved as fan-file labels

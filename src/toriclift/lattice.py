@@ -607,21 +607,6 @@ def hermite_coefficients(h: Sequence[Vec], v: Sequence[int]) -> Optional[Vec]:
     return None if any(r) else tuple(coeffs)
 
 
-def lattice_intersection(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int
-) -> tuple[Vec, ...]:
-    """Canonical basis of the intersection of two row lattices."""
-    ra = [_as_vec(r) for r in a]
-    rb = [_as_vec(r) for r in b]
-    if not ra or not rb:
-        return ()
-    stacked = IntMatrix(ra + [tuple([-x for x in r]) for r in rb])
-    # left kernel: coefficient rows (x | y) with x@ra = y@rb
-    ker = kernel_basis(stacked.T)
-    left = IntMatrix(ra, cols=width)
-    return hermite_row_basis((left.left_apply(x[: len(ra)]) for x in ker), width=width)
-
-
 # ---------------------------------------------------------------------------
 # Homomorphism extension
 # ---------------------------------------------------------------------------

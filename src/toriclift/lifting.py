@@ -541,7 +541,7 @@ def induced_grading_hom(
     for lift in coker_t.generator_lifts:
         c = source_subgroup.coefficients(phi.left_apply(lift))
         assert c is not None, "witness rows lie in the source subgroup"
-        rows.append(coker_s.group.reduce(coker_s.project(c)))
+        rows.append(coker_s.project(c))
     return AbHom(
         domain=coker_t.group,
         codomain=coker_s.group,

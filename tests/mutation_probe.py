@@ -49,9 +49,10 @@ TESTS = {
     "polyhedra": ("test_polyhedra.py", "test_fan.py"),
     "fan": ("test_fan.py", "test_polyhedra.py", "test_divisors.py"),
     "divisors": ("test_divisors.py", "test_presentation.py", "test_lifting.py", "test_fanfile.py",
-                 "test_cli.py"),
+                 "test_cli.py", "test_acceptance.py"),
     "presentation": ("test_presentation.py", "test_cli.py"),
-    "lifting": ("test_lifting.py", "test_cli.py", "test_fan.py"),
+    "lifting": ("test_lifting.py", "test_cli.py", "test_fan.py", "test_golden_reports.py",
+                "test_acceptance.py"),
     "isomorphism": ("test_isomorphism.py", "test_cli.py"),
     "fanfile": ("test_fanfile.py", "test_cli.py", "test_golden_reports.py"),
     "cli": ("test_cli.py", "test_golden_reports.py", "test_acceptance.py"),

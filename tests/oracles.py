@@ -996,16 +996,34 @@ def pullback_cartier(f, characters: Sequence[Vec]) -> Vec:
 # -- Cartier lattice by pairwise intersection of per-cone lattices ------------
 
 
+def lattice_intersection(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int
+) -> tuple[Vec, ...]:
+    """Canonical basis of the intersection of two row lattices: the images
+    x @ a of the left kernel rows (x | y) of a stacked over -b, for which
+    x @ a = y @ b."""
+    from toriclift.lattice import kernel_basis
+
+    ra = [tuple(r) for r in a]
+    rb = [tuple(r) for r in b]
+    if not ra or not rb:
+        return ()
+    stacked = IntMatrix(ra + [tuple(-x for x in r) for r in rb])
+    left = IntMatrix(ra, cols=width)
+    return hermite_row_basis(
+        (left.left_apply(x[: len(ra)]) for x in kernel_basis(stacked.T)), width=width
+    )
+
+
 def cartier_lattice_by_intersection(fan) -> tuple[Vec, ...]:
-    """Reference for ``divisors.cartier_lattice``: the lattice it replaced.
+    """Reference for the Cartier members of ``divisors.cox_subgroup``: the
+    lattice they replaced.
 
     Each singular max cone's condition cuts out a sublattice of Z^rays, the
     Hermite basis of the restricted character pairing on the cone's rays
     plus every ray off the cone; the Cartier lattice is their intersection,
     taken pairwise.
     """
-    from toriclift.lattice import hermite_row_basis, lattice_intersection
-
     n = fan.n_rays
     units = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     current = units
@@ -1027,8 +1045,6 @@ def cartier_members_by_intersection(sub) -> tuple[Vec, ...]:
     """Reference for ``DivisorSubgroup.cartier_members``: the subgroup's
     basis intersected with :func:`cartier_lattice_by_intersection`, with no
     shortcut."""
-    from toriclift.lattice import lattice_intersection
-
     n = sub.fan.n_rays
     return lattice_intersection(sub.basis, cartier_lattice_by_intersection(sub.fan), width=n)
 
@@ -1305,12 +1321,12 @@ class GradingFactorization:
 
 
 def grading_factorization(pres: Presentation) -> GradingFactorization:
-    from toriclift.divisors import class_group
-    from toriclift.lattice import AbHom, CokernelData, IntMatrix
+    from toriclift.divisors import cox_subgroup
+    from toriclift.lattice import AbHom
 
     sub = pres.subgroup
     n = sub.fan.n_rays
-    cl = class_group(sub.fan)
+    cl = cox_subgroup(sub.fan).grading_cokernel
     grading_coker = sub.grading_cokernel
     grading = pres.grading_group
 

@@ -166,6 +166,47 @@ class TestPresent:
         assert code == 0 and "mode: subgroup full" in out
         assert "grading group: Z/2" in out
 
+    def test_named_subgroup_without_enough_divisors_lists_failing_cones(self, tmp_path, capsys):
+        # the principal divisors of P^2 form an admissible subgroup with no
+        # effective member but 0, so no max cone has a covering witness
+        p = tmp_path / "p2.fan"
+        p.write_text(
+            "fan 1\nrank 2\nray 1 0\nray 0 1\nray -1 -1\n"
+            "cone 0 1\ncone 1 2\ncone 0 2\n"
+            "subgroup principal\n1 0 -1\n0 1 -1\nend\n"
+        )
+        out_json = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "present", str(p), "--mode", "subgroup", "--subgroup", "principal",
+            "--out", str(out_json),
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[2:] == [
+            "mode: subgroup principal",
+            "subgroup basis: [[1, 0, -1], [0, 1, -1]]",
+            "coordinates: 0",
+            "grading group: 0",
+            "enough divisors: no",
+            "failing cone: [0, 1]",
+            "failing cone: [0, 2]",
+            "failing cone: [1, 2]",
+            "exceptional collections: 0",
+        ]
+        payload = json.loads(out_json.read_text())
+        assert payload["enough_divisors"] is False
+        assert payload["failing_cones"] == [[0, 1], [0, 2], [1, 2]]
+
+    @pytest.mark.parametrize("name", ["cox", "kajiwara"])
+    def test_subgroup_mode_resolves_builtin_names(self, files, capsys, name):
+        # one lookup serves --mode and --subgroup, as it serves lift: a
+        # built-in name presents the built-in subgroup
+        code, out, _ = run(
+            capsys, "present", files["quadric"], "--mode", "subgroup", "--subgroup", name
+        )
+        assert code == 0 and f"mode: subgroup {name}" in out
+        _, builtin, _ = run(capsys, "present", files["quadric"], "--mode", name)
+        assert out.replace(f"mode: subgroup {name}", f"mode: {name}") == builtin
+
     @pytest.mark.parametrize("mode", ["cox", "kajiwara"])
     def test_degenerate_fan_is_an_input_error(self, files, capsys, mode):
         code, out, err = run(capsys, "present", files["halftorus"], "--mode", mode)
@@ -343,6 +384,24 @@ class TestLift:
             "--matrix", "1,0,0,1", "--dst-subgroup", "ghost",
         )
         assert code == 1 and "ghost" in err
+
+    def test_subgroups_declared_in_the_file(self, tmp_path, capsys):
+        # the file's 'even' subgroup, the Cartier divisors of the quadric,
+        # on both sides: each basis divisor maps to itself
+        p = tmp_path / "even.fan"
+        p.write_text(QUADRIC + "subgroup even\n1 1\n0 2\nend\n")
+        code, out, err = run(
+            capsys, "lift", str(p), str(p), "--matrix", "1,0,0,1",
+            "--src-subgroup", "even", "--dst-subgroup", "even",
+        )
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[4:7] == ["source subgroup: even", "target subgroup: even", "exists: true"]
+        assert (
+            "basis divisor 1: maps to monomial with divisor exponent [0, 2] = "
+            "member [0, 2] + principal of character [0, 0]"
+        ) in lines
+        assert lines[-1] == "induced grading map: 0 -> 0 matrix []"
 
     def test_incompatible_morphism(self, files, capsys):
         # the identity does not map the plane's cone into the blowup fan

