@@ -24,6 +24,7 @@ from .divisors import BUILTIN_SUBGROUPS, cox_subgroup, divisor_subgroup
 from .fan import FanValidationError, split_torus_factor
 from .fanfile import (
     FanDocument,
+    canonical_document,
     morphism_matrix,
     parse_fan_file,
     read_fan_document,
@@ -276,8 +277,18 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
 
 def _cmd_iso(args) -> tuple[int, list[str], dict]:
     a = parse_fan_file(args.first, max_rays=args.max_rays)
-    b = parse_fan_file(args.second, max_rays=args.max_rays)
-    report = toric_isomorphism(a.fan, b.fan)
+    raw = read_fan_document(args.second)
+    b = canonical_document(raw, max_rays=args.max_rays)
+    # a verified isomorphism carries the first file's valid fan onto the
+    # second's, which certifies its geometry; every other outcome validates
+    # the second file in full first, so an invalid one reports as invalid
+    try:
+        report = toric_isomorphism(a.fan, b.fan)
+    except ResourceLimitError:
+        validate_document(raw, max_rays=args.max_rays)
+        raise
+    if not report.isomorphic:
+        validate_document(raw, max_rays=args.max_rays)
     lines, head = _header(("first", a), ("second", b))
     lines += [
         f"isomorphic: {'yes' if report.isomorphic else 'no'}",

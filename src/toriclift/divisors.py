@@ -76,6 +76,8 @@ def cartier_lattice(fan: Fan, basis: tuple[Vec, ...]) -> tuple[Vec, ...]:
             continue
         snf = fan.cone_snfs[ci]
         padded = snf.invariant_factors + (0,) * (len(cone) - snf.rank)
+        if padded.count(1) == len(padded):  # a smooth cone: no condition
+            continue
         on_cone = [[b[i] for i in cone] for b in basis]
         for u, factor in zip(snf.U, padded):
             if factor != 1:
@@ -195,7 +197,8 @@ class DivisorSubgroup:
         over ``basis``."""
         principal = [self.coefficients(p) for p in principal_basis(self.fan)]
         assert None not in principal, "admissible subgroup must contain principal divisors"
-        return CokernelData(IntMatrix(principal, cols=len(self.basis)).T)
+        # the principal coordinate vectors are the columns
+        return CokernelData(IntMatrix(list(zip(*principal)), cols=len(principal)))
 
 
 def divisor_subgroup(fan: Fan, rows: Sequence[Sequence[int]]) -> DivisorSubgroup:

@@ -7,7 +7,9 @@ integers/rationals, never floats) and produces a canonicalized fan: rays are
 sorted lexicographically and cone index sets follow that order, so equal
 fans have equal representations.  The facet description of each max cone
 and its ray-facet incidences, computed by the checks, stay on the returned
-fan, and every caller reads cone geometry from there.
+fan, and every caller reads cone geometry from there.  ``canonical_fan`` is
+its first part alone: the canonical fan with its geometry unchecked, which
+a verified isomorphism from a valid fan certifies.
 
 Every geometric check reads one table per max cone, its ray-facet
 incidences (``Fan.cone_incidences``), which determine its face lattice
@@ -356,10 +358,36 @@ def validate_fan(
     every listed ray extreme; no maximal cone contained in another; every
     pairwise intersection of maximal cones is a common face of both.
 
-    Each max cone costs one double description, its facet description, from
-    which every check reads the cone's ray-facet incidences; a pair of max
-    cones costs another only when neither one facet of either cone nor a sum
-    of its facet normals certifies it (:func:`_meet_in_common_face`).
+    Two parts: :func:`canonical_fan` runs the guards and the checks that
+    need no geometry and builds the canonical fan, then
+    :func:`_check_geometry` checks its cones.  Each max cone costs one
+    double description, its facet description, from which every geometric
+    check reads the cone's ray-facet incidences; a pair of max cones costs
+    another only when neither one facet of either cone nor a sum of its
+    facet normals certifies it (:func:`_meet_in_common_face`).
+    """
+    fan, problems = canonical_fan(rank, rays, max_cones, max_rays=max_rays)
+    _check_geometry(fan, problems)
+    return fan
+
+
+def canonical_fan(
+    rank: int,
+    rays: Sequence[Sequence[int]],
+    max_cones: Sequence[Sequence[int]],
+    *,
+    max_rays: Optional[int] = None,
+) -> tuple[Fan, list[str]]:
+    """The part of :func:`validate_fan` that needs no cone geometry: the
+    canonical fan, which ``validate_fan`` returns when the fan is valid, and
+    the problems found on it, a max cone listed twice or a ray in no max
+    cone, while its geometry is left unchecked.
+
+    Raises what ``validate_fan`` raises before its geometric checks: the
+    size guards, and :class:`FanValidationError` for a malformed ray or cone
+    index set.  A fan carried onto this one by a verified isomorphism
+    certifies its geometry (``isomorphism.toric_isomorphism``); otherwise
+    only ``validate_fan`` does.
     """
     if rank < 0:
         raise FanValidationError(["rank must be nonnegative"])
@@ -433,39 +461,44 @@ def validate_fan(
         if i not in covered:
             problems.append(f"ray {i} = {list(canon_rays[i])} lies in no max cone")
 
-    # geometric checks, on the fan's own ray-facet incidences
-    fan = Fan(rank=rank, rays=canon_rays, max_cones=tuple(canon_cones))
+    return Fan(rank=rank, rays=canon_rays, max_cones=tuple(canon_cones)), problems
+
+
+def _check_geometry(fan: Fan, problems: list[str]) -> None:
+    """The geometric part of :func:`validate_fan` on a canonical fan: strong
+    convexity and extreme rays per max cone, then containment and common
+    faces per pair.  Raises :class:`FanValidationError` with ``problems``,
+    those :func:`canonical_fan` found, followed by the geometric ones."""
+    rays, cones = fan.rays, fan.max_cones
     masks = fan.cone_masks
     table = fan.cone_incidences
-    for cone, mask, incidence in zip(canon_cones, masks, table):
+    for cone, mask, incidence in zip(cones, masks, table):
         if _smallest_face(incidence, 0) & mask:
             problems.append(f"max cone {list(cone)} is not strongly convex (contains a line)")
             continue
         for i in cone:
             if _smallest_face(incidence, 1 << i) & mask != 1 << i:
                 problems.append(
-                    f"ray {i} = {list(canon_rays[i])} is not an extreme ray of max cone {list(cone)}"
+                    f"ray {i} = {list(rays[i])} is not an extreme ray of max cone {list(cone)}"
                 )
 
     if problems:
         raise FanValidationError(problems)
 
     inside = [incidence[0] for incidence in table]
-    for a in range(len(canon_cones)):
-        for b in range(a + 1, len(canon_cones)):
+    for a in range(len(cones)):
+        for b in range(a + 1, len(cones)):
             if not (masks[a] & ~inside[b] and masks[b] & ~inside[a]):
                 for x, y in ((a, b), (b, a)):
                     if not masks[x] & ~inside[y]:
                         problems.append(
-                            f"max cone {list(canon_cones[x])} is contained in max cone {list(canon_cones[y])}"
+                            f"max cone {list(cones[x])} is contained in max cone {list(cones[y])}"
                         )
             elif not _meet_in_common_face(fan, a, b):
                 problems.append(
-                    f"intersection of max cones {list(canon_cones[a])} and {list(canon_cones[b])} "
+                    f"intersection of max cones {list(cones[a])} and {list(cones[b])} "
                     f"is not a common face"
                 )
 
     if problems:
         raise FanValidationError(problems)
-
-    return fan

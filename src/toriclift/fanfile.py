@@ -30,6 +30,11 @@ columns do too; both are re-expressed in the fan's canonical ray order during
 validation, so downstream code never sees the file ordering.  The subgroup
 labels of ``divisors.BUILTIN_SUBGROUPS``, ``cox`` and ``kajiwara``, name the
 built-in subgroups, so a document may not declare them.
+
+``validate_document`` validates a document's fan in full.
+``canonical_document`` leaves its geometry unchecked, for the second file of
+``iso``, whose fan geometry is certified by the isomorphism when one is
+found; every problem it meets, it reports as ``validate_document`` does.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .divisors import BUILTIN_SUBGROUPS
-from .fan import Fan, validate_fan
+from .fan import Fan, canonical_fan, validate_fan
 from .lattice import IntMatrix, Vec
 
 FORMAT_VERSION = 1
@@ -290,6 +295,29 @@ def read_fan_document(path) -> RawFanDocument:
 def validate_document(raw: RawFanDocument, *, max_rays: Optional[int] = None) -> FanDocument:
     """Fan-validate a raw document and re-index its subgroups canonically."""
     fan = validate_fan(raw.rank, raw.rays, raw.max_cones, max_rays=max_rays)
+    return _reindexed(raw, fan)
+
+
+def canonical_document(raw: RawFanDocument, *, max_rays: Optional[int] = None) -> FanDocument:
+    """The document of :func:`validate_document` with its fan's geometry left
+    unchecked: ``fan.canonical_fan`` and the subgroup-row check.
+
+    When either finds a problem the document is validated in full instead,
+    so it raises exactly what ``validate_document`` raises: a geometric
+    problem comes before a malformed subgroup row.  The caller must certify
+    the fan's geometry before relying on it, or validate it in full."""
+    fan, problems = canonical_fan(raw.rank, raw.rays, raw.max_cones, max_rays=max_rays)
+    if not problems:
+        try:
+            return _reindexed(raw, fan)
+        except FanFileError:
+            pass
+    return validate_document(raw, max_rays=max_rays)
+
+
+def _reindexed(raw: RawFanDocument, fan: Fan) -> FanDocument:
+    """The document over ``fan``, the canonical fan of ``raw``, with each
+    subgroup row checked and permuted to the canonical ray order."""
     # the canonical fan sorts its rays; subgroup columns follow the file's
     # ray order and must be permuted to match
     perm = [fan.rays.index(tuple(r)) for r in raw.rays]

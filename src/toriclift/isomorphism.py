@@ -176,7 +176,11 @@ def fan_isomorphic(a: Fan, b: Fan) -> Optional[FanIso]:
         return None
 
     iso = extend(0)
-    assert iso is None or not verify_fan_iso(a, b, iso)
+    # an explicit check, kept under python -O: callers take a found
+    # isomorphism as the certificate of b's geometry
+    problems = verify_fan_iso(a, b, iso) if iso is not None else []
+    if problems:
+        raise AssertionError(f"found isomorphism fails its verification: {'; '.join(problems)}")
     return iso
 
 
@@ -224,6 +228,15 @@ def toric_isomorphism(a: Fan, b: Fan) -> IsoReport:
 
     Torus factors are split off both sides; the varieties are isomorphic
     exactly when the torus ranks agree and the reduced fans are isomorphic.
+
+    Of ``b`` the decision reads only the rays, the max cones and the torus
+    split, never the cone geometry, so ``b`` needs only
+    ``fan.canonical_fan``.  A ``yes`` has passed :func:`verify_fan_iso` on
+    the reduced fans: a unimodular map carries the rays and max cones of
+    one onto the other's.  A unimodular map preserves every fan axiom
+    (Cox-Little-Schenck, *Toric Varieties*, 3.3), and the split is a
+    lattice isomorphism of each fan's ray span onto its reduced lattice,
+    so when ``a`` is a valid fan a ``yes`` certifies ``b`` as one.
     """
     sa = split_torus_factor(a)
     sb = split_torus_factor(b)

@@ -7,8 +7,12 @@ and each seed, the corpus is written under ``DIR/<workload>-<seed>``, plus
 the pinned probes under ``DIR/probes``; every question is asked once through
 ``toriclift.cli.main`` in-process with ``--out DIR/report.json``, and the
 line ``<workload> <seed> <qid> <sha256>`` hashes its exit code, stdout,
-stderr and JSON report.  Reports print the paths of their inputs, so hash
-two checkouts with the same ``DIR`` and compare the outputs with ``diff``.
+stderr and JSON report.  The ``iso-errors`` job (seed 0, files under
+``DIR/iso-errors``) asks ``iso VALID INVALID`` for each invalid shape of
+``corpus.INVALID``, against a valid fan of the same counts (``_partners``),
+so that the hashes cover the errors of an invalid second file.  Reports
+print the paths of their inputs, so hash two checkouts with the same
+``DIR`` and compare the outputs with ``diff``.
 ``CHECKOUT`` (default: the checkout holding this script) supplies both
 ``src/toriclift`` and ``perfbench/corpus.py``, which is only read.
 Stdlib only; pytest does not collect this file.
@@ -30,6 +34,33 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def _partners(corpus) -> dict:
+    """A valid fan per shape of ``corpus.INVALID``, with its rank, ray count
+    and max-cone count where a valid fan has them, so that the isomorphism
+    search runs before the second file is found invalid.  No rank-2 max cone
+    holds three rays, so the one-cone shapes on three rays get two cones,
+    and the pair is refused by its counts.  A new invalid shape needs an
+    entry here."""
+    quadrants = corpus.Shape(2, ((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (2, 3)))
+    chain = corpus.Shape(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
+    return {"overlap": quadrants, "line_in_cone": chain, "not_primitive": corpus.plane(),
+            "not_extreme": chain, "nested_cones": chain}
+
+
+def iso_error_questions(corpus, directory: Path) -> list:
+    """``iso VALID INVALID`` for each shape of ``corpus.INVALID``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    partners = _partners(corpus)
+    questions = []
+    for name, shape in corpus.INVALID.items():
+        valid, invalid = directory / f"valid-{name}.fan", directory / f"{name}.fan"
+        valid.write_text(corpus.fan_text(partners[name]), encoding="utf-8")
+        invalid.write_text(corpus.fan_text(shape), encoding="utf-8")
+        questions.append(corpus.Question(f"iso-errors.{name}", "iso-errors",
+                                         ["iso", str(valid), str(invalid)]))
+    return questions
 
 
 def report_hash(cli, argv: list[str], out_json: Path) -> str:
@@ -64,6 +95,7 @@ def main(argv=None) -> int:
     jobs = [(w, s, corpus.build(w, s, directory / f"{w}-{s}"))
             for w in corpus.WORKLOADS for s in args.seeds]
     jobs.append(("probe", 0, corpus.probe_questions(directory / "probes")))
+    jobs.append(("iso-errors", 0, iso_error_questions(corpus, directory / "iso-errors")))
     for workload, seed, questions in jobs:
         for q in questions:
             print(workload, seed, q.qid, report_hash(cli, q.argv, out_json))

@@ -1,12 +1,15 @@
 """End-to-end command-line tests, run in-process through ``main(argv)``."""
 
 import json
+from functools import cached_property
 
 import pytest
 
 import fangen
-from toriclift import cli, lifting
+from toriclift import cli, isomorphism, lifting
 from toriclift.cli import main
+from toriclift.fan import Fan
+from toriclift.fanfile import parse_fan_file
 
 QUADRIC = "fan 1\nrank 2\nray 1 0\nray 1 2\ncone 0 1\n"
 QUADRIC_SUBDIVIDED = "fan 1\nrank 2\nray 1 0\nray 1 1\nray 1 2\ncone 0 1\ncone 1 2\n"
@@ -486,6 +489,108 @@ class TestIso:
         assert code == 0
         assert "isomorphic: yes" in out
         assert "torus factor ranks: 1 1" in out
+        code, out, _ = run(capsys, "iso", files["halftorus"], files["plane"])
+        assert code == 0
+        assert "isomorphic: no" in out
+        assert "torus factor ranks: 1 0" in out
+
+
+# a valid fan and invalid ones with its ray and max-cone counts: two opposite
+# quadrants, and a chain of two cones
+QUADRANTS = "fan 1\nrank 2\nray 1 0\nray 0 1\nray -1 0\nray 0 -1\ncone 0 1\ncone 2 3\n"
+CHAIN = "fan 1\nrank 2\nray 1 0\nray 0 1\nray -1 -1\ncone 0 1\ncone 1 2\n"
+OVERLAP = "fan 1\nrank 2\nray 1 0\nray 0 1\nray 1 1\nray -1 0\ncone 0 1\ncone 2 3\n"
+NESTED = "fan 1\nrank 2\nray 1 0\nray 0 1\nray 1 1\ncone 0 1\ncone 0 2\n"
+BAD_ROW = "subgroup s\n1 0\nend\n"
+# (valid first file, invalid second file, whether the search runs before
+# the second file is found invalid)
+INVALID_SECOND = {
+    "overlapping cones": (QUADRANTS, OVERLAP, True),
+    "nested cones": (CHAIN, NESTED, True),
+    "duplicate cone": (CHAIN, CHAIN + "cone 0 1\n", False),
+    "uncovered ray": (QUADRANTS, QUADRANTS.replace("cone 2 3", "cone 1 2"), False),
+    "bad subgroup row": (CHAIN, CHAIN + BAD_ROW, False),
+    "bad subgroup row of overlapping cones": (QUADRANTS, OVERLAP + BAD_ROW, False),
+}
+
+
+def _pair(tmp_path, first, second):
+    paths = []
+    for name, text in (("first.fan", first), ("second.fan", second)):
+        p = tmp_path / name
+        p.write_text(text)
+        paths.append(str(p))
+    return paths
+
+
+def _full_validation_error(path):
+    with pytest.raises(ValueError) as e:
+        parse_fan_file(path)
+    return f"error: {e.value}\n"
+
+
+class TestIsoDefersTheSecondFan:
+    """The second file of ``iso`` is validated in full only when no verified
+    isomorphism certifies it, and then before any answer is printed."""
+
+    @pytest.mark.parametrize("case", INVALID_SECOND)
+    def test_invalid_second_fan_reports_as_full_validation(self, tmp_path, capsys, monkeypatch, case):
+        first, second, searched = INVALID_SECOND[case]
+        a, b = _pair(tmp_path, first, second)
+        calls = []
+        search = isomorphism.fan_isomorphic
+        monkeypatch.setattr(
+            isomorphism, "fan_isomorphic", lambda x, y: calls.append(1) or search(x, y)
+        )
+        code, out, err = run(capsys, "iso", a, b)
+        assert (code, out, err) == (1, "", _full_validation_error(b))
+        assert bool(calls) == searched
+
+    @pytest.mark.parametrize("case", ["overlapping cones", "nested cones"])
+    def test_guard_trip_validates_the_second_fan_first(self, tmp_path, capsys, monkeypatch, case):
+        first, second, _ = INVALID_SECOND[case]
+        a, b = _pair(tmp_path, first, second)
+        monkeypatch.setattr(isomorphism, "MAX_ISO_ASSIGNMENTS", 0)
+        code, out, err = run(capsys, "iso", a, b)
+        assert (code, out, err) == (1, "", _full_validation_error(b))
+        # a valid second fan trips the guard
+        b = _pair(tmp_path, first, first)[1]
+        code, out, err = run(capsys, "iso", a, b)
+        assert (code, out) == (2, "")
+        assert err.startswith("resource limit: isomorphism search tried 1 ray assignments")
+
+    def test_a_yes_reads_the_geometry_of_the_first_fan_only(self, tmp_path, capsys, monkeypatch):
+        computed = []
+        incidences = Fan.cone_incidences.func
+
+        def counted(fan):
+            computed.append(fan.rays)
+            return incidences(fan)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Fan, "cone_incidences")
+        monkeypatch.setattr(Fan, "cone_incidences", prop)
+        # the quadrants and a conjugate by (x, y) -> (x + y, y), then a
+        # fan of the same counts that is not isomorphic to them
+        conjugate = "fan 1\nrank 2\nray 1 0\nray 1 1\nray -1 0\nray -1 -1\ncone 0 1\ncone 2 3\n"
+        other = QUADRANTS.replace("ray 0 -1", "ray 1 -1")
+        for second, answer, read in ((conjugate, "yes", 1), (other, "no", 2)):
+            a, b = _pair(tmp_path, QUADRANTS, second)
+            rays = [parse_fan_file(p).fan.rays for p in (a, b)]
+            computed.clear()
+            code, out, _ = run(capsys, "iso", a, b)
+            assert code == 0 and f"isomorphic: {answer}" in out
+            assert computed == rays[:read]
+
+    def test_no_yes_without_a_verified_isomorphism(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(isomorphism, "verify_fan_iso", lambda a, b, iso: ["patched"])
+        a, b = _pair(tmp_path, QUADRANTS, QUADRANTS)
+        with pytest.raises(AssertionError, match="patched"):
+            main(["iso", a, b])
+        assert capsys.readouterr().out == ""
+        a, b = _pair(tmp_path, QUADRANTS, OVERLAP)
+        code, out, err = run(capsys, "iso", a, b)
+        assert (code, out, err) == (1, "", _full_validation_error(b))
 
 
 class TestSplit:

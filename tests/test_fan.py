@@ -98,10 +98,16 @@ def test_rejects_duplicate_ray():
 def test_rejects_bad_cone_indices():
     probs = bad(2, [(1, 0), (0, 1)], [(0, 5)])
     assert any("unknown rays" in p for p in probs)
+    assert bad(2, [(1, 0), (0, 1)], [(0, 2)]) == ["max cone 0 references unknown rays [2]"]
     probs = bad(2, [(1, 0), (0, 1)], [(0, 0, 1)])
     assert any("twice" in p for p in probs)
     probs = bad(2, [(1, 0), (0, 1)], [()])
     assert any("empty" in p for p in probs)
+
+
+def test_rejects_a_max_cone_listed_twice():
+    probs = bad(2, [(1, 0), (0, 1)], [(0, 1), (1, 0)])
+    assert probs == ["max cone [0, 1] listed more than once"]
 
 
 def test_rejects_uncovered_ray():
@@ -130,6 +136,9 @@ def test_rejects_dependent_rays_of_a_lower_dimensional_cone():
 def test_rejects_contained_cone():
     probs = bad(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
     assert any("contained in" in p for p in probs)
+    # the contained cone first in the canonical order, then last
+    assert bad(2, [(0, 1), (1, 0)], [(0,), (0, 1)]) == ["max cone [0] is contained in max cone [0, 1]"]
+    assert bad(2, [(0, 1), (1, 0)], [(0, 1), (1,)]) == ["max cone [1] is contained in max cone [0, 1]"]
 
 
 def test_rejects_non_face_overlap():
@@ -458,6 +467,7 @@ def test_guard_messages_name_constant_and_override(
 @pytest.mark.parametrize(
     "module, constant, trip, reached",
     [
+        (fan_module, "MAX_RAYS", _plane, 2),
         (lattice, "MAX_HILBERT_POINTS", _index_two_hilbert, 2),
         (lifting, "MAX_PROJECTION_PAIRS", _line_into_square_cone, 4),
     ],

@@ -1,7 +1,11 @@
 """Tests for fan isomorphism and torus-factor cancellation."""
 
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from math import perm
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -158,6 +162,31 @@ class TestFanIsomorphic:
             cone_bijection=iso.cone_bijection[:2],
         )
         assert verify_fan_iso(p2, p2, short) == ["cone map is not a bijection"]
+
+    def test_a_failed_verification_raises(self, p2, monkeypatch):
+        # a found isomorphism certifies the second fan: one that fails its
+        # verification is never returned
+        monkeypatch.setattr(isomorphism, "verify_fan_iso", lambda a, b, iso: ["patched"])
+        with pytest.raises(AssertionError, match="fails its verification: patched"):
+            fan_isomorphic(p2, p2)
+
+    def test_the_verification_holds_under_python_O(self):
+        script = (
+            "from toriclift import isomorphism\n"
+            "from toriclift.fan import validate_fan\n"
+            "isomorphism.verify_fan_iso = lambda a, b, iso: ['patched']\n"
+            "p2 = validate_fan(2, [(-1, -1), (0, 1), (1, 0)], [(0, 1), (0, 2), (1, 2)])\n"
+            "try:\n"
+            "    print(isomorphism.fan_isomorphic(p2, p2))\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(isomorphism.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert done.stdout == "found isomorphism fails its verification: patched\n", done.stderr
 
     def test_verifier_catches_tampering(self, p2):
         iso = fan_isomorphic(p2, p2)
