@@ -89,8 +89,17 @@ def cartier_lattice(fan: Fan, basis: tuple[Vec, ...]) -> tuple[Vec, ...]:
     congruences = [r for r, factor in enumerate(factors) if factor]
     stacked = [row + [-factors[r] * (r == q) for q in congruences] for r, row in enumerate(rows)]
     kernel = kernel_basis(IntMatrix(stacked))
+    if _is_identity(basis, n):  # c B is c itself
+        return hermite_row_basis((v[:k] for v in kernel), width=n)
     members = IntMatrix(basis, cols=n)
     return hermite_row_basis((members.left_apply(v[:k]) for v in kernel), width=n)
+
+
+def _is_identity(basis: Sequence[Vec], n: int) -> bool:
+    """Whether a Hermite basis in Z^n is the identity: with n rows its
+    pivots lie on the diagonal, and entries above a pivot of 1 are reduced
+    to 0."""
+    return len(basis) == n and all(r[i] == 1 for i, r in enumerate(basis))
 
 
 def _has_dual_facets(rays: Sequence[Vec], normals: Sequence[Vec]) -> bool:
@@ -140,11 +149,8 @@ class DivisorSubgroup:
     @cached_property
     def is_full(self) -> bool:
         """Whether the subgroup is all of Z^rays, i.e. its Hermite basis is
-        the identity: with n_rays rows its pivots lie on the diagonal, and
-        entries above a pivot of 1 are reduced to 0."""
-        return len(self.basis) == self.fan.n_rays and all(
-            r[i] == 1 for i, r in enumerate(self.basis)
-        )
+        the identity."""
+        return _is_identity(self.basis, self.fan.n_rays)
 
     @cached_property
     def effective_cone_rays(self) -> tuple[Vec, ...]:

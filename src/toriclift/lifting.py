@@ -2,15 +2,18 @@
 
 Given a lattice map carrying the source fan into the target fan, this module
 decides whether the morphism lifts to chosen quotient presentations on both
-sides.  The decision runs in stages: Cartier members of the target subgroup
-have forced pullbacks, read off one matrix per morphism
-(``ToricMorphism.cartier_pullback``); those values must extend to the whole
-subgroup; each extended value must lie in the source subgroup, which by
-admissibility holds every principal divisor; and finally the effectivity
-and support conditions are imposed on the effective generators — skipped
-for simplicial targets, where they hold automatically.  Failures carry
-machine-checkable certificates, and searches that exhaust their configured
-bound report "undecided" rather than guessing.
+sides.  A simplicial target is Q-factorial (Cox-Little-Schenck, Toric
+Varieties, 4.2.7), so the lifting, if any, is the rational pullback of each
+basis divisor, read off one matrix per morphism
+(``ToricMorphism.cartier_pullback``), and meets the conditions below
+automatically.  A no there, and every other question, runs in stages:
+Cartier members of the target subgroup have forced pullbacks, read off the
+same matrix; those values must extend to the whole subgroup; each extended
+value must lie in the source subgroup, which by admissibility holds every
+principal divisor; and finally the effectivity and support conditions are
+imposed on the effective generators of a non-simplicial target.
+Failures carry machine-checkable certificates, and searches that exhaust
+their configured bound report "undecided" rather than guessing.
 
 The extensions are X + N @ T over integer matrices T.  Containment is read
 off the Smith form U B V = S of the Cartier coordinates B, which the
@@ -244,14 +247,17 @@ def solve_geometric_pullback(
 ) -> LiftingReport:
     """Decide whether the morphism lifts to the chosen presentations.
 
-    Stages: forced Cartier pullbacks, one product with the morphism's
-    ``cartier_pullback`` matrix per Cartier member; additive extension to
-    the whole target subgroup; containment of each value in the source
-    subgroup; effectivity and support conditions on effective generators.
     A simplicial target is Q-factorial: every divisor has a Cartier
-    multiple (Cox-Little-Schenck, Toric Varieties, 4.2.7), so the forced
-    values fix the lifting, which meets the conditions automatically; they
-    are skipped there.  ``search_bound`` caps the coefficient box searched
+    multiple (Cox-Little-Schenck, Toric Varieties, 4.2.7), so the only
+    candidate is the rational pullback (``_rational_pullback``), which
+    meets the effectivity and support conditions automatically; when it is
+    integral with rows in the source subgroup it is the answer.  Otherwise
+    the stages run: forced Cartier pullbacks, one product with the
+    morphism's ``cartier_pullback`` matrix per Cartier member; additive
+    extension to the whole target subgroup; containment of each value in
+    the source subgroup, where a simplicial target must have failed (else
+    AssertionError); effectivity and support conditions on effective
+    generators.  ``search_bound`` caps the coefficient box searched
     when residual freedom survives the linear stages; exhausting it yields
     verdict "undecided".  A negative ``search_bound`` is a ValueError: it
     would search an empty box.
@@ -262,10 +268,13 @@ def solve_geometric_pullback(
         raise ValueError("target subgroup lives on a different fan")
     if source_subgroup.fan != f.source:
         raise ValueError("source subgroup lives on a different fan")
+    if f.target.is_simplicial:
+        # a failure falls through to the stages, which certify the no
+        phi = _rational_pullback(f, target_subgroup)
+        if phi is not None and all(source_subgroup.contains(row) for row in phi):
+            return _yes_report(f, target_subgroup, source_subgroup, [phi], "unique")
     n_src = f.source.n_rays
     k = len(target_subgroup.basis)
-
-    conditions = not f.target.is_simplicial
 
     # (a) forced values on the Cartier members
     forced = [f.pull_back_cartier(c) for c in target_subgroup.cartier_members]
@@ -285,67 +294,97 @@ def solve_geometric_pullback(
         return _no_report(
             ContainmentFailureCertificate(basis_indices=_failing_rows(ext, source_subgroup.basis))
         )
-    # on a simplicial target the forced values already fix phi
-    assert conditions or not ext.kernel.cols, "free directions on a simplicial target"
-    phi0, dirs = ext.particular, []
-    if conditions:
-        # the zero-forcing equations of the support condition, over T = W H
-        solved = _support_solution(
-            ext, source_subgroup.basis, _support_zero_cells(f, target_subgroup)
+    if f.target.is_simplicial:
+        raise AssertionError(
+            "a simplicial target passed the extension and containment stages "
+            "after its rational pullback failed them"
         )
-        if solved is None:
-            return _no_report(
-                EffectivityFailureCertificate(
-                    generator=None, coefficient_index=None, rationally_infeasible=False
-                )
-            )
-        t_particular, t_dirs = solved
-        phi0 = phi0 + _shift(ext.kernel, t_particular, n_src)
-        dirs = [_shift(ext.kernel, t, n_src) for t in t_dirs]
 
-        # (d) effectivity inequalities on the effective generators, over the
-        # coordinates tau of phi0 + sum_s tau_s dirs[s]
-        gens = target_subgroup.effective_generators
-        system = _effectivity_system(phi0, dirs, target_subgroup.generator_coefficients, n_src)
-        chain = _projections(system, len(dirs))
-        bad = next((r for r, (_, b) in enumerate(chain[0]) if b > 0), None)
-        if bad is not None:
-            # with no direction chain[0] is the system itself, whose row r is
-            # the pullback of generator r // n_src at source ray r % n_src
-            return _no_report(
-                EffectivityFailureCertificate(
-                    generator=None if dirs else gens[bad // n_src],
-                    coefficient_index=None if dirs else bad % n_src,
-                    rationally_infeasible=bool(dirs),
-                )
-            )
-        entries = [abs(x) for row in phi0 for x in row]
-        bound_used = search_bound if search_bound is not None else 4 * max([1] + entries)
-        found = _effective_points(chain, bound_used)
-        if not found:
-            return LiftingReport(
-                verdict="undecided",
-                uniqueness_note=(
-                    f"no integral solution within coefficient bound "
-                    f"{bound_used}; the rational relaxation is feasible"
-                ),
-            )
-        classes = [sum((D * c for c, D in zip(tau, dirs)), phi0) for tau in found]
-    else:
-        classes = [phi0]
-
-    phi = classes[0]
-    problems = verify_pullback_witness(
-        f, target_subgroup, source_subgroup, phi, conditions=conditions
+    # the zero-forcing equations of the support condition, over T = W H
+    solved = _support_solution(
+        ext, source_subgroup.basis, _support_zero_cells(f, target_subgroup)
     )
-    assert not problems, f"witness failed re-verification: {problems}"
+    if solved is None:
+        return _no_report(
+            EffectivityFailureCertificate(
+                generator=None, coefficient_index=None, rationally_infeasible=False
+            )
+        )
+    t_particular, t_dirs = solved
+    phi0 = ext.particular + _shift(ext.kernel, t_particular, n_src)
+    dirs = [_shift(ext.kernel, t, n_src) for t in t_dirs]
 
+    # (d) effectivity inequalities on the effective generators, over the
+    # coordinates tau of phi0 + sum_s tau_s dirs[s]
+    gens = target_subgroup.effective_generators
+    system = _effectivity_system(phi0, dirs, target_subgroup.generator_coefficients, n_src)
+    chain = _projections(system, len(dirs))
+    bad = next((r for r, (_, b) in enumerate(chain[0]) if b > 0), None)
+    if bad is not None:
+        # with no direction chain[0] is the system itself, whose row r is
+        # the pullback of generator r // n_src at source ray r % n_src
+        return _no_report(
+            EffectivityFailureCertificate(
+                generator=None if dirs else gens[bad // n_src],
+                coefficient_index=None if dirs else bad % n_src,
+                rationally_infeasible=bool(dirs),
+            )
+        )
+    entries = [abs(x) for row in phi0 for x in row]
+    bound_used = search_bound if search_bound is not None else 4 * max([1] + entries)
+    found = _effective_points(chain, bound_used)
+    if not found:
+        return LiftingReport(
+            verdict="undecided",
+            uniqueness_note=(
+                f"no integral solution within coefficient bound "
+                f"{bound_used}; the rational relaxation is feasible"
+            ),
+        )
+    classes = [sum((D * c for c, D in zip(tau, dirs)), phi0) for tau in found]
     if not dirs:
         note = "unique"
     elif len(classes) == 1:
         note = "one witness class found within the search bound"
     else:
         note = f"{len(classes)} witness classes found within coefficient bound {bound_used}"
+    return _yes_report(f, target_subgroup, source_subgroup, classes, note)
+
+
+def _rational_pullback(f: ToricMorphism, target_subgroup: DivisorSubgroup) -> Optional[IntMatrix]:
+    """Row j is the pullback P b_j / q of basis divisor b_j, read off
+    ``cartier_pullback`` as one product B P^T (P^T itself on the full
+    lattice, where B is the identity); None when an entry does not divide.
+    On a simplicial target this is the only rational extension of the
+    forced Cartier values."""
+    numerators, denominators = f.cartier_pullback
+    if target_subgroup.is_full:
+        product = numerators.T
+    else:
+        product = IntMatrix(target_subgroup.basis, cols=f.target.n_rays) @ numerators.T
+    rows = []
+    for row in product:
+        if any(x % q for x, q in zip(row, denominators)):
+            return None
+        rows.append(tuple(x // q for x, q in zip(row, denominators)))
+    return IntMatrix(rows, cols=f.source.n_rays)
+
+
+def _yes_report(
+    f: ToricMorphism,
+    target_subgroup: DivisorSubgroup,
+    source_subgroup: DivisorSubgroup,
+    classes: list[IntMatrix],
+    note: str,
+) -> LiftingReport:
+    """The yes report on the witness ``classes[0]``, re-verified first by an
+    explicit check that holds under python -O."""
+    phi = classes[0]
+    problems = verify_pullback_witness(
+        f, target_subgroup, source_subgroup, phi, conditions=not f.target.is_simplicial
+    )
+    if problems:
+        raise AssertionError(f"witness failed re-verification: {problems}")
     return LiftingReport(
         verdict="yes",
         uniqueness_note=note,
@@ -540,7 +579,9 @@ def induced_grading_hom(
     rows = []
     for lift in coker_t.generator_lifts:
         c = source_subgroup.coefficients(phi.left_apply(lift))
-        assert c is not None, "witness rows lie in the source subgroup"
+        # an explicit check, kept under python -O: the map is reported
+        if c is None:
+            raise AssertionError("a witness row lies outside the source subgroup")
         rows.append(coker_s.project(c))
     return AbHom(
         domain=coker_t.group,

@@ -6,8 +6,12 @@ integer systems whose solution sets are written out in comments.
 """
 
 import itertools
+import os
 import random
-from math import gcd
+import subprocess
+import sys
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +300,9 @@ class TestLiftingObstructions:
         self, blowup_line, quadric
     ):
         f = validate_toric_morphism(blowup_line, quadric, IntMatrix.identity(2))
+        # the rational pullback of (0, 1) is half a divisor, so the staged
+        # path certifies the no
+        assert lifting._rational_pullback(f, cox_subgroup(quadric)) is None
         report = solve_geometric_pullback(
             f, cox_subgroup(quadric), cox_subgroup(blowup_line)
         )
@@ -589,7 +596,9 @@ _SINGULAR_SIMPLICIAL = [
 def test_simplicial_targets_lift_uniquely_and_meet_the_conditions():
     """On a simplicial target the forced Cartier values fix the lifting, and
     the effectivity and support conditions, which the solver skips there,
-    hold for it: every yes is unique and passes the full re-check."""
+    hold for it: every yes is unique and passes the full re-check.  Its
+    witness, read off the rational pullback, is the staged extension of the
+    forced values and the local-character pullback of each basis divisor."""
     rng = random.Random(11)
     seen = dict.fromkeys(["yes", "no", "singular", "kajiwara", "padded"], 0)
     for _ in range(2000):
@@ -610,6 +619,8 @@ def test_simplicial_targets_lift_uniquely_and_meet_the_conditions():
         except MorphismValidationError:
             continue
         cox = cox_subgroup(target)
+        # a multiple clearing every cone's invariant factors is Cartier
+        m = lcm(*(s for snf in target.cone_snfs for s in snf.invariant_factors))
         for t_sub in (cox, kajiwara_subgroup(target)):
             for s_sub in (cox_subgroup(source), kajiwara_subgroup(source)):
                 report = solve_geometric_pullback(f, t_sub, s_sub)
@@ -621,6 +632,19 @@ def test_simplicial_targets_lift_uniquely_and_meet_the_conditions():
                 assert not verify_pullback_witness(
                     f, t_sub, s_sub, report.phi, conditions=True
                 ), (source, target, matrix, t_sub.basis, s_sub.basis)
+                # phi is the staged extension of the forced values ...
+                forced = [f.pull_back_cartier(c) for c in t_sub.cartier_members]
+                ext, obs = lattice.extend_homomorphism(
+                    IntMatrix(t_sub.cartier_coefficients, cols=len(t_sub.basis)),
+                    IntMatrix(forced, cols=source.n_rays),
+                )
+                assert obs is None and not ext.kernel.cols and report.phi == ext.particular
+                # ... and the pullback through local characters, which does
+                # not read the pullback matrix, of a Cartier multiple of each
+                # basis divisor
+                for b, row in zip(t_sub.basis, report.phi):
+                    chars = oracles.cartier_data(target, [m * x for x in b])
+                    assert oracles.pullback_cartier(f, chars) == tuple(m * x for x in row)
                 seen["yes"] += 1
                 seen["singular"] += not target.is_smooth
                 seen["kajiwara"] += t_sub.basis != cox.basis
@@ -629,6 +653,105 @@ def test_simplicial_targets_lift_uniquely_and_meet_the_conditions():
     # other than Cox, 48 on padded targets) and 249 no at this seed
     assert seen["yes"] >= 1000 and seen["no"] >= 100, seen
     assert seen["singular"] >= 500 and seen["kajiwara"] >= 300 and seen["padded"] >= 30, seen
+
+
+class TestRationalPullback:
+    """The simplicial step: phi read off the rational Cartier pullback."""
+
+    @pytest.fixture
+    def hexagon(self):
+        rays = fangen.smooth_polygon_rays(6)
+        return mk(2, rays, [(i, (i + 1) % 6) for i in range(6)])
+
+    def test_warm_yes_takes_no_extension_and_no_smith_form(
+        self, monkeypatch, quadric, blowup_origin, plane, hexagon
+    ):
+        # a singular identity, a blow-down and a smooth identity, Cox on
+        # both sides: once the objects are warm, a yes is one product, one
+        # divisibility test and the re-verification
+        cases = [
+            (quadric, quadric, IntMatrix.identity(2)),
+            (blowup_origin, plane, IntMatrix.identity(2)),
+            (hexagon, hexagon, IntMatrix.identity(2)),
+        ]
+        warm = []
+        for source, target, matrix in cases:
+            f = validate_toric_morphism(source, target, matrix)
+            t_sub, s_sub = cox_subgroup(target), cox_subgroup(source)
+            report = solve_geometric_pullback(f, t_sub, s_sub)
+            assert report.verdict == "yes" and target.is_simplicial
+            warm.append((f, t_sub, s_sub, report))
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("smith_normal_form", "extend_homomorphism"):
+            for module in (lattice, fan_module, divisors, lifting):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for f, t_sub, s_sub, report in warm:
+            assert solve_geometric_pullback(f, t_sub, s_sub) == report
+        assert calls == []
+
+    def test_a_failed_reverification_raises_on_both_paths(self, monkeypatch, hexagon, line, diamond):
+        # the rational step on a simplicial target, the staged path on a
+        # non-simplicial one, whose re-check includes the conditions: a
+        # witness that fails it is never reported
+        checked = []
+        monkeypatch.setattr(
+            lifting, "verify_pullback_witness",
+            lambda *a, conditions: checked.append(conditions) or ["patched"],
+        )
+        for source, target, matrix in [
+            (hexagon, hexagon, IntMatrix.identity(2)),
+            (line, diamond, IntMatrix([(0,), (1,), (3,)])),
+        ]:
+            f = validate_toric_morphism(source, target, matrix)
+            with pytest.raises(AssertionError, match=r"failed re-verification: \['patched'\]"):
+                solve_geometric_pullback(f, cox_subgroup(target), cox_subgroup(source))
+        assert checked == [False, True]
+
+    def test_the_reverification_holds_under_python_O(self):
+        script = (
+            "from toriclift import lifting\n"
+            "from toriclift.divisors import cox_subgroup\n"
+            "from toriclift.fan import validate_fan\n"
+            "from toriclift.lattice import IntMatrix\n"
+            "lifting.verify_pullback_witness = lambda *a, **k: ['patched']\n"
+            "rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]\n"
+            "hexagon = validate_fan(2, rays, [(i, (i + 1) % 6) for i in range(6)])\n"
+            "f = lifting.validate_toric_morphism(hexagon, hexagon, IntMatrix.identity(2))\n"
+            "try:\n"
+            "    print(lifting.solve_geometric_pullback(f, cox_subgroup(hexagon), cox_subgroup(hexagon)))\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(lifting.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert done.stdout == "witness failed re-verification: ['patched']\n", done.stderr
+
+    def test_a_staged_yes_on_a_simplicial_target_is_a_contradiction(self, monkeypatch, quadric):
+        # the rational pullback is the only extension there: if it fails
+        # while the extension and containment stages pass, the engine is wrong
+        monkeypatch.setattr(lifting, "_rational_pullback", lambda f, sub: None)
+        f = validate_toric_morphism(quadric, quadric, IntMatrix.identity(2))
+        with pytest.raises(AssertionError, match="rational pullback failed them"):
+            solve_geometric_pullback(f, cox_subgroup(quadric), cox_subgroup(quadric))
+
+    def test_the_grading_map_refuses_a_row_outside_the_source_subgroup(self, quadric):
+        f = validate_toric_morphism(quadric, quadric, IntMatrix.identity(2))
+        principal_only = divisor_subgroup(quadric, [(1, 1), (0, 2)])
+        with pytest.raises(AssertionError, match="outside the source subgroup"):
+            lifting.induced_grading_hom(
+                f, cox_subgroup(quadric), principal_only, IntMatrix.identity(2)
+            )
 
 
 class TestUndecided:
