@@ -60,12 +60,6 @@ def _header(*inputs) -> tuple[list[str], dict]:
     return lines, payload
 
 
-def _load_target(path: str, src: FanDocument, max_rays: Optional[int]) -> FanDocument:
-    """The target document; the source one when the path string is the same
-    (compared as given, since the report prints each path)."""
-    return src if path == src.path else parse_fan_file(path, max_rays=max_rays)
-
-
 def _resolve_subgroup(doc: FanDocument, name: str):
     if name in doc.subgroups:
         return divisor_subgroup(doc.fan, doc.subgroups[name])
@@ -88,7 +82,7 @@ def _cmd_validate(args) -> tuple[int, list[str], dict]:
     raw = read_fan_document(args.file)
     lines, payload = _header(("input", raw))
     try:
-        doc = validate_document(raw, max_rays=args.max_rays)
+        doc = validate_document(raw)
     except FanValidationError as e:
         lines.append("valid: no")
         for p in e.problems:
@@ -114,7 +108,7 @@ def _cmd_validate(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_invariants(args) -> tuple[int, list[str], dict]:
-    doc = parse_fan_file(args.file, max_rays=args.max_rays)
+    doc = parse_fan_file(args.file)
     fan = doc.fan
     group = cox_subgroup(fan).grading_cokernel.group
     torus_rank = fan.rank - fan.span_rank
@@ -146,7 +140,7 @@ def _cmd_present(args) -> tuple[int, list[str], dict]:
         raise _InputError("--subgroup NAME applies only with --mode subgroup")
     else:
         name = mode_text = args.mode
-    doc = parse_fan_file(args.file, max_rays=args.max_rays)
+    doc = parse_fan_file(args.file)
     pres = presentation_from_subgroup(_resolve_subgroup(doc, name))
     lines, head = _header(("input", doc))
     lines.append(f"mode: {mode_text}")
@@ -194,7 +188,7 @@ def _parse_matrix_flag(text: str, rows: int, cols: int) -> IntMatrix:
 
 
 def _cmd_lift(args) -> tuple[int, list[str], dict]:
-    src = parse_fan_file(args.source, max_rays=args.max_rays)
+    src = parse_fan_file(args.source)
     if args.morphism is not None and args.matrix is not None:
         raise _InputError("give either --matrix or --morphism, not both")
     if args.morphism is not None:
@@ -202,21 +196,21 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
             raise _InputError(
                 f"morphism '{args.morphism}' is not defined in {src.path}"
             )
-        target_path = (
-            args.target
-            if args.target is not None
-            else str(src.morphism_target_path(args.morphism))
-        )
-        dst = _load_target(target_path, src, args.max_rays)
-        matrix = morphism_matrix(
-            src.morphisms[args.morphism], dst.fan.rank, src.fan.rank
-        )
+        target_path = args.target
+        if target_path is None:
+            target_path = str(src.morphism_target_path(args.morphism))
+    elif args.target is None:
+        raise _InputError("lift needs a target file (or --morphism LABEL)")
+    elif args.matrix is None:
+        raise _InputError("lift needs --matrix (or --morphism LABEL)")
     else:
-        if args.target is None:
-            raise _InputError("lift needs a target file (or --morphism LABEL)")
-        if args.matrix is None:
-            raise _InputError("lift needs --matrix (or --morphism LABEL)")
-        dst = _load_target(args.target, src, args.max_rays)
+        target_path = args.target
+    # the source document when the path string is the same (compared as
+    # given, since the report prints each path)
+    dst = src if target_path == src.path else parse_fan_file(target_path)
+    if args.morphism is not None:
+        matrix = morphism_matrix(src.morphisms[args.morphism], dst.fan.rank, src.fan.rank)
+    else:
         matrix = _parse_matrix_flag(args.matrix, dst.fan.rank, src.fan.rank)
 
     f = validate_toric_morphism(src.fan, dst.fan, matrix)
@@ -276,19 +270,19 @@ def _cmd_lift(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_iso(args) -> tuple[int, list[str], dict]:
-    a = parse_fan_file(args.first, max_rays=args.max_rays)
+    a = parse_fan_file(args.first)
     raw = read_fan_document(args.second)
-    b = canonical_document(raw, max_rays=args.max_rays)
+    b = canonical_document(raw)
     # a verified isomorphism carries the first file's valid fan onto the
     # second's, which certifies its geometry; every other outcome validates
     # the second file in full first, so an invalid one reports as invalid
     try:
         report = toric_isomorphism(a.fan, b.fan)
     except ResourceLimitError:
-        validate_document(raw, max_rays=args.max_rays)
+        validate_document(raw)
         raise
     if not report.isomorphic:
-        validate_document(raw, max_rays=args.max_rays)
+        validate_document(raw)
     lines, head = _header(("first", a), ("second", b))
     lines += [
         f"isomorphic: {'yes' if report.isomorphic else 'no'}",
@@ -316,7 +310,7 @@ def _cmd_iso(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_split(args) -> tuple[int, list[str], dict]:
-    doc = parse_fan_file(args.file, max_rays=args.max_rays)
+    doc = parse_fan_file(args.file)
     split = split_torus_factor(doc.fan)
     red = split.reduced_fan
     lines, head = _header(("input", doc))
@@ -361,8 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--max-rays", type=_non_negative, default=None,
-                       help="ray-count guard override")
         p.add_argument("--out", default=None, help="also write the report as JSON to this file")
 
     p = sub.add_parser("validate", help="check the fan axioms")

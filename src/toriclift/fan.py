@@ -29,6 +29,7 @@ exact test by double description.
 
 Degenerate fans (rays not spanning the ambient lattice) are legal; they
 describe varieties with a torus factor, split off by ``split_torus_factor``.
+The rank is guarded; the ray count is not, since every check is polynomial in it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .lattice import (
 )
 
 MAX_RANK = 6
-MAX_RAYS = 64
 
 
 class FanValidationError(ValueError):
@@ -344,21 +344,19 @@ def validate_fan(
     rank: int,
     rays: Sequence[Sequence[int]],
     max_cones: Sequence[Sequence[int]],
-    *,
-    max_rays: Optional[int] = None,
 ) -> Fan:
     """Check the fan axioms and return the canonicalized fan.
 
     Raises :class:`FanValidationError` carrying every detected violation, or
-    :class:`ResourceLimitError` when the instance exceeds the size guards
-    (``MAX_RANK``, and ``max_rays``, which defaults to ``MAX_RAYS``).
+    :class:`ResourceLimitError` when the rank exceeds ``MAX_RANK`` or a
+    double description its guard (``polyhedra.MAX_DESCRIPTION_PAIRS``).
 
     Checks: primitive distinct nonzero rays; well-formed cone index sets;
     every ray in some maximal cone; each maximal cone strongly convex with
     every listed ray extreme; no maximal cone contained in another; every
     pairwise intersection of maximal cones is a common face of both.
 
-    Two parts: :func:`canonical_fan` runs the guards and the checks that
+    Two parts: :func:`canonical_fan` runs the rank guard and the checks that
     need no geometry and builds the canonical fan, then
     :func:`_check_geometry` checks its cones.  Each max cone costs one
     double description, its facet description, from which every geometric
@@ -366,7 +364,7 @@ def validate_fan(
     another only when neither one facet of either cone nor a sum of its
     facet normals certifies it (:func:`_meet_in_common_face`).
     """
-    fan, problems = canonical_fan(rank, rays, max_cones, max_rays=max_rays)
+    fan, problems = canonical_fan(rank, rays, max_cones)
     _check_geometry(fan, problems)
     return fan
 
@@ -375,8 +373,6 @@ def canonical_fan(
     rank: int,
     rays: Sequence[Sequence[int]],
     max_cones: Sequence[Sequence[int]],
-    *,
-    max_rays: Optional[int] = None,
 ) -> tuple[Fan, list[str]]:
     """The part of :func:`validate_fan` that needs no cone geometry: the
     canonical fan, which ``validate_fan`` returns when the fan is valid, and
@@ -384,7 +380,7 @@ def canonical_fan(
     cone, while its geometry is left unchecked.
 
     Raises what ``validate_fan`` raises before its geometric checks: the
-    size guards, and :class:`FanValidationError` for a malformed ray or cone
+    rank guard, and :class:`FanValidationError` for a malformed ray or cone
     index set.  A fan carried onto this one by a verified isomorphism
     certifies its geometry (``isomorphism.toric_isomorphism``); otherwise
     only ``validate_fan`` does.
@@ -395,13 +391,6 @@ def canonical_fan(
         raise ResourceLimitError(
             f"rank {rank} exceeds guard {MAX_RANK}: MAX_RANK = {MAX_RANK} in "
             f"toriclift.fan, no flag overrides it"
-        )
-    if max_rays is None:
-        max_rays = MAX_RAYS
-    if len(rays) > max_rays:
-        raise ResourceLimitError(
-            f"{len(rays)} rays exceed guard {max_rays}: MAX_RAYS = {MAX_RAYS} in "
-            f"toriclift.fan, override with --max-rays"
         )
 
     problems: list[str] = []

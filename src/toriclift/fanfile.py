@@ -292,13 +292,13 @@ def read_fan_document(path) -> RawFanDocument:
     return doc
 
 
-def validate_document(raw: RawFanDocument, *, max_rays: Optional[int] = None) -> FanDocument:
+def validate_document(raw: RawFanDocument) -> FanDocument:
     """Fan-validate a raw document and re-index its subgroups canonically."""
-    fan = validate_fan(raw.rank, raw.rays, raw.max_cones, max_rays=max_rays)
+    fan = validate_fan(raw.rank, raw.rays, raw.max_cones)
     return _reindexed(raw, fan)
 
 
-def canonical_document(raw: RawFanDocument, *, max_rays: Optional[int] = None) -> FanDocument:
+def canonical_document(raw: RawFanDocument) -> FanDocument:
     """The document of :func:`validate_document` with its fan's geometry left
     unchecked: ``fan.canonical_fan`` and the subgroup-row check.
 
@@ -306,13 +306,13 @@ def canonical_document(raw: RawFanDocument, *, max_rays: Optional[int] = None) -
     so it raises exactly what ``validate_document`` raises: a geometric
     problem comes before a malformed subgroup row.  The caller must certify
     the fan's geometry before relying on it, or validate it in full."""
-    fan, problems = canonical_fan(raw.rank, raw.rays, raw.max_cones, max_rays=max_rays)
+    fan, problems = canonical_fan(raw.rank, raw.rays, raw.max_cones)
     if not problems:
         try:
             return _reindexed(raw, fan)
         except FanFileError:
             pass
-    return validate_document(raw, max_rays=max_rays)
+    return validate_document(raw)
 
 
 def _reindexed(raw: RawFanDocument, fan: Fan) -> FanDocument:
@@ -342,9 +342,9 @@ def _reindexed(raw: RawFanDocument, fan: Fan) -> FanDocument:
     )
 
 
-def parse_fan_file(path, *, max_rays: Optional[int] = None) -> FanDocument:
+def parse_fan_file(path) -> FanDocument:
     """Read and fully validate a fan document."""
-    return validate_document(read_fan_document(path), max_rays=max_rays)
+    return validate_document(read_fan_document(path))
 
 
 def morphism_matrix(decl: MorphismDecl, target_rank: int, source_rank: int) -> IntMatrix:

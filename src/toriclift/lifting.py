@@ -6,12 +6,13 @@ sides.  A simplicial target is Q-factorial (Cox-Little-Schenck, Toric
 Varieties, 4.2.7), so the lifting, if any, is the rational pullback of each
 basis divisor, read off one matrix per morphism
 (``ToricMorphism.cartier_pullback``), and meets the conditions below
-automatically.  A no there, and every other question, runs in stages:
+automatically; when integral, its rows outside the source subgroup certify
+the no.  Other questions run in stages:
 Cartier members of the target subgroup have forced pullbacks, read off the
 same matrix; those values must extend to the whole subgroup; each extended
 value must lie in the source subgroup, which by admissibility holds every
 principal divisor; and finally the effectivity and support conditions are
-imposed on the effective generators of a non-simplicial target.
+imposed on the effective generators.
 Failures carry machine-checkable certificates, and searches that exhaust
 their configured bound report "undecided" rather than guessing.
 
@@ -250,13 +251,14 @@ def solve_geometric_pullback(
     A simplicial target is Q-factorial: every divisor has a Cartier
     multiple (Cox-Little-Schenck, Toric Varieties, 4.2.7), so the only
     candidate is the rational pullback (``_rational_pullback``), which
-    meets the effectivity and support conditions automatically; when it is
-    integral with rows in the source subgroup it is the answer.  Otherwise
-    the stages run: forced Cartier pullbacks, one product with the
-    morphism's ``cartier_pullback`` matrix per Cartier member; additive
-    extension to the whole target subgroup; containment of each value in
-    the source subgroup, where a simplicial target must have failed (else
-    AssertionError); effectivity and support conditions on effective
+    meets the effectivity and support conditions automatically.  When it
+    is integral it decides: the answer when its rows lie in the source
+    subgroup, else a containment failure naming the rows that do not.
+    Otherwise the stages run: forced Cartier pullbacks, one product with
+    the morphism's ``cartier_pullback`` matrix per Cartier member; additive
+    extension to the whole target subgroup, where a simplicial target must
+    have failed (else AssertionError); containment of each value in the
+    source subgroup; effectivity and support conditions on effective
     generators.  ``search_bound`` caps the coefficient box searched
     when residual freedom survives the linear stages; exhausting it yields
     verdict "undecided".  A negative ``search_bound`` is a ValueError: it
@@ -269,9 +271,13 @@ def solve_geometric_pullback(
     if source_subgroup.fan != f.source:
         raise ValueError("source subgroup lives on a different fan")
     if f.target.is_simplicial:
-        # a failure falls through to the stages, which certify the no
+        # phi is the only extension (the Cartier coefficients have full
+        # column rank), so its rows outside the source subgroup are the no
         phi = _rational_pullback(f, target_subgroup)
-        if phi is not None and all(source_subgroup.contains(row) for row in phi):
+        if phi is not None:
+            failing = tuple(j for j, row in enumerate(phi) if not source_subgroup.contains(row))
+            if failing:
+                return _no_report(ContainmentFailureCertificate(basis_indices=failing))
             return _yes_report(f, target_subgroup, source_subgroup, [phi], "unique")
     n_src = f.source.n_rays
     k = len(target_subgroup.basis)
@@ -288,16 +294,16 @@ def solve_geometric_pullback(
         return _no_report(
             ExtensionObstruction(multiplier=obs.multiplier, element=divisor, required=obs.required)
         )
+    if f.target.is_simplicial:
+        raise AssertionError(
+            "a simplicial target passed stages (a) and (b) after its rational "
+            "pullback failed them"
+        )
     # (c) containment in the source subgroup: the rows of V^-1 phi are the
     # fixed rows over T, so phi's rows lie in it iff each fixed row does
     if not all(source_subgroup.contains(y) for y in ext.fixed):
         return _no_report(
             ContainmentFailureCertificate(basis_indices=_failing_rows(ext, source_subgroup.basis))
-        )
-    if f.target.is_simplicial:
-        raise AssertionError(
-            "a simplicial target passed the extension and containment stages "
-            "after its rational pullback failed them"
         )
 
     # the zero-forcing equations of the support condition, over T = W H

@@ -17,7 +17,9 @@ remains, a halfspace either is implied or converts one line into a ray and
 projects everything else onto the hyperplane.  Once pointed (relative to the
 remaining lineality), rays are split into positive/zero/negative sides and
 adjacent +/- pairs combine into new boundary rays; adjacency uses the usual
-combinatorial zero-set test.
+combinatorial zero-set test.  That pair loop is the exponential step (the
+rays kept can grow like n^(d/2), McMullen), so it alone is guarded; the line
+phase keeps up to ``dim`` rays and tests no pair.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .lattice import Vec, primitive_vector, vec_dot
+from .lattice import ResourceLimitError, Vec, primitive_vector, vec_dot
+
+MAX_DESCRIPTION_PAIRS = 20_000
 
 
 def _canonical_line(v: Vec) -> Vec:
@@ -42,7 +46,8 @@ def dual_description(
     """Generators (lines, rays) of {x in Q^dim : <a, x> >= 0 for a in normals}.
 
     Lines form a lattice basis of the lineality space; rays are the extreme
-    rays modulo lineality, primitive and lex-sorted.
+    rays modulo lineality, primitive and lex-sorted.  A step that would test
+    more than MAX_DESCRIPTION_PAIRS +/- ray pairs raises ResourceLimitError.
     """
     normals = [tuple(map(int, a)) for a in normals]
     for a in normals:
@@ -107,6 +112,13 @@ def dual_description(
                 continue
             new_rays.append(rays[i])
             new_zero.append(zero_sets[i] if v else zero_sets[i] | bit)
+        pairs = len(pos) * len(neg)
+        if pairs > MAX_DESCRIPTION_PAIRS:
+            raise ResourceLimitError(
+                f"double description would test {pairs} ray pairs, over guard "
+                f"{MAX_DESCRIPTION_PAIRS}: MAX_DESCRIPTION_PAIRS = {MAX_DESCRIPTION_PAIRS} in "
+                f"toriclift.polyhedra, no flag overrides it"
+            )
         for ip in pos:
             zp, rp, vp = zero_sets[ip], rays[ip], vals[ip]
             for im in neg:

@@ -46,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = {
     "lattice": ("test_lattice.py", "test_divisors.py", "test_lifting.py", "test_fan.py",
                 "test_isomorphism.py"),
-    "polyhedra": ("test_polyhedra.py", "test_fan.py"),
+    "polyhedra": ("test_polyhedra.py", "test_fan.py", "test_cli.py"),
     "fan": ("test_fan.py", "test_polyhedra.py", "test_divisors.py"),
     "divisors": ("test_divisors.py", "test_presentation.py", "test_lifting.py", "test_fanfile.py",
                  "test_cli.py", "test_acceptance.py"),

@@ -2,6 +2,7 @@
 
 import json
 from functools import cached_property
+from random import Random
 
 import pytest
 
@@ -82,14 +83,18 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(tmp_path / "nope.fan"))
         assert code == 1 and "cannot read" in err
 
-    def test_ray_guard_exit(self, files, capsys):
-        code, _, err = run(capsys, "validate", files["quadric"], "--max-rays", "1")
-        assert code == 2 and "resource limit" in err
-        assert "MAX_RAYS" in err and "--max-rays" in err
+    def test_128_ray_polygon_needs_no_flag(self, tmp_path, capsys):
+        # the ray count has no guard: validation is polynomial in it
+        p = tmp_path / "polygon128.fan"
+        p.write_text(smooth_polygon_text(128))
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 0 and err == ""
+        assert "valid: yes" in out and "rays: 128" in out
 
-    def test_negative_ray_guard_is_an_input_error(self, files, capsys):
-        code, out, err = run(capsys, "validate", files["line"], "--max-rays=-1")
-        assert code == 1 and out == "" and "must be non-negative" in err
+    def test_max_rays_flag_is_a_usage_error(self, files, capsys):
+        code, out, err = run(capsys, "validate", files["quadric"], "--max-rays", "5")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --max-rays 5" in err
 
     def test_bad_flags_are_input_errors(self, files, capsys):
         assert run(capsys, "validate", files["quadric"], "--bogus")[0] == 1
@@ -219,6 +224,24 @@ class TestPresent:
             "and present the reduced fan\n"
         )
 
+    def test_high_rank_subgroup_trips_the_description_guard(self, tmp_path, capsys):
+        # a rank-10 subgroup of a 20-ray polygon, the principal rows and
+        # seeded 0/1 rows: its effective cone's double description trips the
+        # pair guard in under a second, where unguarded it ran about 10 s
+        rays = fangen.smooth_polygon_rays(20)
+        rng = Random(1)
+        rows = [[x for x, _ in rays], [y for _, y in rays]]
+        rows += [[rng.randint(0, 1) for _ in rays] for _ in range(8)]
+        p = tmp_path / "rank10.fan"
+        p.write_text(
+            smooth_polygon_text(20)
+            + "subgroup wide\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows) + "end\n"
+        )
+        code, out, err = run(capsys, "present", str(p), "--mode", "subgroup", "--subgroup", "wide")
+        assert code == 2 and out == ""
+        assert "resource limit: double description would test" in err
+        assert "MAX_DESCRIPTION_PAIRS = 20000 in toriclift.polyhedra" in err
+
     def test_cox_24_ray_polygon(self, tmp_path, capsys):
         # past the old 20-coordinate guard: the 24 * 21 / 2 non-adjacent pairs
         p = tmp_path / "polygon24.fan"
@@ -229,7 +252,7 @@ class TestPresent:
         assert "exceptional collections: 252" in out
 
     def test_cox_64_ray_polygon(self, tmp_path, capsys):
-        # at MAX_RAYS: each witness of enough divisors is read off the unit rays
+        # each witness of enough divisors is read off the unit rays
         p = tmp_path / "polygon64.fan"
         p.write_text(smooth_polygon_text(64))
         code, out, err = run(capsys, "present", str(p), "--mode", "cox")
@@ -618,11 +641,10 @@ def test_consecutive_calls_give_their_own_reports(files, capsys):
     assert code == 0 and "isomorphic: yes" in out and "exists:" not in out
 
 
-@pytest.mark.parametrize("flag", ["--search-bound", "--max-rays"])
+@pytest.mark.parametrize("flag", ["--search-bound"])
 @pytest.mark.parametrize("joined", [False, True])
 def test_negative_bounds_are_input_errors(files, capsys, flag, joined):
-    # a negative search bound is an empty box and a negative ray guard
-    # rejects every fan: neither is a guard trip or "undecided"
+    # a negative search bound is an empty box: not a guard trip or "undecided"
     args = ["lift", files["line"], files["diamond"], "--matrix", "1,0,3"]
     args += [f"{flag}=-1"] if joined else [flag, "-1"]
     code, out, err = run(capsys, *args)

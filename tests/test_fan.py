@@ -411,14 +411,19 @@ def test_rejects_overlap_in_no_face_of_one_cone():
 def test_guards():
     with pytest.raises(ResourceLimitError):
         validate_fan(7, [], [])
+    # the ray count has no guard: the checks are polynomial in it
     rays = [(1, i) for i in range(65)]
     cones = [(i, i + 1) for i in range(64)]
-    with pytest.raises(ResourceLimitError):
-        validate_fan(2, rays, cones)
+    assert validate_fan(2, rays, cones).n_rays == 65
 
 
 def _plane():
     return validate_fan(2, [(1, 0), (0, 1)], [(0, 1)])
+
+
+def _square_cone_facets():
+    # the fourth generator splits the three facets so far two against one
+    return polyhedra.facet_description([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], 3)
 
 
 def _index_two_hilbert():
@@ -446,7 +451,7 @@ def _p2_collections():
     "module, constant, trip, override",
     [
         (fan_module, "MAX_RANK", _plane, "no flag overrides it"),
-        (fan_module, "MAX_RAYS", _plane, "override with --max-rays"),
+        (polyhedra, "MAX_DESCRIPTION_PAIRS", _square_cone_facets, "no flag overrides it"),
         (lattice, "MAX_HILBERT_POINTS", _index_two_hilbert, "no flag overrides it"),
         (isomorphism, "MAX_ISO_ASSIGNMENTS", _p2_self_iso, "no flag overrides it"),
         (lifting, "MAX_SEARCH_POINTS", _line_into_square_cone, "lower --search-bound"),
@@ -467,7 +472,7 @@ def test_guard_messages_name_constant_and_override(
 @pytest.mark.parametrize(
     "module, constant, trip, reached",
     [
-        (fan_module, "MAX_RAYS", _plane, 2),
+        (polyhedra, "MAX_DESCRIPTION_PAIRS", _square_cone_facets, 2),
         (lattice, "MAX_HILBERT_POINTS", _index_two_hilbert, 2),
         (lifting, "MAX_PROJECTION_PAIRS", _line_into_square_cone, 4),
     ],

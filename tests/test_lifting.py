@@ -514,6 +514,17 @@ class TestLiftingExists:
         hom = report.induced_grading_hom
         assert hom.codomain == FgAbGroup(0)
 
+    def test_default_bound_reads_a_small_base_point(self, line, diamond):
+        # image (0, 0, 2), the sum of two opposite rays of either diagonal:
+        # solutions are phi = (t, 1-t, 1-t, t) with 0 <= t <= 1, and the base
+        # point's entries are at most 1, so the default bound is 4 * 1
+        f = validate_toric_morphism(line, diamond, IntMatrix([(0,), (0,), (2,)]))
+        report = solve_geometric_pullback(f, cox_subgroup(diamond), cox_subgroup(line))
+        assert report.verdict == "yes"
+        assert report.uniqueness_note == "2 witness classes found within coefficient bound 4"
+        found = {tuple(x for (x,) in m) for m in report.witness_classes}
+        assert found == {(0, 1, 1, 0), (1, 0, 0, 1)}
+
     def test_support_conditions_pin_the_witness(self, line, diamond):
         # image (1, 1, 2) sits on the facet spanned by rays 2 and 3, so the
         # pullbacks of the first two coordinate divisors are forced to zero;
@@ -653,6 +664,58 @@ def test_simplicial_targets_lift_uniquely_and_meet_the_conditions():
     # other than Cox, 48 on padded targets) and 249 no at this seed
     assert seen["yes"] >= 1000 and seen["no"] >= 100, seen
     assert seen["singular"] >= 500 and seen["kajiwara"] >= 300 and seen["padded"] >= 30, seen
+
+
+def test_simplicial_noes_are_the_staged_certificates():
+    """A no on a simplicial target is read off phi when phi is integral, and
+    certified by the extension stage otherwise.  Either way it is the
+    certificate the stages give: the extension obstruction, or the rows that
+    fail containment on their own (``_failing_rows``), never none."""
+    rng = random.Random(12)
+    seen = dict.fromkeys(["extension", "containment"], 0)
+    def singular():
+        rank, rays, cones = rng.choice(_SINGULAR_SIMPLICIAL)
+        return fangen.conjugate_fan(mk(rank, rays, cones), fangen.random_unimodular(rank, rng))
+
+    for _ in range(600):
+        target = singular()
+        if rng.random() < 0.3:
+            # an identity with Kajiwara on the source side fails containment
+            source, matrix = target, IntMatrix.identity(target.rank)
+        else:
+            source = singular() if rng.random() < 0.5 else fangen.random_fan(rng)
+            matrix = IntMatrix(
+                [[rng.randint(-2, 2) for _ in range(source.rank)] for _ in range(target.rank)],
+                cols=source.rank,
+            )
+        try:
+            f = validate_toric_morphism(source, target, matrix)
+        except MorphismValidationError:
+            continue
+        for t_sub in (cox_subgroup(target), kajiwara_subgroup(target)):
+            for s_sub in (cox_subgroup(source), kajiwara_subgroup(source)):
+                report = solve_geometric_pullback(f, t_sub, s_sub)
+                if report.verdict == "yes":
+                    continue
+                forced = [f.pull_back_cartier(c) for c in t_sub.cartier_members]
+                ext, obs = lattice.extend_homomorphism(
+                    IntMatrix(t_sub.cartier_coefficients, cols=len(t_sub.basis)),
+                    IntMatrix(forced, cols=source.n_rays),
+                )
+                if obs is not None:
+                    assert lifting._rational_pullback(f, t_sub) is None
+                    element = IntMatrix(t_sub.basis, cols=target.n_rays).left_apply(obs.element)
+                    assert report.obstruction == ExtensionObstruction(
+                        multiplier=obs.multiplier, element=element, required=obs.required
+                    )
+                    seen["extension"] += 1
+                else:
+                    assert not ext.kernel.cols
+                    rows = lifting._failing_rows(ext, s_sub.basis)
+                    assert rows and report.obstruction == ContainmentFailureCertificate(rows)
+                    seen["containment"] += 1
+    # 96 extension obstructions and 174 containment failures at this seed
+    assert seen["extension"] >= 50 and seen["containment"] >= 100, seen
 
 
 class TestRationalPullback:
